@@ -530,8 +530,6 @@ def main(argv=None) -> int:
                              "subcommand")
     parser.add_argument("--out", help="output directory override")
     parser.add_argument("--seed", type=int, help="seed override")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads (1 keeps bitwise determinism)")
     parser.add_argument("--snapshots", action="store_true",
                         help="write per-piece field snapshots (solve)")
     args = parser.parse_args(argv)

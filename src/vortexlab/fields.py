@@ -179,13 +179,6 @@ def lambda_profile(f: GaugedField) -> np.ndarray:
     return f.lam_left[None, :] * (1.0 - s) + f.lam_right[None, :] * s
 
 
-def lambda_profile_derivative(f: GaugedField) -> np.ndarray:
-    lo, width = _twist_window(f)
-    t = np.clip((f.piece.r - lo) / width, 0.0, 1.0)
-    ds = 30.0 * t**2 * (1.0 - t) ** 2 / width
-    return ds[:, None] * (f.lam_right - f.lam_left)[None, :]
-
-
 def lambda_integral(f: GaugedField) -> np.ndarray:
     """Antiderivative (n_r, k) of the twist profile, zero at the left ring."""
     p = f.piece
@@ -436,16 +429,18 @@ def save_field(f: GaugedField, csv_path, header_path):
     cols += [f"a_r_{a}" for a in range(k)] + [f"a_theta_{a}" for a in range(k)]
     for j in range(n):
         cols += [f"re_u_{j}", f"im_u_{j}"]
+    sites = p.n_r * p.n_theta
+    table = np.column_stack([
+        np.arange(sites),
+        np.repeat(p.r, p.n_theta),
+        np.tile(np.arange(p.n_theta) * p.h_theta, p.n_r),
+        f.a_r.reshape(sites, k),
+        f.a_theta.reshape(sites, k),
+        np.stack([f.u.real, f.u.imag], axis=-1).reshape(sites, 2 * n),
+    ])
     with open(csv_path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for i in range(p.n_r):
-            for j in range(p.n_theta):
-                row = [i * p.n_theta + j, p.r[i], j * p.h_theta]
-                row += list(f.a_r[i, j]) + list(f.a_theta[i, j])
-                for c in range(n):
-                    row += [f.u[i, j, c].real, f.u[i, j, c].imag]
-                fh.write(",".join(f"{x:.17g}" if isinstance(x, float) else str(x)
-                                  for x in row) + "\n")
+        np.savetxt(fh, table, fmt=["%d"] + ["%.17g"] * (len(cols) - 1),
+                   delimiter=",", header=",".join(cols), comments="")
     header = {
         "lam_left": [int(x) for x in np.round(f.lam_left)],
         "lam_right": [int(x) for x in np.round(f.lam_right)],

@@ -29,6 +29,8 @@ from .target import (
     fingerprint_distance,
     is_semistable,
     kempf_ness_shift,
+    kempf_ness_shifts,
+    semistable_mask,
 )
 
 __all__ = [
@@ -288,14 +290,12 @@ def build_seed(
 
     # per-ring real rescale onto the moment-map zero level: a radial complex
     # gauge guess that keeps holomorphy and localizes the residual
-    s_prof = np.zeros((piece.n_r, t.k))
-    for i in range(piece.n_r):
-        vals = np.where(dead[None, :], 0.0, np.exp(log_u[i].real))
-        moduli = np.sqrt(np.mean(vals**2, axis=0))
-        if not is_semistable(t, moduli):
-            raise QuasimapError(f"ring {i} is not semistable")
-        s, _ = kempf_ness_shift(t, moduli)
-        s_prof[i] = -s  # u e^{-(w xi)} with xi = -s sits on the zero level
+    vals = np.where(dead[None, None, :], 0.0, np.exp(log_u.real))
+    moduli = np.sqrt(np.mean(vals**2, axis=1))  # (n_r, n)
+    stable = semistable_mask(t, moduli)
+    if not np.all(stable):
+        raise QuasimapError(f"ring {int(np.argmin(stable))} is not semistable")
+    s_prof = -kempf_ness_shifts(t, moduli)[0]  # u e^{-(w xi)}, xi = -s: zero level
     log_u -= np.einsum("aj,xa->xj", w, s_prof)[:, None, :]
     ds_prof = np.empty_like(s_prof)
     ds_prof[1:-1] = (s_prof[2:] - s_prof[:-2]) / (2.0 * piece.h_r)

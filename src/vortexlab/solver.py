@@ -1,15 +1,16 @@
 """Newton solve transforming holomorphic pairs into vortices.
 
 The unknown is a real moment-direction gauge parameter xi on grid sites
-(Dirichlet zero at truncation rings).  Each Newton step solves the exact
+(Dirichlet zero at truncation rings).  Each Newton step freezes the exact
 positive Jacobian of the discrete gauge step (composed-centered Laplacian +
-Gram(u)) by conjugate gradients, optionally preconditioned by the core/sleeve
+Gram(u)) into one operator and solves it by conjugate gradients (pcg, the one
+Krylov loop of the package), optionally preconditioned by the core/sleeve
 patched inverse assembled from per-component factorizations on the broken
-surface; a backtracking line search guards the large-residual regime.  The
-five-point operator of the continuum linearization is exposed separately
-(linearized_apply) and is the default system solved by cg_solve.  Local
-gauge-fixing diagnostics (flat complex gauge on a patch, Coulomb gauge) share
-the same stencils.
+surface; a backtracking line search guards the large-residual regime and
+rejects overflowing trial steps.  The five-point operator of the continuum
+linearization is exposed separately (linearized_apply) and is the default
+system solved by cg_solve.  Local gauge-fixing diagnostics (flat complex
+gauge on a patch, Coulomb gauge) share the same stencils and Krylov loop.
 """
 
 from __future__ import annotations
@@ -41,7 +42,9 @@ __all__ = [
     "graph_laplacian",
     "linearized_apply",
     "moment_functional",
+    "pcg",
     "cg_solve",
+    "gauge_step_operator",
     "gauge_step_jacobian_apply",
     "gauge_update",
     "newton_solve",
@@ -167,25 +170,104 @@ def gauge_update(f: GaugedField, xi: np.ndarray) -> GaugedField:
     )
 
 
-def gauge_step_jacobian_apply(f: GaugedField, xi: np.ndarray) -> np.ndarray:
-    """Exact Jacobian of xi -> vortex_residual(gauge_update(f, xi)) at 0.
+def gauge_step_operator(f: GaugedField) -> Callable[[np.ndarray], np.ndarray]:
+    """Exact Jacobian of xi -> vortex_residual(gauge_update(f, xi)) at 0, as
+    an apply frozen at f.
 
     The curvature response of the centered shift is the composed-centered
     (wide) Laplacian, symmetric positive here because the centered Dirichlet
     derivative is skew; the five-point operator would overdamp the
     grid-frequency components and stall the Newton tail.
+
+    Gram(u) is evaluated once, here.  The apply reads only the interior rows
+    of its argument (Dirichlet zero at the boundary rings) and returns a new
+    array whose boundary rows are zero.
     """
     p = f.piece
-    xi = _zero_boundary(p, xi)
-    out = -_centered_r_dirichlet(p, _centered_r_dirichlet(p, xi))
+    k = f.target.k
+    two_h = 2.0 * p.h_r
     h2t4 = 4.0 * p.h_theta**2
-    out += (2.0 * xi - np.roll(xi, 2, axis=1) - np.roll(xi, -2, axis=1)) / h2t4
-    out += np.einsum("xyab,xyb->xya", gram_field(f), xi)
-    return _zero_boundary(p, out)
+    gram = gram_field(f)[1:-1]
+    diag = np.ascontiguousarray(gram[..., 0, :]) if k == 1 else None
+    # xi with zero boundary rings and a periodic theta halo of width 2
+    halo = np.zeros((p.n_r, p.n_theta + 4, k))
+    xi_z = halo[:, 2:-2]
+    d_xi = np.zeros((p.n_r, p.n_theta, k))  # centered radial derivative
+    scratch = np.empty((p.n_r - 2, p.n_theta, k))
+
+    def apply(xi: np.ndarray) -> np.ndarray:
+        inner = xi[1:-1]
+        halo[1:-1, 2:-2] = inner
+        halo[1:-1, :2] = inner[:, -2:]
+        halo[1:-1, -2:] = inner[:, :2]
+        np.subtract(xi_z[2:], xi_z[:-2], out=d_xi[1:-1])
+        d_xi[1:-1] /= two_h
+        out = np.zeros_like(d_xi)
+        o = out[1:-1]
+        np.subtract(d_xi[2:], d_xi[:-2], out=o)
+        o /= -two_h
+        ang = np.multiply(inner, 2.0, out=scratch)
+        ang -= halo[1:-1, :-4]
+        ang -= halo[1:-1, 4:]
+        ang /= h2t4
+        o += ang
+        if diag is not None:
+            o += np.multiply(diag, inner, out=scratch)
+        else:
+            o += np.einsum("xyab,xyb->xya", gram, inner)
+        return out
+
+    return apply
+
+
+def gauge_step_jacobian_apply(f: GaugedField, xi: np.ndarray) -> np.ndarray:
+    """One apply of gauge_step_operator(f); see there."""
+    return gauge_step_operator(f)(xi)
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.sum(a * b))
+    return float(np.dot(a.ravel(), b.ravel()))
+
+
+def pcg(op: Callable, rhs: np.ndarray, M: Optional[Callable], tol: float,
+        maxit: int):
+    """Preconditioned conjugate gradients for op x = rhs from x = 0.
+
+    op must be symmetric positive and M (None: identity) a symmetric positive
+    approximate inverse.  Stops at relative residual tol; raises on
+    loss of positivity (a misconfigured operator) or when maxit is exceeded.
+    Returns (x, iterations).
+    """
+    x = np.zeros_like(rhs)
+    r = rhs.copy()
+    rr = _dot(r, r)
+    rhs_norm = np.sqrt(rr)
+    if rhs_norm == 0.0:
+        return x, 0
+    z = r if M is None else M(r)
+    rz = rr if M is None else _dot(r, z)
+    d = z.copy()
+    scaled = np.empty_like(rhs)
+    for it in range(1, maxit + 1):
+        Ad = op(d)
+        dAd = _dot(d, Ad)
+        if dAd <= 0.0:
+            raise SolverError("operator lost positivity; misconfigured system")
+        alpha = rz / dAd
+        x += np.multiply(d, alpha, out=scaled)
+        r -= np.multiply(Ad, alpha, out=scaled)
+        rr = _dot(r, r)
+        if np.sqrt(rr) <= tol * rhs_norm:
+            return x, it
+        if M is None:
+            z, rz_new = r, rr
+        else:
+            z = M(r)
+            rz_new = _dot(r, z)
+        d *= rz_new / rz
+        d += z
+        rz = rz_new
+    raise SolverError(f"conjugate gradients exceeded {maxit} iterations")
 
 
 def cg_solve(
@@ -197,37 +279,12 @@ def cg_solve(
 ):
     """Conjugate gradients for (Laplacian + Gram) xi = rhs on interior sites.
 
-    Stops at relative residual cfg.cg_tol; raises on loss of positivity
-    (a misconfigured operator) or when cfg.max_cg is exceeded.
-    Returns (xi, iterations).
+    operator replaces the default five-point linearized_apply; cfg.cg_tol
+    and cfg.max_cg bound the solve (see pcg).  Returns (xi, iterations).
     """
-    p = f.piece
     apply_op = operator if operator is not None else (lambda x: linearized_apply(f, x))
-    rhs = _zero_boundary(p, rhs)
-    xi = np.zeros_like(rhs)
-    r = rhs.copy()
-    rhs_norm = np.sqrt(_dot(rhs, rhs))
-    if rhs_norm == 0.0:
-        return xi, 0
-    M = preconditioner if preconditioner is not None else (lambda x: x)
-    z = M(r)
-    d = z.copy()
-    rz = _dot(r, z)
-    for it in range(1, cfg.max_cg + 1):
-        Ad = apply_op(d)
-        dAd = _dot(d, Ad)
-        if dAd <= 0.0:
-            raise SolverError("operator lost positivity; misconfigured system")
-        alpha = rz / dAd
-        xi += alpha * d
-        r -= alpha * Ad
-        if np.sqrt(_dot(r, r)) <= cfg.cg_tol * rhs_norm:
-            return xi, it
-        z = M(r)
-        rz_new = _dot(r, z)
-        d = z + (rz_new / rz) * d
-        rz = rz_new
-    raise SolverError(f"conjugate gradients exceeded {cfg.max_cg} iterations")
+    return pcg(apply_op, _zero_boundary(f.piece, rhs), preconditioner,
+               cfg.cg_tol, cfg.max_cg)
 
 
 # -- Newton solve -------------------------------------------------------------
@@ -237,6 +294,19 @@ def _interior_norms(piece, res: np.ndarray):
     sup = float(np.max(np.abs(inner)))
     l2 = float(np.sqrt(np.sum(inner**2) * piece.h_r * piece.h_theta))
     return sup, l2
+
+
+def _trial(f: GaugedField, step: np.ndarray):
+    """(field, residual, sup, l2) after a trial step, or None when the step
+    overflows: the rescale leaves the finite range or the residual does."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            trial = gauge_update(f, step)
+        except FieldError:
+            return None
+        res = vortex_residual(trial)
+        sup, l2 = _interior_norms(f.piece, res)
+    return (trial, res, sup, l2) if np.isfinite(l2) else None
 
 
 def _check_seed(f: GaugedField):
@@ -282,18 +352,16 @@ def newton_solve(f: GaugedField, cfg: Optional[SolveConfig] = None,
         rhs = -res
         rhs[0] = 0.0
         rhs[-1] = 0.0
-        step, cg_iters = cg_solve(
-            cur, rhs, cfg, preconditioner,
-            operator=lambda x, fld=cur: gauge_step_jacobian_apply(fld, x),
-        )
+        step, cg_iters = cg_solve(cur, rhs, cfg, preconditioner,
+                                  operator=gauge_step_operator(cur))
         alpha = 1.0
         accepted = None
         for _ in range(20):
-            trial = gauge_update(cur, alpha * step)
-            t_res = vortex_residual(trial)
-            t_sup, t_l2 = _interior_norms(p, t_res)
-            if t_l2 <= (1.0 - 1e-4 * alpha) * l2 or not cfg.damping:
-                accepted = (trial, t_res, t_sup, t_l2)
+            trial = _trial(cur, alpha * step)
+            if trial is not None and (
+                trial[3] <= (1.0 - 1e-4 * alpha) * l2 or not cfg.damping
+            ):
+                accepted = trial
                 break
             alpha *= 0.5
         if accepted is None:
@@ -353,48 +421,8 @@ def flat_gauge_fix(f: GaugedField, rows: tuple, theta_range: Optional[tuple] = N
         return np.where(mask[:, :, None], out, 0.0)
 
     rhs = np.where(mask[:, :, None], -curv, 0.0)
-    xi = _masked_cg(lap, rhs, cfg)
+    xi, _ = pcg(lap, rhs, None, cfg.cg_tol, cfg.max_cg)
     return xi, apply_complex_gauge(f, xi)
-
-
-def _masked_cg(op, rhs, cfg):
-    xi = np.zeros_like(rhs)
-    r = rhs - op(xi)
-    d = r.copy()
-    rn0 = np.sqrt(_dot(r, r))
-    if rn0 == 0.0:
-        return xi
-    rr = _dot(r, r)
-    for _ in range(cfg.max_cg):
-        Ad = op(d)
-        dAd = _dot(d, Ad)
-        if dAd <= 0:
-            raise SolverError("operator lost positivity on patch")
-        alpha = rr / dAd
-        xi += alpha * d
-        r -= alpha * Ad
-        rr_new = _dot(r, r)
-        if np.sqrt(rr_new) <= cfg.cg_tol * rn0:
-            return xi
-        d = r + (rr_new / rr) * d
-        rr = rr_new
-    raise SolverError("patch solve did not converge")
-
-
-def adjoint_divergence(piece, a_r: np.ndarray, a_theta: np.ndarray, rows: tuple):
-    """Discrete d* paired with the forward-difference gradient on the patch:
-    the divergence for which the Coulomb fix below is exact."""
-    i0, i1 = rows
-    m = i1 - i0 + 1
-    ar = a_r[i0 : i1 + 1]
-    at = a_theta[i0 : i1 + 1]
-    div = np.zeros_like(ar)
-    # radial part: -G_r^T with zero-flux outside the patch
-    div[1:] += ar[:-1] / piece.h_r
-    div[:-1] -= ar[:-1] / piece.h_r
-    # angular part: periodic backward difference of forward links
-    div += (np.roll(at, 1, axis=1) - at) / piece.h_theta
-    return div
 
 
 def coulomb_gauge_local(f: GaugedField, rows: tuple, kappa: float = 1.0,
@@ -438,7 +466,7 @@ def coulomb_gauge_local(f: GaugedField, rows: tuple, kappa: float = 1.0,
         out = -div(gr, gt)
         return out - out.mean(axis=(0, 1), keepdims=True)
 
-    phi = _masked_cg(op, rhs, cfg)
+    phi, _ = pcg(op, rhs, None, cfg.cg_tol, cfg.max_cg)
     gr, gt = grad(phi - phi.mean(axis=(0, 1), keepdims=True))
     ar -= gr
     at -= gt

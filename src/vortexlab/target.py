@@ -26,6 +26,8 @@ __all__ = [
     "is_semistable",
     "kempf_ness",
     "kempf_ness_shift",
+    "kempf_ness_shifts",
+    "semistable_mask",
     "fingerprint",
     "fingerprint_distance",
     "validate_chamber",
@@ -87,10 +89,23 @@ def L_operator(t: TargetSpace, v) -> np.ndarray:
     return (t.weights * np.abs(v) ** 2) @ t.weights.T
 
 
+def _active_mask(V: np.ndarray) -> np.ndarray:
+    """Nonvanishing coordinates of each row of V (m, n), relative to the
+    row's largest modulus."""
+    mod = np.abs(V)
+    scale = np.maximum(1.0, np.max(mod, axis=1, initial=0.0))
+    return mod > ZERO_TOL * scale[:, None]
+
+
 def _active_columns(t: TargetSpace, v) -> np.ndarray:
-    v = _as_point(t, v)
-    scale = max(1.0, float(np.max(np.abs(v))))
-    return np.where(np.abs(v) > ZERO_TOL * scale)[0]
+    return np.flatnonzero(_active_mask(_as_point(t, v)[None, :])[0])
+
+
+def _as_rows(t: TargetSpace, V) -> np.ndarray:
+    V = np.asarray(V, dtype=complex)
+    if V.ndim != 2 or V.shape[1] != t.n:
+        raise TargetError(f"point rows have shape {V.shape}, expected (m, {t.n})")
+    return V
 
 
 def _tau_in_open_cone(weights: np.ndarray, tau: np.ndarray):
@@ -158,14 +173,8 @@ def _tau_in_sector(cols, tau):
     return False, np.array([-ray[1], ray[0]]) if abs(perp) > ZERO_TOL else -ray
 
 
-def is_semistable(t: TargetSpace, v) -> bool:
-    """Hilbert-Mumford test: no one-parameter subgroup destabilizes v.
-
-    For the linear torus action this is the statement that tau is a strictly
-    positive combination of the weights of the nonvanishing coordinates and
-    that those weights span R^k.
-    """
-    act = _active_columns(t, v)
+def _pattern_semistable(t: TargetSpace, active: np.ndarray) -> bool:
+    act = np.flatnonzero(active)
     if len(act) == 0:
         return False
     sub = t.weights[:, act]
@@ -175,52 +184,102 @@ def is_semistable(t: TargetSpace, v) -> bool:
     return ok
 
 
-def kempf_ness_shift(t: TargetSpace, v, tol: float = 1e-12, max_iter: int = 60):
-    """Newton solve for s in R^k with Phi(e^{(w^T s)} v) = 0.
+def _patterns(V: np.ndarray):
+    """Distinct active-coordinate patterns of the rows of V and, per row, the
+    index of its pattern."""
+    mask = _active_mask(V)
+    keys = np.ascontiguousarray(mask).view(f"V{mask.shape[1]}").ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return mask[first], inverse.reshape(-1)
+
+
+def semistable_mask(t: TargetSpace, V) -> np.ndarray:
+    """is_semistable for every row of V (m, n); the Hilbert-Mumford test runs
+    once per distinct active-coordinate pattern."""
+    patterns, inverse = _patterns(_as_rows(t, V))
+    ok = np.array([_pattern_semistable(t, pat) for pat in patterns], dtype=bool)
+    return ok[inverse]
+
+
+def is_semistable(t: TargetSpace, v) -> bool:
+    """Hilbert-Mumford test: no one-parameter subgroup destabilizes v.
+
+    For the linear torus action this is the statement that tau is a strictly
+    positive combination of the weights of the nonvanishing coordinates and
+    that those weights span R^k.
+    """
+    return bool(semistable_mask(t, _as_point(t, v)[None, :])[0])
+
+
+def kempf_ness_shifts(t: TargetSpace, V, tol: float = 1e-12, max_iter: int = 60):
+    """Newton solve for s_i in R^k with Phi(e^{(w^T s_i)} v_i) = 0, for every
+    row v_i of V (m, n) at once.
 
     The rescaled point e^{(w^T s)_j} v_j follows the imaginary-direction flow;
     Phi along it is the gradient of a strictly convex potential, so Newton
-    with backtracking converges for semistable v.  Returns (s, iterations).
+    with a backtracking line search per row converges for semistable rows.
+    Converged rows drop out of the iteration.  Returns (S (m, k), iterations
+    (m,)).
     """
-    if not is_semistable(t, v):
+    V = _as_rows(t, V)
+    patterns, inverse = _patterns(V)
+    if not all(_pattern_semistable(t, pat) for pat in patterns):
         raise TargetError("kempf_ness requires a semistable point")
-    v = _as_point(t, v)
-    m = np.abs(v) ** 2
+    m = np.abs(V) ** 2
     w = t.weights.astype(float)
 
-    def phi(s):
-        return 0.5 * w @ (np.exp(2.0 * (w.T @ s)) * m) - t.tau
-
-    def potential(s):
+    def potential(S, M):
         with np.errstate(over="ignore"):
-            val = 0.25 * np.sum(np.exp(2.0 * (w.T @ s)) * m) - t.tau @ s
-        return val if np.isfinite(val) else np.inf
+            val = 0.25 * np.sum(np.exp(2.0 * (S @ w)) * M, axis=1) - S @ t.tau
+        return np.where(np.isfinite(val), val, np.inf)
 
     # warm start: least-squares shift putting every active modulus near one,
     # so wildly scaled inputs cannot overflow the exponentials
-    act = _active_columns(t, v)
-    s = np.linalg.lstsq(
-        w[:, act].T, -0.5 * np.log(m[act]), rcond=None
-    )[0] if len(act) else np.zeros(t.k)
+    S = np.zeros((len(V), t.k))
+    for p, act in enumerate(patterns):
+        members = np.flatnonzero(inverse == p)
+        S[members] = np.linalg.lstsq(
+            w[:, act].T, -0.5 * np.log(m[np.ix_(members, act)]).T, rcond=None
+        )[0].T
+    iterations = np.zeros(len(V), dtype=int)
+    live = np.arange(len(V))
+    s, ml = S, m
     for it in range(max_iter):
-        f = phi(s)
-        if np.linalg.norm(f) <= tol:
-            return s, it
-        scaled = np.exp(2.0 * (w.T @ s)) * m
-        jac = (w * scaled) @ w.T
+        scaled = np.exp(2.0 * (s @ w)) * ml
+        f = 0.5 * scaled @ w.T - t.tau
+        done = np.linalg.norm(f, axis=1) <= tol
+        if done.any():
+            S[live] = s
+            iterations[live[done]] = it
+            live, s, ml, scaled, f = (x[~done] for x in (live, s, ml, scaled, f))
+        if len(live) == 0:
+            return S, iterations
+        jac = np.einsum("aj,ij,bj->iab", w, scaled, w)
         try:
-            step = np.linalg.solve(jac, -f)
+            step = np.linalg.solve(jac, -f[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError as exc:
             raise TargetError("degenerate Newton system; chamber misconfiguration") from exc
-        alpha, base = 1.0, potential(s)
-        grad_dot = f @ step
-        slack = 1e-14 * (1.0 + abs(base))  # float floor near the minimum
+        alpha = np.ones(len(live))
+        base = potential(s, ml)
+        grad_dot = np.sum(f * step, axis=1)
+        slack = 1e-14 * (1.0 + np.abs(base))  # float floor near the minimum
+        rows = slice(None)  # rows still backtracking
         for _ in range(40):
-            if potential(s + alpha * step) <= base + 0.25 * alpha * grad_dot + slack:
+            trial = potential(s[rows] + alpha[rows, None] * step[rows], ml[rows])
+            bound = base[rows] + 0.25 * alpha[rows] * grad_dot[rows] + slack[rows]
+            rejected = ~(trial <= bound)
+            if not rejected.any():
                 break
-            alpha *= 0.5
-        s = s + alpha * step
+            rows = np.arange(len(live))[rows][rejected]
+            alpha[rows] *= 0.5
+        s = s + alpha[:, None] * step
     raise TargetError("kempf_ness Newton did not converge; chamber misconfiguration")
+
+
+def kempf_ness_shift(t: TargetSpace, v, tol: float = 1e-12, max_iter: int = 60):
+    """kempf_ness_shifts for the single point v.  Returns (s, iterations)."""
+    S, iterations = kempf_ness_shifts(t, _as_point(t, v)[None, :], tol, max_iter)
+    return S[0], int(iterations[0])
 
 
 @dataclass(frozen=True)
@@ -343,17 +402,13 @@ def validate_chamber(t: TargetSpace, samples: int = 24, seed: int = 7):
             "tau outside the feasible cone; destabilizing direction "
             f"{None if direction is None else direction.tolist()}"
         )
-    rng = np.random.default_rng(seed)
-    found = 0
-    for _ in range(samples):
-        v = rng.normal(size=t.n) + 1j * rng.normal(size=t.n)
-        if not is_semistable(t, v):
-            continue
-        p = kempf_ness(t, v)
-        act = _active_columns(t, p.point)
-        if len(act) == 0 or np.linalg.matrix_rank(t.weights[:, act]) < t.k:
-            raise TargetError("zero level reached with a positive-dimensional stabilizer")
-        found += 1
-    if found == 0:
+    draws = np.random.default_rng(seed).normal(size=(samples, 2, t.n))
+    V = draws[:, 0] + 1j * draws[:, 1]
+    V = V[semistable_mask(t, V)]
+    if len(V) == 0:
         raise TargetError("no semistable sample points; chamber misconfiguration")
+    S, _ = kempf_ness_shifts(t, V)
+    for act in _patterns(np.exp(S @ t.weights.astype(float)) * V)[0]:
+        if not act.any() or np.linalg.matrix_rank(t.weights[:, act]) < t.k:
+            raise TargetError("zero level reached with a positive-dimensional stabilizer")
     return True

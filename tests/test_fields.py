@@ -320,6 +320,32 @@ class TestSerialization:
         assert np.allclose(g.a_r, f.a_r, atol=1e-15)
         assert np.allclose(g.u, f.u, atol=1e-15)
 
+    def test_csv_bytes_match_per_site_writer(self, tmp_path):
+        t22 = TargetSpace(2, 2, [[1, 0], [0, 1]], [1.0, 1.0])
+        surf = cyl(n_r=16, n_theta=8, h_r=0.5)
+        p = surf.pieces[0]
+        rng = np.random.default_rng(4)
+        f = constant_field(surf, 0, t22, [1.0, 0.5])
+        f = f.with_fields(
+            a_r=rng.normal(size=f.a_r.shape),
+            a_theta=rng.normal(size=f.a_theta.shape),
+            u=rng.normal(size=f.u.shape) + 1j * rng.normal(size=f.u.shape),
+        )
+        csv, hdr = tmp_path / "f.csv", tmp_path / "f.json"
+        save_field(f, csv, hdr)
+        # reference: the site table written one row at a time
+        lines = ["site,r,theta,a_r_0,a_r_1,a_theta_0,a_theta_1,"
+                 "re_u_0,im_u_0,re_u_1,im_u_1"]
+        for i in range(p.n_r):
+            for j in range(p.n_theta):
+                row = [i * p.n_theta + j, p.r[i], j * p.h_theta]
+                row += list(f.a_r[i, j]) + list(f.a_theta[i, j])
+                for c in range(2):
+                    row += [f.u[i, j, c].real, f.u[i, j, c].imag]
+                lines.append(",".join(f"{x:.17g}" if isinstance(x, float) else str(x)
+                                      for x in row))
+        assert csv.read_bytes() == ("\n".join(lines) + "\n").encode()
+
     def test_hash_mismatch(self, tmp_path):
         surf = cyl(n_r=16, n_theta=8, h_r=0.5)
         f = constant_field(surf, 0, T1, [1.0])

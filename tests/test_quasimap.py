@@ -9,6 +9,7 @@ from vortexlab.fields import (
     vortex_residual,
     winding_number,
 )
+from vortexlab import quasimap
 from vortexlab.modgraph import ModularGraph
 from vortexlab.quasimap import (
     QuasimapData,
@@ -124,6 +125,21 @@ class TestBuildSeed:
             seed = build_seed(q, surf, 0)
             errs.append(np.max(np.abs(dbar_residual(seed))))
         assert np.log2(errs[0] / errs[1]) > 1.5
+
+    def test_unstable_ring_is_named(self, monkeypatch):
+        # a twist integral that sends rings 5 and 9 below the float range
+        # leaves those rings with vanishing moduli
+        real_integral = quasimap.lambda_integral
+
+        def sinking(probe):
+            out = real_integral(probe)
+            out[[5, 9]] = -1e4
+            return out
+
+        monkeypatch.setattr(quasimap, "lambda_integral", sinking)
+        q = QuasimapData(G1, T1, {}, asymptotics={("leg", 1): [1], ("leg", 2): [1]})
+        with pytest.raises(QuasimapError, match="ring 5 is not semistable"):
+            build_seed(q, cylinder(), 0)
 
     def test_zero_outside_mesh_rejected(self):
         surf = cylinder()

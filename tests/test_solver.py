@@ -1,9 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from vortexlab import solver
 from vortexlab.fields import (
+    FieldError,
     apply_unitary_gauge,
     constant_field,
     curvature,
@@ -20,13 +23,16 @@ from vortexlab.solver import (
     cg_solve,
     coulomb_gauge_local,
     flat_gauge_fix,
+    _assemble_domain_matrix,
     gauge_step_jacobian_apply,
+    gauge_step_operator,
     gauge_update,
     linearized_apply,
     moment_functional,
     newton_solve,
     operator_defect,
     patched_preconditioner,
+    pcg,
 )
 from vortexlab.surface import ComponentMesh, End, glue, single_cylinder
 from vortexlab.target import TargetSpace, fingerprint_distance
@@ -176,6 +182,54 @@ class TestGaugeStepJacobian:
         assert np.max(np.abs((fd - lin)[1:-1])) < 2e-5 * np.max(np.abs(xi))
 
 
+class TestGaugeStepOperator:
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_matches_sparse_assembly(self, k):
+        surf = cyl(n_r=21, n_theta=12, h_r=0.3)
+        rng = np.random.default_rng(20 + k)
+        if k == 1:
+            f = degree_one_seed(n_r=21, n_theta=12, h_r=0.3)
+        else:
+            t2 = TargetSpace(3, 2, [[1, 0, 1], [0, 1, 1]], [1.0, 1.0])
+            f = constant_field(surf, 0, t2, [1.3, 0.9, 0.4])
+            f = f.with_fields(u=f.u * (1.0 + 0.5 * rng.normal(size=f.u.shape)))
+        p = f.piece
+        op = gauge_step_operator(f)
+        A = _assemble_domain_matrix(f, (0, p.n_r - 1), "gauge_step")
+        for _ in range(3):
+            xi = rng.normal(size=(p.n_r, p.n_theta, k))
+            out = op(xi)
+            assert np.all(out[0] == 0) and np.all(out[-1] == 0)
+            ref = A @ xi[1:-1].ravel()
+            assert np.allclose(out[1:-1].ravel(), ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)))
+
+    def test_applies_are_independent(self):
+        f = degree_one_seed(n_r=41, n_theta=16, h_r=0.4)
+        p = f.piece
+        rng = np.random.default_rng(21)
+        x, y = rng.normal(size=(2, p.n_r, p.n_theta, 1))
+        op = gauge_step_operator(f)
+        Ax = op(x)
+        Ax_copy = Ax.copy()
+        op(y)
+        assert np.array_equal(Ax, Ax_copy)
+        assert np.array_equal(Ax, gauge_step_jacobian_apply(f, x))
+
+    def test_newton_evaluates_gram_once_per_step(self, monkeypatch):
+        calls = []
+        original = solver.gram_field
+
+        def counting(f):
+            calls.append(1)
+            return original(f)
+
+        monkeypatch.setattr(solver, "gram_field", counting)
+        seed = degree_one_seed(n_r=101, n_theta=16, h_r=0.4)
+        _, _, rep = newton_solve(seed, SolveConfig())
+        assert rep.newton_iterations > 0
+        assert len(calls) == rep.newton_iterations
+
+
 class TestCG:
     def test_recovers_known_solution(self):
         f = degree_one_seed(n_r=101, n_theta=16, h_r=0.4)
@@ -224,6 +278,26 @@ class TestCG:
             cg_solve(f, rhs, SolveConfig(), operator=bad_operator)
 
 
+class TestPCG:
+    def test_preconditioned_matches_direct_solve(self):
+        rng = np.random.default_rng(30)
+        B = rng.normal(size=(40, 40))
+        A = B @ B.T + 40.0 * np.eye(40)
+        rhs = rng.normal(size=40)
+        jacobi = 1.0 / np.diag(A)
+        exact = np.linalg.solve(A, rhs)
+        x_plain, it_plain = pcg(lambda v: A @ v, rhs, None, 1e-12, 1000)
+        x_pre, it_pre = pcg(lambda v: A @ v, rhs, lambda v: jacobi * v, 1e-12, 1000)
+        for x in (x_plain, x_pre):
+            assert np.allclose(x, exact, rtol=0, atol=1e-10)
+        assert 0 < it_pre and 0 < it_plain
+
+    def test_iteration_cap(self):
+        A = np.diag(np.linspace(1.0, 1e4, 200))
+        with pytest.raises(SolverError, match="exceeded 3 iterations"):
+            pcg(lambda v: A @ v, np.ones(200), None, 1e-12, 3)
+
+
 class TestNewtonSolve:
     def test_already_vortex_zero_iterations(self, vortex1):
         _, field, _, _ = vortex1
@@ -247,6 +321,26 @@ class TestNewtonSolve:
         phi_norm = abs(0.5 * v**2 - 1.0)
         # the converged xi equals the first step up to O(|Phi|^2)
         assert np.max(np.abs(xi[1:-1] - first)) < 4.0 * phi_norm**2
+
+    def test_overflowing_trial_step_backtracks(self):
+        # with |u| small against tau the Gram term is tiny and the first
+        # Newton step reaches xi ~ -1000: the full step overflows exp in
+        # gauge_update, so the line search must halve it instead of raising
+        f = constant_field(cyl(n_r=61, n_theta=8, h_r=0.5), 0,
+                           TargetSpace(1, 1, [[1]], [10.0]), [0.1])
+        res = vortex_residual(f)
+        rhs = -res
+        rhs[0] = rhs[-1] = 0.0
+        step, _ = cg_solve(f, rhs, SolveConfig(), operator=gauge_step_operator(f))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(FieldError, match="finite"):
+                gauge_update(f, step)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            field, _, rep = newton_solve(f, SolveConfig())
+        assert rep.converged
+        assert rep.step_sizes[0] < 1.0
+        assert np.max(np.abs(vortex_residual(field)[1:-1])) <= 1e-8
 
     def test_degree_one_converges_with_quadratic_tail(self, vortex1):
         seed, field, xi, rep = vortex1

@@ -13,7 +13,9 @@ from vortexlab.target import (
     is_semistable,
     kempf_ness,
     kempf_ness_shift,
+    kempf_ness_shifts,
     moment_map,
+    semistable_mask,
     validate_chamber,
 )
 
@@ -173,6 +175,32 @@ class TestKempfNess:
     def test_unstable_input_raises(self):
         with pytest.raises(TargetError):
             kempf_ness(T_P1, [0.0, 0.0])
+
+    def test_batched_matches_per_row(self):
+        # rows with mixed active patterns and moduli spread over decades
+        rng = np.random.default_rng(12)
+        for t, kill in ((T_P1, (None, 0, 1)), (T_K2, (None, 2)), (T_W12, (None, 1))):
+            V = (rng.normal(size=(30, t.n)) + 1j * rng.normal(size=(30, t.n)))
+            V *= 10.0 ** rng.uniform(-3, 3, size=(30, 1))
+            for i in range(len(V)):
+                j = kill[i % len(kill)]
+                if j is not None:
+                    V[i, j] = 0.0
+            S, iters = kempf_ness_shifts(t, V)
+            assert S.shape == (30, t.k) and iters.shape == (30,)
+            assert kempf_ness_shifts(t, V[:0])[0].shape == (0, t.k)
+            for v, s, n_it in zip(V, S, iters):
+                s_row, it_row = kempf_ness_shift(t, v)
+                assert np.allclose(s, s_row, rtol=0, atol=1e-12)
+                assert n_it == it_row
+                on_level = np.exp(t.weights.T @ s) * v
+                assert np.linalg.norm(moment_map(t, on_level)) < 1e-11
+
+    def test_batched_rejects_an_unstable_row(self):
+        V = np.array([[1.0, 2.0], [0.0, 0.0], [3.0, 0.0]])
+        assert semistable_mask(T_P1, V).tolist() == [True, False, True]
+        with pytest.raises(TargetError, match="semistable"):
+            kempf_ness_shifts(T_P1, V)
 
     def test_zero_level_reached_and_idempotent(self):
         rng = np.random.default_rng(7)
