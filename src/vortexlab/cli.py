@@ -16,6 +16,7 @@ import argparse
 import cmath
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -24,7 +25,7 @@ import numpy as np
 import yaml
 
 from . import experiments as xp
-from .fields import save_field
+from .fields import FieldError, save_field
 from .modgraph import (
     GraphError,
     ModularGraph,
@@ -92,6 +93,26 @@ def _complex_from(value) -> complex:
     raise ValueError(f"cannot read complex value from {value!r}")
 
 
+def _number(block: dict, key: str, where: str, problems: list,
+            default=None, positive: bool = True):
+    """block[key] (or default) as a float that is finite and, if asked,
+    positive; otherwise None, with the problem appended."""
+    value = block.get(key, default)
+    if value is None:
+        problems.append(f"{where}: missing {key}")
+        return None
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        problems.append(f"{where}.{key}: not a number: {value!r}")
+        return None
+    if not math.isfinite(number) or (positive and number <= 0):
+        need = "finite and positive" if positive else "finite"
+        problems.append(f"{where}.{key} must be {need}, got {value!r}")
+        return None
+    return number
+
+
 def parse_config(path) -> RunConfig:
     """Read and validate a config file, collecting every error found."""
     problems = []
@@ -132,10 +153,15 @@ def parse_config(path) -> RunConfig:
     if not isinstance(sblock, dict):
         problems.append("missing block: surface")
     elif graph is not None:
-        sleeve_width = float(sblock.get("sleeve_width", 8.0))
-        break_radius = float(sblock.get("break_radius", 12.0))
-        n_theta = int(sblock.get("n_theta", 0))
-        h_r = float(sblock.get("h_r", 0.0))
+        sleeve_width = _number(sblock, "sleeve_width", "surface", problems, 8.0)
+        break_radius = _number(sblock, "break_radius", "surface", problems, 12.0)
+        specs = sblock.get("components") or {}
+        # the mesh is required once a component is meshed
+        n_theta, h_r = (
+            _number(sblock, key, "surface", problems)
+            if specs or key in sblock else None
+            for key in ("n_theta", "h_r")
+        )
 
         def parse_end(spec, vid, side):
             if not isinstance(spec, dict):
@@ -155,21 +181,30 @@ def parse_config(path) -> RunConfig:
             problems.append(f"surface.components.{vid}: end needs 'leg' or 'edge'")
             return End("truncation")
 
-        for vid, spec in (sblock.get("components") or {}).items():
+        for vid, spec in specs.items():
+            where = f"surface.components.{vid}"
             if graph is not None and vid not in graph.genus:
                 problems.append(f"surface.components: unknown vertex {vid!r}")
                 continue
+            if not isinstance(spec, dict):
+                problems.append(f"{where}: expected a mapping")
+                continue
+            length = _number(spec, "length", where, problems)
+            if length is None:
+                continue
+            r_min = _number(spec, "r_min", where, problems, -length / 2,
+                            positive=False)
+            if None in (r_min, n_theta, h_r):
+                continue
             try:
-                length = float(spec["length"])
-                r_min = float(spec.get("r_min", -length / 2))
                 n_r = int(round(length / h_r)) + 1
                 components[vid] = ComponentMesh(
-                    n_r, n_theta, h_r, r_min,
+                    n_r, int(n_theta), h_r, r_min,
                     parse_end(spec.get("left"), vid, "left"),
                     parse_end(spec.get("right"), vid, "right"),
                 )
-            except (KeyError, ValueError, SurfaceError, TypeError) as exc:
-                problems.append(f"surface.components.{vid}: {exc}")
+            except (ValueError, SurfaceError, TypeError) as exc:
+                problems.append(f"{where}: {exc}")
         for key, spec in (sblock.get("gluings") or {}).items():
             try:
                 eid = int(key)
@@ -181,10 +216,13 @@ def parse_config(path) -> RunConfig:
                 elif "delta" in spec:
                     gluings[eid] = _complex_from(spec["delta"])
                 else:
-                    L = float(spec["length"])
-                    t = float(spec.get("twist", 0.0))
-                    gluings[eid] = cmath.exp(complex(-L, -t))
-            except (KeyError, ValueError, TypeError) as exc:
+                    where = f"surface.gluings.{key}"
+                    L = _number(spec, "length", where, problems)
+                    t = _number(spec, "twist", where, problems, 0.0,
+                                positive=False)
+                    if None not in (L, t):
+                        gluings[eid] = cmath.exp(complex(-L, -t))
+            except (KeyError, ValueError, TypeError, AttributeError) as exc:
                 problems.append(f"surface.gluings.{key}: {exc}")
 
     quasimap = None
@@ -505,8 +543,8 @@ def run(cfg: RunConfig, subcommand: str, snapshots: bool = False):
         if subcommand == "solve":
             return _run_solve(cfg, out, name, snapshots=snapshots)
         return SUBCOMMANDS[subcommand](cfg, out, name)
-    except (SolverError, QuasimapError, TargetError, SurfaceError,
-            xp.ExperimentError) as exc:
+    except (SolverError, QuasimapError, TargetError, SurfaceError, FieldError,
+            GraphError, xp.ExperimentError) as exc:
         os.makedirs(out, exist_ok=True)
         with open(os.path.join(out, f"{name}-error.json"), "w") as fh:
             json.dump({"error": str(exc), "schema_version": SCHEMA_VERSION},

@@ -5,12 +5,13 @@ The unknown is a real moment-direction gauge parameter xi on grid sites
 positive Jacobian of the discrete gauge step (composed-centered Laplacian +
 Gram(u)) into one operator and solves it by conjugate gradients (pcg, the one
 Krylov loop of the package), optionally preconditioned by the core/sleeve
-patched inverse assembled from per-component factorizations on the broken
-surface; a backtracking line search guards the large-residual regime and
-rejects overflowing trial steps.  The five-point operator of the continuum
-linearization is exposed separately (linearized_apply) and is the default
-system solved by cg_solve.  Local gauge-fixing diagnostics (flat complex
-gauge on a patch, Coulomb gauge) share the same stencils and Krylov loop.
+patched inverse, whose exact domain solves on the broken surface are a
+banded Cholesky per parity class; a backtracking line search guards the
+large-residual regime and rejects overflowing trial steps.  The five-point
+operator of the continuum linearization is exposed separately
+(linearized_apply) and is the default system solved by cg_solve.  Local
+gauge-fixing diagnostics (flat complex gauge on a patch, Coulomb gauge) share
+the same stencils and Krylov loop.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
+import scipy.linalg as la
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .fields import (
     FieldError,
@@ -479,10 +480,25 @@ def coulomb_gauge_local(f: GaugedField, rows: tuple, kappa: float = 1.0,
 
 # -- patched approximate inverse ---------------------------------------------
 
+# ring/angle step of each domain stencil: "gauge_step" is the wide stencil
+_STENCIL_STEP = {"five_point": 1, "gauge_step": 2}
+
+
+def _periodic_stencil(n: int, step: int, center: float, side: float) -> sp.csr_matrix:
+    """center on the diagonal and side at offsets +-step, periodic mod n."""
+    j = np.arange(n)
+    return sp.csr_matrix(
+        (np.repeat([center, side, side], n),
+         (np.tile(j, 3), np.concatenate([j, (j + step) % n, (j - step) % n]))),
+        shape=(n, n),
+    )
+
+
 def _assemble_domain_matrix(f: GaugedField, rows: tuple,
                             flavor: str = "five_point") -> sp.csc_matrix:
     """Sparse (Laplacian + Gram) on domain rows [a, b], Dirichlet at the
-    domain's own boundary rings, periodic in theta.
+    domain's own boundary rings, periodic in theta.  Unknowns are ordered by
+    (ring, theta, component).
 
     flavor "five_point" matches linearized_apply; "gauge_step" matches the
     composed-centered operator solved inside Newton."""
@@ -494,49 +510,86 @@ def _assemble_domain_matrix(f: GaugedField, rows: tuple,
     inner = m - 2  # Dirichlet at local rows 0 and m-1
     if inner < 1:
         raise SolverError("preconditioner domain too thin")
-    N = inner * nth * k
     if flavor == "five_point":
         lap_r = sp.diags(
             [np.full(inner, 2.0 / p.h_r**2), np.full(inner - 1, -1.0 / p.h_r**2),
              np.full(inner - 1, -1.0 / p.h_r**2)],
             [0, 1, -1], format="csr",
         )
-        lap_t = sp.lil_matrix((nth, nth))
-        for j in range(nth):
-            lap_t[j, j] = 2.0 / p.h_theta**2
-            lap_t[j, (j + 1) % nth] = -1.0 / p.h_theta**2
-            lap_t[j, (j - 1) % nth] = -1.0 / p.h_theta**2
+        lap_t = _periodic_stencil(nth, 1, 2.0 / p.h_theta**2, -1.0 / p.h_theta**2)
     elif flavor == "gauge_step":
         d_r = sp.diags(
             [np.full(inner - 1, 0.5 / p.h_r), np.full(inner - 1, -0.5 / p.h_r)],
             [1, -1], format="csr",
         )
         lap_r = (d_r.T @ d_r).tocsr()
-        lap_t = sp.lil_matrix((nth, nth))
-        for j in range(nth):
-            lap_t[j, j] = 0.5 / p.h_theta**2
-            lap_t[j, (j + 2) % nth] = -0.25 / p.h_theta**2
-            lap_t[j, (j - 2) % nth] = -0.25 / p.h_theta**2
+        lap_t = _periodic_stencil(nth, 2, 0.5 / p.h_theta**2, -0.25 / p.h_theta**2)
     else:
         raise SolverError(f"unknown operator flavor {flavor!r}")
     lap = sp.kron(lap_r, sp.identity(nth), format="csr") + sp.kron(
-        sp.identity(inner), lap_t.tocsr(), format="csr"
+        sp.identity(inner), lap_t, format="csr"
     )
     A = sp.kron(lap, sp.identity(k), format="csr")
-    gram = gram_field(f)[a + 1 : b]  # (inner, nth, k, k)
-    rowsI, colsI, vals = [], [], []
-    for c1 in range(k):
-        for c2 in range(k):
-            g = gram[:, :, c1, c2].ravel()
-            base = np.arange(inner * nth) * k
-            rowsI.append(base + c1)
-            colsI.append(base + c2)
-            vals.append(g)
-    G = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rowsI), np.concatenate(colsI))),
-        shape=(N, N),
+    # Gram(u) couples the k components of one site
+    site = np.arange(inner * nth * k).reshape(inner * nth, k)
+    G = sp.csr_matrix(
+        (gram_field(f)[a + 1 : b].ravel(),
+         (np.repeat(site, k, axis=1).ravel(), np.tile(site, k).ravel())),
+        shape=A.shape,
     )
-    return (A + G.tocsr()).tocsc()
+    return (A + G).tocsc()
+
+
+def _banded_inverse(A: sp.spmatrix, shape: tuple, step: int) -> Callable:
+    """Exact inverse of an SPD domain matrix A on unknowns of the given
+    (rings, n_theta, k) shape whose stencil reaches rings and angles +-step.
+
+    Such a stencil never mixes ring parity classes mod step, nor angle parity
+    classes when step divides n_theta, and Gram(u) stays at one site, so A
+    splits into independent classes.  Ordered by (ring, theta, component),
+    each class is banded with half-bandwidth (its angle count) * k; it is
+    factored once by banded Cholesky.  Returns solve(rhs) for rhs of the
+    given shape, applied on strided views of rhs.
+    """
+    inner, nth, k = shape
+    st = step if nth % step == 0 else 1
+    views = [(slice(pr, None, step), slice(pt, None, st))
+             for pr in range(min(step, inner)) for pt in range(st)]
+    cls = np.empty(shape, dtype=np.intp)  # class of each unknown
+    pos = np.empty(shape, dtype=np.intp)  # its index in the class ordering
+    for i, view in enumerate(views):
+        cls[view] = i
+        pos[view] = np.arange(pos[view].size).reshape(pos[view].shape)
+    cls, pos = cls.ravel(), pos.ravel()
+    # the class orderings are monotone in the global one: upper stays upper
+    U = sp.triu(A, format="coo")
+    c, r, q, v = cls[U.col], pos[U.row], pos[U.col], U.data
+    if np.any((cls[U.row] != c) & (v != 0.0)):
+        raise SolverError("domain stencil couples parity classes")
+    factors = []
+    for i, view in enumerate(views):
+        sel = c == i
+        rc, qc = r[sel], q[sel]
+        u = int(np.max(qc - rc))
+        ab = np.zeros((u + 1, int(np.count_nonzero(cls == i))))
+        ab[u + rc - qc, qc] = v[sel]  # LAPACK upper band storage
+        try:
+            factors.append((view, la.cholesky_banded(ab, overwrite_ab=True)))
+        except la.LinAlgError as exc:
+            raise SolverError(
+                f"preconditioner domain matrix is not positive definite: {exc}"
+            ) from exc
+
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        out = np.empty_like(rhs)
+        for view, cb in factors:
+            b = rhs[view]
+            out[view] = la.cho_solve_banded(
+                (cb, False), b.reshape(-1), check_finite=False
+            ).reshape(b.shape)
+        return out
+
+    return solve
 
 
 @dataclass
@@ -544,16 +597,17 @@ class _Domain:
     rows: tuple
     cover: tuple  # cover chunk rows [a, b]
     phi: np.ndarray
-    lu: object
+    solve: Callable  # exact inverse on the domain's interior rows
 
 
 class PatchedPreconditioner:
     """Approximate inverse glued from per-component reference solves.
 
     The literal pipeline lifts a section to the core/sleeve cover, applies the
-    factorized broken-surface inverse per component, multiplies by the cutoff
-    weights and pushes forward (apply).  apply_symmetric splits the cutoff as
-    sqrt(phi) on both sides, which keeps the map positive for use inside CG.
+    exact broken-surface inverse per component (banded Cholesky per parity
+    class, see _banded_inverse), multiplies by the cutoff weights and pushes
+    forward (apply).  apply_symmetric splits the cutoff as sqrt(phi) on both
+    sides, which keeps the map positive for use inside CG.
     """
 
     def __init__(self, f: GaugedField, decomposition: Optional[CoreSleeve] = None,
@@ -568,23 +622,24 @@ class PatchedPreconditioner:
         for ci, cover in enumerate(covers):
             left = 0 if ci == 0 else necks[ci - 1].i_plus
             right = f.piece.n_r - 1 if ci == len(covers) - 1 else necks[ci].i_minus
-            lu = spla.splu(_assemble_domain_matrix(f, (left, right), flavor))
+            A = _assemble_domain_matrix(f, (left, right), flavor)
+            solve = _banded_inverse(
+                A, (right - left - 1, self.piece.n_theta, self.k),
+                _STENCIL_STEP[flavor],
+            )
             self.domains.append(
-                _Domain((left, right), (cover.a, cover.b), cover.phi.copy(), lu)
+                _Domain((left, right), (cover.a, cover.b), cover.phi.copy(), solve)
             )
 
     def _solve_domain(self, dom: _Domain, eta_chunk: np.ndarray) -> np.ndarray:
         a, b = dom.rows
-        m = b - a + 1
-        nth, k = self.piece.n_theta, self.k
-        full = np.zeros((m, nth, k))
         ca, cb = dom.cover
+        full = np.zeros((b - a + 1, self.piece.n_theta, self.k))
         full[ca - a : cb - a + 1] = eta_chunk
-        rhs = full[1:-1].ravel()
-        sol = dom.lu.solve(rhs)
-        out = np.zeros((m, nth, k))
-        out[1:-1] = sol.reshape(m - 2, nth, k)
-        return out[ca - a : cb - a + 1]
+        full[1:-1] = dom.solve(full[1:-1])
+        full[0] = 0.0
+        full[-1] = 0.0
+        return full[ca - a : cb - a + 1]
 
     def _apply(self, eta: np.ndarray, split_weights: bool) -> np.ndarray:
         out = np.zeros_like(eta)

@@ -60,6 +60,8 @@ class TargetSpace:
         tau = np.asarray(self.tau, dtype=float).reshape(-1)
         if tau.shape != (self.k,):
             raise TargetError(f"tau shape {tau.shape} != (k,)=({self.k},)")
+        if not np.all(np.isfinite(tau)):
+            raise TargetError("tau must be finite")
         object.__setattr__(self, "tau", tau)
 
 

@@ -5,6 +5,7 @@ import os
 import pytest
 import yaml
 
+from vortexlab import cli
 from vortexlab.cli import (
     ConfigError,
     EXIT_CONFIG,
@@ -14,6 +15,8 @@ from vortexlab.cli import (
     parse_config,
     run,
 )
+from vortexlab.fields import FieldError
+from vortexlab.modgraph import GraphError
 
 MINIMAL = {
     "target": {"n": 1, "k": 1, "weights": [[1]], "tau": [1.0]},
@@ -263,3 +266,91 @@ class TestRemainingSubcommands:
         files = os.listdir(data["out"])
         assert any("field-0.csv" in f for f in files)
         assert any("field-0-header.json" in f for f in files)
+
+
+NECK_CONFIG = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                           "neck_family.yaml")
+
+
+def neck_config(tmp_path, edit):
+    with open(NECK_CONFIG) as fh:
+        data = yaml.safe_load(fh)
+    edit(data)
+    data["out"] = str(tmp_path / "out")
+    return write_config(tmp_path, data)
+
+
+def _set(path, value):
+    def edit(data):
+        block = data
+        for key in path[:-1]:
+            block = block[key]
+        block[path[-1]] = value
+    return edit
+
+
+class TestNumericValidation:
+    POSITIVE = [
+        (("surface", "h_r"), "surface.h_r"),
+        (("surface", "n_theta"), "surface.n_theta"),
+        (("surface", "sleeve_width"), "surface.sleeve_width"),
+        (("surface", "break_radius"), "surface.break_radius"),
+        (("surface", "components", "u", "length"), "surface.components.u.length"),
+        (("surface", "gluings", "0", "length"), "surface.gluings.0.length"),
+    ]
+
+    @pytest.mark.parametrize("path,name", POSITIVE)
+    @pytest.mark.parametrize("bad", [0, -1.5, math.nan, math.inf])
+    def test_finite_and_positive(self, tmp_path, path, name, bad):
+        with pytest.raises(ConfigError) as err:
+            parse_config(neck_config(tmp_path, _set(path, bad)))
+        assert any(p.startswith(f"{name} must be finite and positive")
+                   for p in err.value.problems)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_twist_finite(self, tmp_path, bad):
+        twist = _set(("surface", "gluings", "0", "twist"), bad)
+        with pytest.raises(ConfigError, match="surface.gluings.0.twist must be finite"):
+            parse_config(neck_config(tmp_path, twist))
+
+    def test_problems_are_collected(self, tmp_path):
+        def edit(data):
+            data["surface"]["h_r"] = 0
+            data["surface"]["sleeve_width"] = math.nan
+            data["surface"]["gluings"]["0"]["twist"] = math.inf
+        with pytest.raises(ConfigError) as err:
+            parse_config(neck_config(tmp_path, edit))
+        assert len(err.value.problems) == 3
+
+    def test_zero_h_r_exits_with_config_error(self, tmp_path, capsys):
+        path = neck_config(tmp_path, _set(("surface", "h_r"), 0))
+        assert main(["neck", "--config", path]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "surface.h_r must be finite and positive" in err
+        assert "Traceback" not in err
+
+
+class TestTauValidation:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_tau(self, tmp_path, bad):
+        with pytest.raises(ConfigError) as err:
+            parse_config(neck_config(tmp_path, _set(("target", "tau"), [bad])))
+        assert err.value.problems == ["target: tau must be finite"]
+
+
+class TestRunClassifiesErrors:
+    @pytest.mark.parametrize("exc", [FieldError("field values must be finite"),
+                                     GraphError("edge endpoint unknown")])
+    def test_field_and_graph_errors_are_numerical(self, tmp_path, monkeypatch, exc):
+        data = json.loads(json.dumps(MINIMAL))
+        data["out"] = str(tmp_path / "x")
+        cfg = parse_config(write_config(tmp_path, data))
+
+        def fail(cfg, out, name):
+            raise exc
+
+        monkeypatch.setitem(cli.SUBCOMMANDS, "graph", fail)
+        code, paths = run(cfg, "graph")
+        assert code == EXIT_NUMERICAL and paths == {}
+        error = load_json(tmp_path / "x" / f"graph-{cfg.content_hash()}-error.json")
+        assert error["error"] == str(exc)

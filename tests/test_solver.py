@@ -1,8 +1,11 @@
+import cmath
 import math
 import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from vortexlab import solver
 from vortexlab.fields import (
@@ -12,12 +15,14 @@ from vortexlab.fields import (
     curvature,
     dbar_residual,
     energy,
+    gram_field,
     limit_orbit,
     vortex_residual,
 )
 from vortexlab.modgraph import ModularGraph
 from vortexlab.quasimap import QuasimapData, build_seed
 from vortexlab.solver import (
+    PatchedPreconditioner,
     SolveConfig,
     SolverError,
     cg_solve,
@@ -659,3 +664,163 @@ class TestTwoNeckChain:
         _, it0 = cg_solve(field, rhs, cfg)
         _, it1 = cg_solve(field, rhs, cfg, preconditioner=pre.apply_symmetric)
         assert it0 >= 2 * it1
+
+
+# -- banded domain solves of the patched preconditioner ----------------------
+
+def _rank_two_field(n_r, n_theta, h_r, seed):
+    surf = cyl(n_r=n_r, n_theta=n_theta, h_r=h_r)
+    t2 = TargetSpace(3, 2, [[1, 0, 1], [0, 1, 1]], [1.0, 1.0])
+    f = constant_field(surf, 0, t2, [1.3, 0.9, 0.4])
+    rng = np.random.default_rng(seed)
+    return f.with_fields(u=f.u * (1.0 + 0.5 * rng.normal(size=f.u.shape)))
+
+
+def _domain_field(k, n_theta):
+    if k == 1:
+        return degree_one_seed(n_r=31, n_theta=n_theta, h_r=0.3)
+    return _rank_two_field(31, n_theta, 0.3, seed=n_theta)
+
+
+def _entrywise_domain_matrix(f, rows, flavor):
+    """Reference assembly: the angular stencil entry by entry, Gram(u) site
+    by site."""
+    p, k = f.piece, f.target.k
+    a, b = rows
+    inner, nth = b - a - 1, p.n_theta
+    if flavor == "five_point":
+        lap_r = sp.diags([np.full(inner, 2.0 / p.h_r**2),
+                          np.full(inner - 1, -1.0 / p.h_r**2),
+                          np.full(inner - 1, -1.0 / p.h_r**2)], [0, 1, -1])
+        step, center, side = 1, 2.0 / p.h_theta**2, -1.0 / p.h_theta**2
+    else:
+        d_r = sp.diags([np.full(inner - 1, 0.5 / p.h_r),
+                        np.full(inner - 1, -0.5 / p.h_r)], [1, -1], format="csr")
+        lap_r = d_r.T @ d_r
+        step, center, side = 2, 0.5 / p.h_theta**2, -0.25 / p.h_theta**2
+    lap_t = sp.lil_matrix((nth, nth))
+    for j in range(nth):
+        lap_t[j, j] = center
+        lap_t[j, (j + step) % nth] = side
+        lap_t[j, (j - step) % nth] = side
+    lap = sp.kron(lap_r, sp.identity(nth)) + sp.kron(sp.identity(inner), lap_t)
+    A = sp.lil_matrix(sp.kron(lap, sp.identity(k)))
+    gram = gram_field(f)[a + 1 : b].reshape(inner * nth, k, k)
+    for s in range(inner * nth):
+        for c1 in range(k):
+            for c2 in range(k):
+                A[s * k + c1, s * k + c2] += gram[s, c1, c2]
+    return A.tocsc()
+
+
+def _twisted_neck_seed(n_theta=16, h_r=0.2):
+    g = ModularGraph({"u": 0, "v": 0}, (("u", "v"),), ((1, "u"), (2, "v")))
+    mk = lambda rmin, l, r: ComponentMesh(51, n_theta, h_r, rmin, l, r)
+    comps = {
+        "u": mk(-10.0, End("truncation", ("leg", 1)), End("socket", edge=0)),
+        "v": mk(0.0, End("socket", edge=0), End("truncation", ("leg", 2))),
+    }
+    twist = 3 * 2 * math.pi / n_theta
+    surf = glue(comps, g, {0: cmath.exp(complex(-20.0, -twist))}, sleeve_width=4.0)
+    q = QuasimapData(g, T1, {"u": ((-5.0 + 0.3j,),)})
+    return build_seed(q, surf, 0)
+
+
+def _splu_patched(f, flavor):
+    """apply_symmetric of the patched preconditioner with sparse-LU domain
+    solves (reference)."""
+    pre = PatchedPreconditioner(f, flavor=flavor)
+    lus = [spla.splu(_assemble_domain_matrix(f, d.rows, flavor)) for d in pre.domains]
+
+    def apply(eta):
+        out = np.zeros_like(eta)
+        for dom, lu in zip(pre.domains, lus):
+            (a, b), (ca, cb) = dom.rows, dom.cover
+            w = np.sqrt(dom.phi)[:, None, None]
+            full = np.zeros((b - a + 1,) + eta.shape[1:])
+            full[ca - a : cb - a + 1] = w * eta[ca : cb + 1]
+            sol = np.zeros_like(full)
+            sol[1:-1] = lu.solve(full[1:-1].ravel()).reshape(sol[1:-1].shape)
+            out[ca : cb + 1] += w * sol[ca - a : cb - a + 1]
+        out[0] = out[-1] = 0.0
+        return out
+
+    return pre, apply
+
+
+def _assert_solves_match(solve, A, shape, rng):
+    rhs = rng.normal(size=shape)
+    ref = spla.spsolve(A, rhs.ravel()).reshape(shape)
+    assert np.linalg.norm(solve(rhs) - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+class TestDomainAssembly:
+    @pytest.mark.parametrize("flavor", ["five_point", "gauge_step"])
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("n_theta", [16, 15])
+    def test_equals_entrywise_reference(self, flavor, k, n_theta):
+        f = _domain_field(k, n_theta)
+        for rows in ((0, f.piece.n_r - 1), (4, 19)):
+            A = _assemble_domain_matrix(f, rows, flavor)
+            ref = _entrywise_domain_matrix(f, rows, flavor)
+            assert A.shape == ref.shape
+            assert (A != ref).nnz == 0
+
+
+class TestBandedDomainSolve:
+    @pytest.mark.parametrize("flavor", ["five_point", "gauge_step"])
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("n_theta", [16, 15])
+    def test_matches_sparse_direct(self, flavor, k, n_theta):
+        f = _domain_field(k, n_theta)
+        rng = np.random.default_rng(30 + 2 * k + n_theta)
+        # odd (29) and even (14) interior ring counts
+        for rows in ((0, f.piece.n_r - 1), (4, 19)):
+            A = _assemble_domain_matrix(f, rows, flavor)
+            shape = (rows[1] - rows[0] - 1, n_theta, k)
+            solve = solver._banded_inverse(A, shape, solver._STENCIL_STEP[flavor])
+            _assert_solves_match(solve, A, shape, rng)
+
+    @pytest.mark.parametrize("flavor", ["five_point", "gauge_step"])
+    def test_twisted_neck_domains(self, flavor):
+        f = _twisted_neck_seed()
+        pre = PatchedPreconditioner(f, flavor=flavor)
+        assert len(pre.domains) == 2
+        rng = np.random.default_rng(31)
+        for dom in pre.domains:
+            a, b = dom.rows
+            A = _assemble_domain_matrix(f, dom.rows, flavor)
+            _assert_solves_match(dom.solve, A, (b - a - 1, f.piece.n_theta, 1), rng)
+
+    def test_indefinite_domain_raises(self):
+        f = _domain_field(1, 16)
+        A = _assemble_domain_matrix(f, (0, 30), "gauge_step")
+        with pytest.raises(SolverError, match="not positive definite"):
+            solver._banded_inverse(-A, (29, 16, 1), 2)
+
+    def test_five_point_stencil_is_not_parity_split(self):
+        f = _domain_field(1, 16)
+        A = _assemble_domain_matrix(f, (0, 30), "five_point")
+        with pytest.raises(SolverError, match="parity classes"):
+            solver._banded_inverse(A, (29, 16, 1), 2)
+
+
+class TestPatchedMatchesSparseLU:
+    def test_apply_symmetric_equals_splu_reference(self):
+        f = _twisted_neck_seed()
+        pre, reference = _splu_patched(f, "gauge_step")
+        p = f.piece
+        eta = np.random.default_rng(32).normal(size=(p.n_r, p.n_theta, 1))
+        eta[0] = eta[-1] = 0.0
+        ref = reference(eta)
+        err = np.linalg.norm(pre.apply_symmetric(eta) - ref)
+        assert err <= 1e-10 * np.linalg.norm(ref)
+
+    def test_newton_cg_iterations_equal_splu_reference(self):
+        seed = glued_pair(L=40.0, n_theta=16, h_r=0.2)
+        _, reference = _splu_patched(seed, "gauge_step")
+        _, _, rep = newton_solve(seed, SolveConfig(preconditioner="patched"))
+        _, _, rep_ref = newton_solve(seed, SolveConfig(), preconditioner=reference)
+        assert rep.converged
+        assert rep.cg_iterations == rep_ref.cg_iterations
+        assert rep.final_energy == pytest.approx(rep_ref.final_energy, rel=1e-10)

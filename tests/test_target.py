@@ -269,3 +269,10 @@ class TestValidation:
             TargetSpace(2, 1, [[1]], [1.0])
         with pytest.raises(TargetError):
             TargetSpace(1, 1, [[0.5]], [1.0])
+
+
+class TestTauFinite:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_tau_rejected(self, bad):
+        with pytest.raises(TargetError, match="tau must be finite"):
+            TargetSpace(1, 1, [[1]], [bad])
