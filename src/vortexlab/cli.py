@@ -51,11 +51,19 @@ EXIT_NUMERICAL = 3
 
 
 class ConfigError(ValueError):
-    """Carries every validation problem found in a config file."""
+    """Carries every validation problem found in a config file, and the
+    file's content when it could be read (it names the error artifact)."""
 
-    def __init__(self, problems):
+    def __init__(self, problems, raw=None):
         self.problems = list(problems)
+        self.raw = raw
         super().__init__("; ".join(self.problems))
+
+
+def _content_hash(raw: dict) -> str:
+    content = {k: v for k, v in raw.items() if k != "out"}
+    blob = json.dumps(content, sort_keys=True, default=str)
+    return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
 @dataclass
@@ -78,9 +86,7 @@ class RunConfig:
                     self.sleeve_width, self.break_radius)
 
     def content_hash(self) -> str:
-        content = {k: v for k, v in self.raw.items() if k != "out"}
-        blob = json.dumps(content, sort_keys=True, default=str)
-        return hashlib.sha256(blob.encode()).hexdigest()[:12]
+        return _content_hash(self.raw)
 
 
 def _complex_from(value) -> complex:
@@ -93,24 +99,29 @@ def _complex_from(value) -> complex:
     raise ValueError(f"cannot read complex value from {value!r}")
 
 
+def _finite(value, name: str, problems: list, positive: bool = True):
+    """value as a float that is finite and, if asked, positive; otherwise
+    None, with the problem appended."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        problems.append(f"{name}: not a number: {value!r}")
+        return None
+    if not math.isfinite(number) or (positive and number <= 0):
+        need = "finite and positive" if positive else "finite"
+        problems.append(f"{name} must be {need}, got {value!r}")
+        return None
+    return number
+
+
 def _number(block: dict, key: str, where: str, problems: list,
             default=None, positive: bool = True):
-    """block[key] (or default) as a float that is finite and, if asked,
-    positive; otherwise None, with the problem appended."""
+    """block[key] (or default) checked by _finite; None when missing."""
     value = block.get(key, default)
     if value is None:
         problems.append(f"{where}: missing {key}")
         return None
-    try:
-        number = float(value)
-    except (TypeError, ValueError):
-        problems.append(f"{where}.{key}: not a number: {value!r}")
-        return None
-    if not math.isfinite(number) or (positive and number <= 0):
-        need = "finite and positive" if positive else "finite"
-        problems.append(f"{where}.{key} must be {need}, got {value!r}")
-        return None
-    return number
+    return _finite(value, f"{where}.{key}", problems, positive)
 
 
 def parse_config(path) -> RunConfig:
@@ -121,6 +132,8 @@ def parse_config(path) -> RunConfig:
             raw = yaml.safe_load(fh) or {}
     except (OSError, yaml.YAMLError) as exc:
         raise ConfigError([f"cannot read config: {exc}"])
+    if not isinstance(raw, dict):
+        raise ConfigError([f"config must be a mapping, got {type(raw).__name__}"])
 
     target = None
     tblock = raw.get("target")
@@ -162,6 +175,10 @@ def parse_config(path) -> RunConfig:
             if specs or key in sblock else None
             for key in ("n_theta", "h_r")
         )
+        if n_theta is not None and not n_theta.is_integer():
+            problems.append(
+                f"surface.n_theta must be an integer, got {sblock['n_theta']!r}")
+            n_theta = None
 
         def parse_end(spec, vid, side):
             if not isinstance(spec, dict):
@@ -262,8 +279,22 @@ def parse_config(path) -> RunConfig:
         problems.append(f"solve: {exc}")
         solve = SolveConfig()
 
+    experiments = raw.get("experiments") or {}
+    neck = experiments.get("neck") if isinstance(experiments, dict) else None
+    if not isinstance(experiments, dict):
+        problems.append("experiments: expected a mapping")
+    elif neck is not None and not isinstance(neck, dict):
+        problems.append("experiments.neck: expected a mapping")
+    elif neck is not None and "lengths" in neck:
+        lengths = neck["lengths"]
+        if not isinstance(lengths, list) or not lengths:
+            problems.append("experiments.neck.lengths: expected a non-empty list")
+        else:
+            for i, L in enumerate(lengths):
+                _finite(L, f"experiments.neck.lengths[{i}]", problems)
+
     if problems:
-        raise ConfigError(problems)
+        raise ConfigError(problems, raw)
     return RunConfig(
         target=target,
         graph=graph,
@@ -273,7 +304,7 @@ def parse_config(path) -> RunConfig:
         break_radius=break_radius,
         quasimap=quasimap,
         solve=solve,
-        experiments=raw.get("experiments") or {},
+        experiments=experiments,
         seed=int(raw.get("seed", 0)),
         out_dir=str(raw.get("out", "out")),
         raw=raw,
@@ -545,13 +576,37 @@ def run(cfg: RunConfig, subcommand: str, snapshots: bool = False):
         return SUBCOMMANDS[subcommand](cfg, out, name)
     except (SolverError, QuasimapError, TargetError, SurfaceError, FieldError,
             GraphError, xp.ExperimentError) as exc:
-        os.makedirs(out, exist_ok=True)
-        with open(os.path.join(out, f"{name}-error.json"), "w") as fh:
-            json.dump({"error": str(exc), "schema_version": SCHEMA_VERSION},
-                      fh, sort_keys=True, indent=1)
-            fh.write("\n")
+        _write_error(out, name, {"error": str(exc)})
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL, {}
+
+
+def _write_error(out_dir, name, content: dict) -> str:
+    """<out_dir>/<name>-error.json holding content; returns its path."""
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, f"{name}-error.json")
+    with open(path, "w") as fh:
+        json.dump({**content, "schema_version": SCHEMA_VERSION},
+                  fh, sort_keys=True, indent=1)
+        fh.write("\n")
+    return path
+
+
+def _config_failure(exc: ConfigError, subcommand: str, raw, out_dir) -> int:
+    """Report a configuration error on stderr and, when the output directory
+    is named (--out or the config's out key), as an error artifact named
+    like the run's; returns the exit code."""
+    for p in exc.problems:
+        print(f"configuration error: {p}", file=sys.stderr)
+    if out_dir is None and raw is not None and "out" in raw:
+        out_dir = str(raw["out"])
+    if out_dir is not None:
+        name = f"{subcommand}-{_content_hash(raw) if raw is not None else 'config'}"
+        try:
+            _write_error(out_dir, name, {"error": str(exc), "problems": exc.problems})
+        except OSError as err:
+            print(f"cannot write the error artifact: {err}", file=sys.stderr)
+    return EXIT_CONFIG
 
 
 def main(argv=None) -> int:
@@ -590,9 +645,7 @@ def main(argv=None) -> int:
     try:
         cfg = parse_config(args.config)
     except ConfigError as exc:
-        for p in exc.problems:
-            print(f"configuration error: {p}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _config_failure(exc, args.subcommand, exc.raw, args.out)
     if args.out:
         cfg.out_dir = args.out
     if args.seed is not None:
@@ -601,9 +654,7 @@ def main(argv=None) -> int:
     try:
         code, paths = run(cfg, args.subcommand, snapshots=args.snapshots)
     except ConfigError as exc:
-        for p in exc.problems:
-            print(f"configuration error: {p}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _config_failure(exc, args.subcommand, cfg.raw, cfg.out_dir)
     for label, path in sorted(paths.items()):
         print(f"{label}: {path}")
     return code

@@ -6,17 +6,22 @@ positive Jacobian of the discrete gauge step (composed-centered Laplacian +
 Gram(u)) into one operator and solves it by conjugate gradients (pcg, the one
 Krylov loop of the package), optionally preconditioned by the core/sleeve
 patched inverse, whose exact domain solves on the broken surface are a
-banded Cholesky per parity class; a backtracking line search guards the
-large-residual regime and rejects overflowing trial steps.  The five-point
-operator of the continuum linearization is exposed separately
-(linearized_apply) and is the default system solved by cg_solve.  Local
-gauge-fixing diagnostics (flat complex gauge on a patch, Coulomb gauge) share
-the same stencils and Krylov loop.
+banded Cholesky per parity class.  The Newton is inexact: the inner relative
+tolerance of each step is an Eisenstat-Walker forcing term (choice 2), loose
+while the outer residual is large, never tighter than the step needs to land
+below newton_tol, and floored at cg_tol.  A backtracking line search guards
+the large-residual regime and rejects overflowing trial steps.  The
+five-point operator of the continuum linearization is exposed separately
+(linearized_apply) and is the default system solved by cg_solve, which like
+the local gauge-fixing diagnostics (flat complex gauge on a patch, Coulomb
+gauge) solves to cg_tol and shares the same stencils and Krylov loop.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+import numbers
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -71,10 +76,16 @@ class SolveConfig:
     preconditioner: str = "none"  # "none" | "patched"
 
     def __post_init__(self):
-        if self.newton_tol <= 0 or self.cg_tol <= 0:
-            raise SolverError("tolerances must be positive")
-        if self.max_newton < 1 or self.max_cg < 1:
-            raise SolverError("iteration caps must be at least 1")
+        for name in ("newton_tol", "cg_tol"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and math.isfinite(value)
+                    and value > 0):
+                raise SolverError(f"{name} must be finite and positive, got {value!r}")
+        for name in ("max_newton", "max_cg"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral)
+                    and not isinstance(value, bool) and value >= 1):
+                raise SolverError(f"{name} must be an integer of at least 1, got {value!r}")
         if self.preconditioner not in ("none", "patched"):
             raise SolverError(f"unknown preconditioner {self.preconditioner!r}")
 
@@ -84,7 +95,9 @@ class SolveReport:
     residual_sup: list = field(default_factory=list)
     residual_l2: list = field(default_factory=list)
     cg_iterations: list = field(default_factory=list)
+    cg_tolerances: list = field(default_factory=list)  # inner tol of each step
     step_sizes: list = field(default_factory=list)
+    backtracks: list = field(default_factory=list)  # halvings of each step
     final_energy: float = float("nan")
     xi_norm: float = 0.0
     converged: bool = False
@@ -98,7 +111,9 @@ class SolveReport:
             "residual_sup": self.residual_sup,
             "residual_l2": self.residual_l2,
             "cg_iterations": self.cg_iterations,
+            "cg_tolerances": self.cg_tolerances,
             "step_sizes": self.step_sizes,
+            "backtracks": self.backtracks,
             "final_energy": self.final_energy,
             "xi_norm": self.xi_norm,
             "converged": self.converged,
@@ -322,21 +337,50 @@ def _check_seed(f: GaugedField):
             ) from exc
 
 
+# Eisenstat-Walker forcing terms (choice 2, SIAM J. Sci. Comput. 17, 1996)
+EW_ETA_0 = 0.5  # first step
+EW_ETA_MAX = 0.5
+EW_GAMMA = 0.9
+EW_SAFEGUARD = 0.1  # keep eta from dropping fast when gamma*eta_prev^2 > this
+
+
+def _forcing_term(norm: float, prev_norm: Optional[float],
+                  prev_eta: Optional[float], newton_tol: float,
+                  floor: float) -> float:
+    """Relative inner tolerance of a Newton step at residual 2-norm norm.
+
+    EW choice 2 with its safeguard, capped at EW_ETA_MAX, never tighter than
+    0.5 * newton_tol / norm (the linear residual then stays below newton_tol
+    / 2 in the sup norm, which the 2-norm bounds) and floored at floor."""
+    if prev_norm is None:
+        eta = EW_ETA_0
+    else:
+        eta = EW_GAMMA * (norm / prev_norm) ** 2
+        kept = EW_GAMMA * prev_eta**2
+        if kept > EW_SAFEGUARD:
+            eta = max(eta, kept)
+    eta = max(eta, 0.5 * newton_tol / norm)
+    return max(floor, min(EW_ETA_MAX, eta))
+
+
 def newton_solve(f: GaugedField, cfg: Optional[SolveConfig] = None,
                  preconditioner: Optional[Callable] = None,
                  snapshot_callback: Optional[Callable] = None):
     """Drive the vortex residual to cfg.newton_tol within the complex gauge
     orbit of f.  Returns (field, xi_total, SolveReport).
 
-    cfg.preconditioner = "patched" assembles the core/sleeve approximate
-    inverse from the seed and applies its symmetric form inside every inner
-    solve.  ``snapshot_callback(iteration, field)`` is invoked on the seed
-    and after every accepted step."""
+    Each step solves its Jacobian system to the forcing term of
+    _forcing_term (at least cfg.cg_tol relative) and records it in
+    report.cg_tolerances.  cfg.preconditioner = "patched" assembles the
+    core/sleeve approximate inverse from the seed and applies its symmetric
+    form inside every inner solve.  ``snapshot_callback(iteration, field)``
+    is invoked on the seed and after every accepted step."""
     cfg = cfg or SolveConfig()
     _check_seed(f)
     if preconditioner is None and cfg.preconditioner == "patched":
         preconditioner = PatchedPreconditioner(f, flavor="gauge_step").apply_symmetric
     p = f.piece
+    to_norm2 = 1.0 / math.sqrt(p.h_r * p.h_theta)  # weighted l2 -> Euclidean
     report = SolveReport()
     xi_total = np.zeros((p.n_r, p.n_theta, f.target.k))
     cur = f
@@ -346,6 +390,7 @@ def newton_solve(f: GaugedField, cfg: Optional[SolveConfig] = None,
     report.residual_l2.append(l2)
     if snapshot_callback is not None:
         snapshot_callback(0, cur)
+    prev_norm = prev_eta = None
     for it in range(cfg.max_newton):
         if sup <= cfg.newton_tol:
             report.converged = True
@@ -353,11 +398,13 @@ def newton_solve(f: GaugedField, cfg: Optional[SolveConfig] = None,
         rhs = -res
         rhs[0] = 0.0
         rhs[-1] = 0.0
-        step, cg_iters = cg_solve(cur, rhs, cfg, preconditioner,
+        norm = l2 * to_norm2
+        eta = _forcing_term(norm, prev_norm, prev_eta, cfg.newton_tol, cfg.cg_tol)
+        step, cg_iters = cg_solve(cur, rhs, replace(cfg, cg_tol=eta), preconditioner,
                                   operator=gauge_step_operator(cur))
         alpha = 1.0
         accepted = None
-        for _ in range(20):
+        for halvings in range(20):
             trial = _trial(cur, alpha * step)
             if trial is not None and (
                 trial[3] <= (1.0 - 1e-4 * alpha) * l2 or not cfg.damping
@@ -372,10 +419,13 @@ def newton_solve(f: GaugedField, cfg: Optional[SolveConfig] = None,
             )
         cur, res, sup, l2 = accepted
         xi_total += alpha * step
+        prev_norm, prev_eta = norm, eta
         report.residual_sup.append(sup)
         report.residual_l2.append(l2)
         report.cg_iterations.append(cg_iters)
+        report.cg_tolerances.append(eta)
         report.step_sizes.append(alpha)
+        report.backtracks.append(halvings)
         if snapshot_callback is not None:
             snapshot_callback(it + 1, cur)
     else:

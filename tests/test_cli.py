@@ -93,6 +93,12 @@ class TestParseConfig:
         cfg = parse_config(write_config(tmp_path, data))
         assert cfg.gluings[0] == 0
 
+    def test_non_mapping_config(self, tmp_path):
+        path = tmp_path / "list.yaml"
+        path.write_text("- target\n- graph\n")
+        with pytest.raises(ConfigError, match="config must be a mapping, got list"):
+            parse_config(str(path))
+
 
 class TestRun:
     def test_solve_roundtrip(self, tmp_path):
@@ -354,3 +360,89 @@ class TestRunClassifiesErrors:
         assert code == EXIT_NUMERICAL and paths == {}
         error = load_json(tmp_path / "x" / f"graph-{cfg.content_hash()}-error.json")
         assert error["error"] == str(exc)
+
+
+def _main_config_error(tmp_path, capsys, subcommand, edit):
+    """Run main on the edited neck config; returns (stderr, error JSON)."""
+    path = neck_config(tmp_path, edit)
+    assert main([subcommand, "--config", path]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    (error_file,) = (tmp_path / "out").glob(f"{subcommand}-*-error.json")
+    return err, load_json(error_file)
+
+
+class TestNewtonTolValidation:
+    @pytest.mark.parametrize("name", ["newton_tol", "cg_tol"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1e-8])
+    def test_collected_by_parse_config(self, tmp_path, name, bad):
+        with pytest.raises(ConfigError) as err:
+            parse_config(neck_config(tmp_path, _set(("solve", name), bad)))
+        assert err.value.problems == [
+            f"solve: {name} must be finite and positive, got {bad!r}"]
+
+    def test_nan_newton_tol_exits_with_config_error(self, tmp_path, capsys):
+        err, error = _main_config_error(
+            tmp_path, capsys, "neck", _set(("solve", "newton_tol"), math.nan))
+        assert "solve: newton_tol must be finite and positive" in err
+        assert error["problems"] == [
+            "solve: newton_tol must be finite and positive, got nan"]
+        assert error["schema_version"] == cli.SCHEMA_VERSION
+
+
+class TestNeckLengthValidation:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -10.0, "long"])
+    def test_each_length_checked(self, tmp_path, bad):
+        edit = _set(("experiments", "neck", "lengths"), [10.0, bad])
+        with pytest.raises(ConfigError) as err:
+            parse_config(neck_config(tmp_path, edit))
+        assert len(err.value.problems) == 1
+        assert err.value.problems[0].startswith("experiments.neck.lengths[1]")
+
+    @pytest.mark.parametrize("bad", [[], 10.0, None])
+    def test_lengths_must_be_a_list(self, tmp_path, bad):
+        edit = _set(("experiments", "neck", "lengths"), bad)
+        with pytest.raises(ConfigError, match="non-empty list"):
+            parse_config(neck_config(tmp_path, edit))
+
+    def test_nan_length_exits_with_config_error(self, tmp_path, capsys):
+        err, error = _main_config_error(
+            tmp_path, capsys, "neck",
+            _set(("experiments", "neck", "lengths"), [math.nan]))
+        assert "experiments.neck.lengths[0] must be finite and positive" in err
+        assert error["problems"] == [
+            "experiments.neck.lengths[0] must be finite and positive, got nan"]
+
+
+class TestNThetaInteger:
+    def test_fractional_rejected(self, tmp_path):
+        with pytest.raises(ConfigError) as err:
+            parse_config(neck_config(tmp_path, _set(("surface", "n_theta"), 32.7)))
+        assert err.value.problems == ["surface.n_theta must be an integer, got 32.7"]
+
+    def test_integral_float_accepted(self, tmp_path):
+        cfg = parse_config(neck_config(tmp_path, _set(("surface", "n_theta"), 32.0)))
+        assert all(c.n_theta == 32 for c in cfg.components.values())
+
+    def test_fractional_exits_with_config_error(self, tmp_path, capsys):
+        err, error = _main_config_error(
+            tmp_path, capsys, "solve", _set(("surface", "n_theta"), 32.7))
+        assert "surface.n_theta must be an integer" in err
+        assert error["error"] == "surface.n_theta must be an integer, got 32.7"
+
+
+class TestConfigErrorArtifact:
+    def test_written_to_out_override(self, tmp_path, capsys):
+        path = neck_config(tmp_path, _set(("surface", "h_r"), 0))
+        override = tmp_path / "override"
+        assert main(["neck", "--config", path, "--out", str(override)]) == EXIT_CONFIG
+        (error_file,) = override.glob("neck-*-error.json")
+        assert load_json(error_file)["problems"] == [
+            "surface.h_r must be finite and positive, got 0"]
+        assert not (tmp_path / "out").exists()
+
+    def test_nothing_written_without_a_named_out(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bad.yaml").write_text("target: {n: 1}")
+        assert main(["solve", "--config", "bad.yaml"]) == EXIT_CONFIG
+        assert os.listdir(tmp_path) == ["bad.yaml"]

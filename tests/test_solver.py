@@ -824,3 +824,139 @@ class TestPatchedMatchesSparseLU:
         assert rep.converged
         assert rep.cg_iterations == rep_ref.cg_iterations
         assert rep.final_energy == pytest.approx(rep_ref.final_energy, rel=1e-10)
+
+
+def standard_seed():
+    """The acceptance suite's 400x64 degree-one cylinder, r in [-20, 20]."""
+    surf = single_cylinder(400, 64, 40.0 / 399, r_min=-20.0, graph=GRAPH1, vertex=0)
+    return build_seed(QuasimapData(GRAPH1, T1, {0: ((0.05 + 0.1j,),)}), surf, 0)
+
+
+def _exact_newton(f, newton_tol, preconditioner=None):
+    """Reference Newton with exact inner solves (pcg to 1e-12) and the same
+    operator, gauge step and Armijo line search; returns the final energy."""
+    sup_l2 = lambda res: (float(np.max(np.abs(res[1:-1]))),
+                          float(np.linalg.norm(res[1:-1])))
+    res = vortex_residual(f)
+    sup, l2 = sup_l2(res)
+    for _ in range(30):
+        if sup <= newton_tol:
+            return energy(f).total
+        rhs = -res
+        rhs[0] = rhs[-1] = 0.0
+        step, _ = pcg(gauge_step_operator(f), rhs, preconditioner, 1e-12, 20000)
+        alpha = 1.0
+        while True:
+            trial = gauge_update(f, alpha * step)
+            trial_res = vortex_residual(trial)
+            trial_sup, trial_l2 = sup_l2(trial_res)
+            if trial_l2 <= (1.0 - 1e-4 * alpha) * l2:
+                break
+            alpha *= 0.5
+            assert alpha > 1e-6, "reference line search failed"
+        f, res, sup, l2 = trial, trial_res, trial_sup, trial_l2
+    raise AssertionError("reference Newton did not converge")
+
+
+@pytest.fixture(scope="module")
+def standard_solve():
+    seed = standard_seed()
+    return seed, newton_solve(seed, SolveConfig(newton_tol=1e-8))
+
+
+class TestInexactNewton:
+    PARENT_CG_400x64 = 441  # exact inner solves at cg_tol: 108 + 110 + 111 + 112
+
+    def test_cylinder_matches_exact_inner_reference(self, standard_solve):
+        seed, (_, _, rep) = standard_solve
+        ref_energy = _exact_newton(seed, 1e-8)
+        assert rep.residual_sup[-1] <= 1e-8
+        assert rep.final_energy == pytest.approx(ref_energy, rel=1e-10)
+
+    def test_glued_patched_matches_exact_inner_reference(self):
+        seed = glued_pair(L=40.0)
+        _, _, rep = newton_solve(seed, SolveConfig(preconditioner="patched"))
+        pre = PatchedPreconditioner(seed, flavor="gauge_step").apply_symmetric
+        ref_energy = _exact_newton(seed, 1e-8, preconditioner=pre)
+        assert rep.residual_sup[-1] <= 1e-8
+        assert rep.final_energy == pytest.approx(ref_energy, rel=1e-10)
+
+    def test_steps_satisfy_forcing_bound(self, monkeypatch):
+        seed = standard_seed()
+        calls = []
+        real_pcg = solver.pcg
+
+        def recording_pcg(op, rhs, M, tol, maxit):
+            x, it = real_pcg(op, rhs, M, tol, maxit)
+            calls.append((op, rhs.copy(), tol, x))
+            return x, it
+
+        monkeypatch.setattr(solver, "pcg", recording_pcg)
+        seen = []
+        _, _, rep = newton_solve(seed, SolveConfig(newton_tol=1e-8),
+                                 snapshot_callback=lambda i, f: seen.append(f))
+        assert len(calls) == rep.newton_iterations == len(rep.cg_tolerances)
+        for k, (op, rhs, tol, step) in enumerate(calls):
+            assert tol == rep.cg_tolerances[k]
+            F = vortex_residual(seen[k])[1:-1]
+            assert np.array_equal(rhs[1:-1], -F)
+            linear = np.linalg.norm(op(step)[1:-1] + F)
+            assert linear <= rep.cg_tolerances[k] * np.linalg.norm(F)
+
+    def test_fewer_cg_iterations_than_exact_inner_solves(self, standard_solve):
+        _, (_, _, rep) = standard_solve
+        assert sum(rep.cg_iterations) <= self.PARENT_CG_400x64 // 2
+
+    def test_tolerances_follow_the_forcing_rules(self, standard_solve):
+        _, (_, _, rep) = standard_solve
+        cfg = SolveConfig(newton_tol=1e-8)
+        p = standard_seed().piece
+        norms = [l2 / math.sqrt(p.h_r * p.h_theta) for l2 in rep.residual_l2]
+        tols = rep.cg_tolerances
+        assert tols[0] == solver.EW_ETA_0
+        for k in range(1, len(tols)):
+            eta = solver.EW_GAMMA * (norms[k] / norms[k - 1]) ** 2
+            if solver.EW_GAMMA * tols[k - 1] ** 2 > solver.EW_SAFEGUARD:
+                eta = max(eta, solver.EW_GAMMA * tols[k - 1] ** 2)
+            eta = max(eta, 0.5 * cfg.newton_tol / norms[k])
+            assert tols[k] == pytest.approx(
+                max(cfg.cg_tol, min(solver.EW_ETA_MAX, eta)), rel=1e-12)
+            assert cfg.cg_tol <= tols[k] <= solver.EW_ETA_MAX
+
+    def test_forcing_term_rules(self):
+        term = solver._forcing_term
+        assert term(1.0, None, None, 1e-8, 1e-10) == 0.5
+        # choice 2: 0.9 * (0.1)^2
+        assert term(0.1, 1.0, 0.01, 1e-8, 1e-10) == pytest.approx(9e-3)
+        # safeguard: 0.9 * 0.5^2 = 0.225 > 0.1 keeps eta from collapsing
+        assert term(0.01, 1.0, 0.5, 1e-8, 1e-10) == pytest.approx(0.225)
+        # cap
+        assert term(2.0, 1.0, 0.01, 1e-8, 1e-10) == solver.EW_ETA_MAX
+        # no over-solve near newton_tol: 0.5 * 1e-8 / 1e-7
+        assert term(1e-7, 1e-3, 1e-3, 1e-8, 1e-10) == pytest.approx(0.05)
+        # floor
+        assert term(1e-2, 1.0, 1e-3, 1e-14, 1e-4) == 1e-4
+
+    def test_backtracks_recorded(self):
+        f = constant_field(cyl(n_r=61, n_theta=8, h_r=0.5), 0,
+                           TargetSpace(1, 1, [[1]], [10.0]), [0.1])
+        _, _, rep = newton_solve(f, SolveConfig())
+        assert rep.backtracks[0] > 0
+        assert [0.5**b for b in rep.backtracks] == rep.step_sizes
+        d = rep.as_dict()
+        assert d["backtracks"] == rep.backtracks
+        assert d["cg_tolerances"] == rep.cg_tolerances
+
+
+class TestSolveConfigTolerances:
+    @pytest.mark.parametrize("name", ["newton_tol", "cg_tol"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1e-8])
+    def test_non_finite_or_non_positive_tolerance(self, name, bad):
+        with pytest.raises(SolverError, match=f"{name} must be finite and positive"):
+            SolveConfig(**{name: bad})
+
+    @pytest.mark.parametrize("name", ["max_newton", "max_cg"])
+    @pytest.mark.parametrize("bad", [math.nan, 2.5, 0, "ten", True])
+    def test_iteration_caps_are_positive_integers(self, name, bad):
+        with pytest.raises(SolverError, match=f"{name} must be an integer"):
+            SolveConfig(**{name: bad})
