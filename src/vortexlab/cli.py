@@ -20,6 +20,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import yaml
@@ -76,7 +77,7 @@ class RunConfig:
     break_radius: float
     quasimap: QuasimapData
     solve: SolveConfig
-    experiments: dict
+    experiments: dict  # every block checked, defaults filled in (_experiments)
     seed: int
     out_dir: str
     raw: dict
@@ -122,6 +123,99 @@ def _number(block: dict, key: str, where: str, problems: list,
         problems.append(f"{where}: missing {key}")
         return None
     return _finite(value, f"{where}.{key}", problems, positive)
+
+
+def _numbers(value, name: str, problems: list, positive: bool = True):
+    """value as a non-empty list of numbers each checked by _finite; None
+    when any is not."""
+    if not isinstance(value, (list, tuple)) or not value:
+        problems.append(f"{name}: expected a non-empty list")
+        return None
+    out = [_finite(x, f"{name}[{i}]", problems, positive) for i, x in enumerate(value)]
+    return None if None in out else out
+
+
+def _integer(value, name: str, problems: list, hi=None):
+    """value as an int >= 0, and < hi unless hi is None; None otherwise."""
+    number = _finite(value, name, problems, positive=False)
+    if number is None:
+        return None
+    if (isinstance(value, bool) or not number.is_integer() or number < 0
+            or (hi is not None and number >= hi)):
+        bound = ">= 0" if hi is None else f"in [0, {hi})"
+        problems.append(f"{name} must be an integer {bound}, got {value!r}")
+        return None
+    return int(number)
+
+
+def _window(value, name: str, problems: list):
+    """value as two finite numbers (lo, hi) with lo < hi; None otherwise."""
+    pair = _numbers(value, name, problems, positive=False)
+    if pair is None:
+        return None
+    if len(pair) != 2 or not pair[0] < pair[1]:
+        problems.append(
+            f"{name} must be two numbers [lo, hi] with lo < hi, got {value!r}")
+        return None
+    return tuple(pair)
+
+
+def _end(value, name: str, problems: list):
+    """value if it names a cylinder end; None otherwise."""
+    if value not in ("left", "right"):
+        problems.append(f"{name} must be 'left' or 'right', got {value!r}")
+        return None
+    return value
+
+
+def _zero_positions(value, name: str, problems: list):
+    """value as a non-empty list of complex zeros r + i theta, each given as
+    a mapping with finite r and theta; None otherwise."""
+    if not isinstance(value, (list, tuple)) or not value:
+        problems.append(f"{name}: expected a non-empty list")
+        return None
+    out = []
+    for i, spec in enumerate(value):
+        where = f"{name}[{i}]"
+        if not isinstance(spec, dict):
+            problems.append(f"{where}: expected a mapping with r and theta")
+            out.append(None)
+            continue
+        r, theta = (_number(spec, key, where, problems, positive=False)
+                    for key in ("r", "theta"))
+        out.append(None if None in (r, theta) else complex(r, theta))
+    return None if None in out else out
+
+
+def _experiments(block, n_coordinates, problems: list) -> dict:
+    """Every experiments.<name>.<key> the subcommands read, checked, with its
+    default where the config leaves it out; unknown keys are ignored."""
+    checks = {
+        "decay": {"window": ((5.0, 15.0), _window), "end": ("right", _end)},
+        "annulus": {"t_values": ((0, 2, 4, 6, 8), partial(_numbers, positive=False)),
+                    "perturbation": (0.05, partial(_finite, positive=False))},
+        "energy": {"tolerance": (0.02, _finite)},
+        "quantize": {"n_constant": (5, _integer),
+                     "zero_positions": ([{"r": 0.0, "theta": 0.0}], _zero_positions)},
+        "neck": {"lengths": ((10.0, 20.0, 40.0), _numbers)},
+        "ev": {"offsets": ((0.0, 0.2, 0.4), partial(_numbers, positive=False)),
+               "coordinate": (0, partial(_integer, hi=n_coordinates))},
+    }
+    if not isinstance(block, dict):
+        problems.append("experiments: expected a mapping")
+        return {}
+    out = {}
+    for name, keys in checks.items():
+        spec = block.get(name)
+        if spec is None:
+            spec = {}
+        elif not isinstance(spec, dict):
+            problems.append(f"experiments.{name}: expected a mapping")
+            continue
+        out[name] = {key: check(spec.get(key, default), f"experiments.{name}.{key}",
+                                problems)
+                     for key, (default, check) in keys.items()}
+    return out
 
 
 def parse_config(path) -> RunConfig:
@@ -279,19 +373,8 @@ def parse_config(path) -> RunConfig:
         problems.append(f"solve: {exc}")
         solve = SolveConfig()
 
-    experiments = raw.get("experiments") or {}
-    neck = experiments.get("neck") if isinstance(experiments, dict) else None
-    if not isinstance(experiments, dict):
-        problems.append("experiments: expected a mapping")
-    elif neck is not None and not isinstance(neck, dict):
-        problems.append("experiments.neck: expected a mapping")
-    elif neck is not None and "lengths" in neck:
-        lengths = neck["lengths"]
-        if not isinstance(lengths, list) or not lengths:
-            problems.append("experiments.neck.lengths: expected a non-empty list")
-        else:
-            for i, L in enumerate(lengths):
-                _finite(L, f"experiments.neck.lengths[{i}]", problems)
+    experiments = _experiments(raw.get("experiments") or {},
+                               None if target is None else target.n, problems)
 
     if problems:
         raise ConfigError(problems, raw)
@@ -375,13 +458,11 @@ def _run_solve(cfg: RunConfig, out, name, snapshots=False):
 
 
 def _run_decay(cfg: RunConfig, out, name):
-    block = cfg.experiments.get("decay") or {}
-    window = tuple(block.get("window", (5.0, 15.0)))
-    end = block.get("end", "right")
+    block = cfg.experiments["decay"]
     surf = cfg.surface()
     fam = correspondence(cfg.quasimap, surf, cfg.solve)
     pi = sorted(fam.fields)[0]
-    fit = xp.decay_fit(fam.fields[pi], end, window)
+    fit = xp.decay_fit(fam.fields[pi], block["end"], block["window"])
     summary = {
         "gamma_hat": fit.gamma_hat,
         "c_hat": fit.c_hat,
@@ -399,9 +480,8 @@ def _run_decay(cfg: RunConfig, out, name):
 
 
 def _run_annulus(cfg: RunConfig, out, name):
-    block = cfg.experiments.get("annulus") or {}
-    t_values = [float(t) for t in block.get("t_values", (0, 2, 4, 6, 8))]
-    eps = float(block.get("perturbation", 0.05))
+    block = cfg.experiments["annulus"]
+    eps = block["perturbation"]
     surf = cfg.surface()
     from .fields import constant_field
     from .target import kempf_ness
@@ -412,7 +492,7 @@ def _run_annulus(cfg: RunConfig, out, name):
     z = p.r[:, None] + 1j * p.h_theta * np.arange(p.n_theta)[None, :]
     f = f.with_fields(u=f.u * (1 + eps * np.exp(-(z - p.r[0])))[:, :, None])
     solved, _, _ = newton_solve(f, cfg.solve)
-    out_data = xp.annulus_check(solved, t_values)
+    out_data = xp.annulus_check(solved, block["t_values"])
     summary = {
         "monotone": out_data["monotone"],
         "delta_hat": out_data["delta_hat"],
@@ -426,22 +506,19 @@ def _run_annulus(cfg: RunConfig, out, name):
 
 
 def _run_quantize(cfg: RunConfig, out, name):
-    block = cfg.experiments.get("quantize") or {}
-    n_constant = int(block.get("n_constant", 5))
-    zero_specs = block.get("zero_positions") or [{"r": 0.0, "theta": 0.0}]
+    block = cfg.experiments["quantize"]
     surf = cfg.surface()
     from .fields import constant_field
     from .target import kempf_ness
 
     rng = np.random.default_rng(cfg.seed)
     seeds = []
-    for _ in range(n_constant):
+    for _ in range(block["n_constant"]):
         v = rng.normal(size=cfg.target.n) + 1j * rng.normal(size=cfg.target.n)
         seeds.append(constant_field(surf, 0, cfg.target,
                                     kempf_ness(cfg.target, v).point))
     vertex = next(iter(cfg.components))
-    for spec in zero_specs:
-        z0 = complex(spec["r"], spec["theta"])
+    for z0 in block["zero_positions"]:
         q = QuasimapData(cfg.graph, cfg.target, {vertex: ((z0,),)})
         seeds.append(build_seed(q, surf, 0))
     scan = xp.quantization_scan(seeds, cfg.solve)
@@ -459,8 +536,7 @@ def _run_quantize(cfg: RunConfig, out, name):
 
 
 def _run_neck(cfg: RunConfig, out, name):
-    block = cfg.experiments.get("neck") or {}
-    lengths = [float(L) for L in block.get("lengths", (10.0, 20.0, 40.0))]
+    lengths = cfg.experiments["neck"]["lengths"]
     if len(cfg.gluings) != 1:
         raise ConfigError(["neck experiment needs exactly one glued edge"])
     (eid,) = cfg.gluings
@@ -489,9 +565,8 @@ def _run_neck(cfg: RunConfig, out, name):
 
 
 def _run_ev(cfg: RunConfig, out, name):
-    block = cfg.experiments.get("ev") or {}
-    offsets = [float(x) for x in block.get("offsets", (0.0, 0.2, 0.4))]
-    coord = int(block.get("coordinate", 0))
+    offsets = cfg.experiments["ev"]["offsets"]
+    coord = cfg.experiments["ev"]["coordinate"]
     surf = cfg.surface()
     fams = []
     base = cfg.quasimap
@@ -547,7 +622,7 @@ def _run_energy(cfg: RunConfig, out, name):
     summary = dict(check)
     summary["degree"] = degree
     paths = emit_report(out, name, summary, {})
-    tol = float((cfg.experiments.get("energy") or {}).get("tolerance", 0.02))
+    tol = cfg.experiments["energy"]["tolerance"]
     ok = degree == 0 or check["relative_gap"] <= tol
     return (EXIT_OK if ok else EXIT_ASSERTION), paths
 

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .fields import GaugedField, lambda_integral, limit_orbit
+from .fields import GaugedField, d_r, lambda_integral, limit_orbit
 from .modgraph import ModularGraph
 from .solver import SolveConfig, newton_solve
 from .surface import GluedSurface, SurfaceError
@@ -297,13 +297,9 @@ def build_seed(
         raise QuasimapError(f"ring {int(np.argmin(stable))} is not semistable")
     s_prof = -kempf_ness_shifts(t, moduli)[0]  # u e^{-(w xi)}, xi = -s: zero level
     log_u -= np.einsum("aj,xa->xj", w, s_prof)[:, None, :]
-    ds_prof = np.empty_like(s_prof)
-    ds_prof[1:-1] = (s_prof[2:] - s_prof[:-2]) / (2.0 * piece.h_r)
-    ds_prof[0] = (-3 * s_prof[0] + 4 * s_prof[1] - s_prof[2]) / (2.0 * piece.h_r)
-    ds_prof[-1] = (3 * s_prof[-1] - 4 * s_prof[-2] + s_prof[-3]) / (2.0 * piece.h_r)
 
     u = np.where(dead[None, None, :], 0.0, np.exp(log_u))
-    a_theta = np.broadcast_to(-ds_prof[:, None, :],
+    a_theta = np.broadcast_to(-d_r(s_prof, piece.h_r)[:, None, :],
                               (piece.n_r, piece.n_theta, t.k)).copy()
     return GaugedField(
         surface, piece_index, t,

@@ -1,8 +1,11 @@
 """Newton solve transforming holomorphic pairs into vortices.
 
 The unknown is a real moment-direction gauge parameter xi on grid sites
-(Dirichlet zero at truncation rings).  Each Newton step freezes the exact
-positive Jacobian of the discrete gauge step (composed-centered Laplacian +
+(Dirichlet zero at truncation rings).  Every Laplacian applied here is one
+matrix-free Dirichlet-periodic stencil (_stencil) with a step: step 2 is the
+composed-centered (wide) Laplacian of the gauge step, step 1 the five-point
+one; a frozen Gram(u) is added in the same pass.  Each Newton step freezes
+the exact positive Jacobian of the discrete gauge step (step-2 stencil +
 Gram(u)) into one operator and solves it by conjugate gradients (pcg, the one
 Krylov loop of the package), optionally preconditioned by the core/sleeve
 patched inverse, whose exact domain solves on the broken surface are a
@@ -11,10 +14,12 @@ tolerance of each step is an Eisenstat-Walker forcing term (choice 2), loose
 while the outer residual is large, never tighter than the step needs to land
 below newton_tol, and floored at cg_tol.  A backtracking line search guards
 the large-residual regime and rejects overflowing trial steps.  The
-five-point operator of the continuum linearization is exposed separately
-(linearized_apply) and is the default system solved by cg_solve, which like
-the local gauge-fixing diagnostics (flat complex gauge on a patch, Coulomb
-gauge) solves to cg_tol and shares the same stencils and Krylov loop.
+five-point operator of the continuum linearization (step-1 stencil + Gram(u),
+linearized_apply) is the default system solved by cg_solve, which like the
+local gauge-fixing diagnostics (flat complex gauge on a patch: the masked
+step-1 stencil; Coulomb gauge) solves to cg_tol in the same Krylov loop.  The
+sparse twin of both steps is _assemble_domain_matrix, which the patched
+preconditioner factors.
 """
 
 from __future__ import annotations
@@ -33,6 +38,8 @@ from .fields import (
     GaugedField,
     apply_complex_gauge,
     curvature,
+    d_r,
+    d_theta,
     energy,
     gram_field,
     limit_orbit,
@@ -45,7 +52,6 @@ __all__ = [
     "SolverError",
     "SolveConfig",
     "SolveReport",
-    "graph_laplacian",
     "linearized_apply",
     "moment_functional",
     "pcg",
@@ -123,30 +129,70 @@ class SolveReport:
 
 # -- discrete operators -------------------------------------------------------
 
-def _zero_boundary(piece, arr: np.ndarray) -> np.ndarray:
+def _zero_boundary(arr: np.ndarray) -> np.ndarray:
     out = arr.copy()
     out[0] = 0.0
     out[-1] = 0.0
     return out
 
 
-def graph_laplacian(piece, xi: np.ndarray) -> np.ndarray:
-    """Positive five-point Laplacian, Dirichlet at the boundary rings,
-    periodic in theta (twists are absorbed into the grid layout)."""
-    h2r = piece.h_r**2
-    h2t = piece.h_theta**2
-    xi = _zero_boundary(piece, xi)
-    out = (2.0 / h2r + 2.0 / h2t) * xi
-    out[1:-1] -= (xi[2:] + xi[:-2]) / h2r
-    out -= (np.roll(xi, 1, axis=1) + np.roll(xi, -1, axis=1)) / h2t
-    return _zero_boundary(piece, out)
+def _stencil(f: GaugedField, step: int,
+             gram: bool = True) -> Callable[[np.ndarray], np.ndarray]:
+    """Matrix-free positive Laplacian on Dirichlet-periodic parameters of f's
+    piece, plus (gram) the pointwise Gram(u), frozen here, in the same pass.
+
+    The radial part is D^T D, D the difference across step rings divided by
+    step * h_r, with Dirichlet zero rings; the angular part is the periodic
+    second difference across step angles divided by (step * h_theta)^2.
+    step = 1 is the five-point operator, step = 2 the composed-centered
+    (wide) one of the gauge step.
+
+    The apply reads only the interior rows of its argument and returns a new
+    array whose boundary rows are zero; its buffers are allocated here.
+    """
+    p, k, s = f.piece, f.target.k, step
+    n_r, nth = p.n_r, p.n_theta
+    sh = s * p.h_r
+    sh2t = s * s * p.h_theta**2
+    gram = gram_field(f)[1:-1] if gram else None
+    diag = None if gram is None or k > 1 else np.ascontiguousarray(gram[..., 0, :])
+    # xi with zero boundary rings and a periodic theta halo of width step
+    halo = np.zeros((n_r, nth + 2 * s, k))
+    xi_z = halo[:, s:-s]
+    # radial differences, padded by step - 1 zeros on both sides (Dirichlet)
+    pad = np.zeros((n_r + s - 2, nth, k))
+    diff = pad[s - 1 : n_r - 1]
+    scratch = np.empty((n_r - 2, nth, k))
+
+    def apply(xi: np.ndarray) -> np.ndarray:
+        inner = xi[1:-1]
+        halo[1:-1, s:-s] = inner
+        halo[1:-1, :s] = inner[:, -s:]
+        halo[1:-1, -s:] = inner[:, :s]
+        np.divide(np.subtract(xi_z[s:], xi_z[:-s], out=diff), sh, out=diff)
+        out = np.zeros((n_r, nth, k))
+        o = out[1:-1]
+        np.subtract(pad[s:], pad[:-s], out=o)
+        o /= -sh
+        ang = np.multiply(inner, 2.0, out=scratch)
+        ang -= halo[1:-1, : -2 * s]
+        ang -= halo[1:-1, 2 * s :]
+        ang /= sh2t
+        o += ang
+        if diag is not None:
+            o += np.multiply(diag, inner, out=scratch)
+        elif gram is not None:
+            o += np.einsum("xyab,xyb->xya", gram, inner)
+        return out
+
+    return apply
 
 
 def linearized_apply(f: GaugedField, xi: np.ndarray) -> np.ndarray:
-    """Laplacian plus the pointwise Gram operator of the torus action at u."""
-    out = graph_laplacian(f.piece, xi)
-    out += np.einsum("xyab,xyb->xya", gram_field(f), _zero_boundary(f.piece, xi))
-    return _zero_boundary(f.piece, out)
+    """Five-point Laplacian (Dirichlet at the boundary rings, periodic in
+    theta; twists are absorbed into the grid layout) plus the pointwise Gram
+    operator of the torus action at u."""
+    return _stencil(f, 1)(xi)
 
 
 def moment_functional(f: GaugedField, xi) -> np.ndarray:
@@ -159,81 +205,32 @@ def moment_functional(f: GaugedField, xi) -> np.ndarray:
     return vortex_residual(apply_complex_gauge(f, xi))
 
 
-def _centered_r_dirichlet(piece, xi: np.ndarray) -> np.ndarray:
-    """Centered radial derivative of a Dirichlet parameter; the boundary rows
-    of the output are zero (the boundary data is never touched)."""
-    h = piece.h_r
-    xi = _zero_boundary(piece, xi)
-    out = np.zeros_like(xi)
-    out[1:-1] = (xi[2:] - xi[:-2]) / (2.0 * h)
-    return out
-
-
 def gauge_update(f: GaugedField, xi: np.ndarray) -> GaugedField:
     """Complex gauge step used inside Newton: identical to
     apply_complex_gauge except that the connection shift of the Dirichlet
     parameter leaves the boundary rings untouched, which makes the composed
     residual exactly quadratic around the iterate."""
     p = f.piece
-    xi = _zero_boundary(p, xi)
+    xi = _zero_boundary(xi)
     w = f.target.weights.astype(float)
     u = f.u * np.exp(-np.einsum("aj,xya->xyj", w, xi))
-    dth = (np.roll(xi, -1, axis=1) - np.roll(xi, 1, axis=1)) / (2.0 * p.h_theta)
     return f.with_fields(
-        a_r=f.a_r + _zero_boundary(p, dth),
-        a_theta=f.a_theta - _centered_r_dirichlet(p, xi),
+        a_r=f.a_r + d_theta(xi, p.h_theta),
+        a_theta=f.a_theta - _zero_boundary(d_r(xi, p.h_r)),
         u=u,
     )
 
 
 def gauge_step_operator(f: GaugedField) -> Callable[[np.ndarray], np.ndarray]:
     """Exact Jacobian of xi -> vortex_residual(gauge_update(f, xi)) at 0, as
-    an apply frozen at f.
+    an apply frozen at f (Gram(u) evaluated once, here): the step-2 stencil.
 
     The curvature response of the centered shift is the composed-centered
     (wide) Laplacian, symmetric positive here because the centered Dirichlet
     derivative is skew; the five-point operator would overdamp the
     grid-frequency components and stall the Newton tail.
-
-    Gram(u) is evaluated once, here.  The apply reads only the interior rows
-    of its argument (Dirichlet zero at the boundary rings) and returns a new
-    array whose boundary rows are zero.
     """
-    p = f.piece
-    k = f.target.k
-    two_h = 2.0 * p.h_r
-    h2t4 = 4.0 * p.h_theta**2
-    gram = gram_field(f)[1:-1]
-    diag = np.ascontiguousarray(gram[..., 0, :]) if k == 1 else None
-    # xi with zero boundary rings and a periodic theta halo of width 2
-    halo = np.zeros((p.n_r, p.n_theta + 4, k))
-    xi_z = halo[:, 2:-2]
-    d_xi = np.zeros((p.n_r, p.n_theta, k))  # centered radial derivative
-    scratch = np.empty((p.n_r - 2, p.n_theta, k))
-
-    def apply(xi: np.ndarray) -> np.ndarray:
-        inner = xi[1:-1]
-        halo[1:-1, 2:-2] = inner
-        halo[1:-1, :2] = inner[:, -2:]
-        halo[1:-1, -2:] = inner[:, :2]
-        np.subtract(xi_z[2:], xi_z[:-2], out=d_xi[1:-1])
-        d_xi[1:-1] /= two_h
-        out = np.zeros_like(d_xi)
-        o = out[1:-1]
-        np.subtract(d_xi[2:], d_xi[:-2], out=o)
-        o /= -two_h
-        ang = np.multiply(inner, 2.0, out=scratch)
-        ang -= halo[1:-1, :-4]
-        ang -= halo[1:-1, 4:]
-        ang /= h2t4
-        o += ang
-        if diag is not None:
-            o += np.multiply(diag, inner, out=scratch)
-        else:
-            o += np.einsum("xyab,xyb->xya", gram, inner)
-        return out
-
-    return apply
+    return _stencil(f, 2)
 
 
 def gauge_step_jacobian_apply(f: GaugedField, xi: np.ndarray) -> np.ndarray:
@@ -295,11 +292,12 @@ def cg_solve(
 ):
     """Conjugate gradients for (Laplacian + Gram) xi = rhs on interior sites.
 
-    operator replaces the default five-point linearized_apply; cfg.cg_tol
-    and cfg.max_cg bound the solve (see pcg).  Returns (xi, iterations).
+    operator replaces the default five-point operator of linearized_apply
+    (Gram(u) frozen for the solve); cfg.cg_tol and cfg.max_cg bound the
+    solve (see pcg).  Returns (xi, iterations).
     """
-    apply_op = operator if operator is not None else (lambda x: linearized_apply(f, x))
-    return pcg(apply_op, _zero_boundary(f.piece, rhs), preconditioner,
+    apply_op = operator if operator is not None else _stencil(f, 1)
+    return pcg(apply_op, _zero_boundary(rhs), preconditioner,
                cfg.cg_tol, cfg.max_cg)
 
 
@@ -455,23 +453,18 @@ def flat_gauge_fix(f: GaugedField, rows: tuple, theta_range: Optional[tuple] = N
     if not (0 <= i0 < i1 < p.n_r):
         raise SolverError(f"bad patch rows {rows}")
     curv = curvature(f)
-    mask = np.zeros((p.n_r, p.n_theta), dtype=bool)
+    mask = np.zeros((p.n_r, p.n_theta, 1), dtype=bool)
     if theta_range is None:
         mask[i0 + 1 : i1, :] = True
     else:
         j0, j1 = theta_range
         mask[i0 + 1 : i1, j0 + 1 : j1] = True
-
-    h2r, h2t = p.h_r**2, p.h_theta**2
+    five_point = _stencil(f, 1, gram=False)
 
     def lap(xi):
-        xi = np.where(mask[:, :, None], xi, 0.0)
-        out = (2.0 / h2r + 2.0 / h2t) * xi
-        out[1:-1] -= (xi[2:] + xi[:-2]) / h2r
-        out -= (np.roll(xi, 1, axis=1) + np.roll(xi, -1, axis=1)) / h2t
-        return np.where(mask[:, :, None], out, 0.0)
+        return np.where(mask, five_point(np.where(mask, xi, 0.0)), 0.0)
 
-    rhs = np.where(mask[:, :, None], -curv, 0.0)
+    rhs = np.where(mask, -curv, 0.0)
     xi, _ = pcg(lap, rhs, None, cfg.cg_tol, cfg.max_cg)
     return xi, apply_complex_gauge(f, xi)
 
@@ -530,7 +523,7 @@ def coulomb_gauge_local(f: GaugedField, rows: tuple, kappa: float = 1.0,
 
 # -- patched approximate inverse ---------------------------------------------
 
-# ring/angle step of each domain stencil: "gauge_step" is the wide stencil
+# _stencil step of each domain flavor: "gauge_step" is the wide stencil
 _STENCIL_STEP = {"five_point": 1, "gauge_step": 2}
 
 
@@ -550,8 +543,10 @@ def _assemble_domain_matrix(f: GaugedField, rows: tuple,
     domain's own boundary rings, periodic in theta.  Unknowns are ordered by
     (ring, theta, component).
 
-    flavor "five_point" matches linearized_apply; "gauge_step" matches the
-    composed-centered operator solved inside Newton."""
+    The sparse twin of _stencil on the domain: flavor "five_point" is step 1
+    (linearized_apply), "gauge_step" step 2 (the operator solved inside
+    Newton).  The coefficients are written per flavor, not from one step
+    formula, so that each flavor's entries keep their own exact rounding."""
     p = f.piece
     k = f.target.k
     a, b = rows
@@ -723,12 +718,13 @@ def operator_defect(f: GaugedField, pre: PatchedPreconditioner,
                     n_probes: int = 10, seed: int = 0) -> list:
     """Measured |DF(Q eta) - eta| / |eta| on random probes."""
     p = f.piece
+    lin = _stencil(f, 1)
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(n_probes):
         eta = rng.normal(size=(p.n_r, p.n_theta, f.target.k))
         eta[0] = 0.0
         eta[-1] = 0.0
-        image = linearized_apply(f, pre.apply(eta))
+        image = lin(pre.apply(eta))
         out.append(float(np.linalg.norm(image - eta) / np.linalg.norm(eta)))
     return out

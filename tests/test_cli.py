@@ -446,3 +446,137 @@ class TestConfigErrorArtifact:
         (tmp_path / "bad.yaml").write_text("target: {n: 1}")
         assert main(["solve", "--config", "bad.yaml"]) == EXIT_CONFIG
         assert os.listdir(tmp_path) == ["bad.yaml"]
+
+
+def _experiment_problems(tmp_path, block, spec):
+    """Problems parse_config collects for experiments.<block> = spec."""
+    with pytest.raises(ConfigError) as err:
+        parse_config(neck_config(tmp_path, _set(("experiments", block), spec)))
+    return err.value.problems
+
+
+class TestCheckedExperimentDefaults:
+    def test_defaults_filled_in_and_typed(self, tmp_path):
+        cfg = parse_config(neck_config(tmp_path, lambda data: None))
+        xp = cfg.experiments
+        assert xp["decay"] == {"window": (5.0, 15.0), "end": "right"}
+        assert xp["annulus"] == {"t_values": [0.0, 2.0, 4.0, 6.0, 8.0],
+                                 "perturbation": 0.05}
+        assert xp["energy"] == {"tolerance": 0.02}
+        assert xp["quantize"] == {"n_constant": 5, "zero_positions": [0j]}
+        assert xp["neck"] == {"lengths": [10.0, 20.0, 40.0]}
+        assert xp["ev"] == {"offsets": [0.0, 0.2, 0.4], "coordinate": 0}
+
+    def test_block_must_be_a_mapping(self, tmp_path):
+        problems = _experiment_problems(tmp_path, "decay", [5.0, 15.0])
+        assert problems == ["experiments.decay: expected a mapping"]
+
+
+class TestAnnulusValidation:
+    @pytest.mark.parametrize("spec,problem", [
+        ({"t_values": [0.0, math.nan]}, "experiments.annulus.t_values[1] must be finite"),
+        ({"t_values": [math.inf]}, "experiments.annulus.t_values[0] must be finite"),
+        ({"t_values": []}, "experiments.annulus.t_values: expected a non-empty list"),
+        ({"t_values": 4.0}, "experiments.annulus.t_values: expected a non-empty list"),
+        ({"perturbation": math.nan}, "experiments.annulus.perturbation must be finite"),
+        ({"perturbation": "big"}, "experiments.annulus.perturbation: not a number"),
+    ])
+    def test_collected_by_parse_config(self, tmp_path, spec, problem):
+        (found,) = _experiment_problems(tmp_path, "annulus", spec)
+        assert found.startswith(problem)
+
+    def test_nan_t_value_exits_with_config_error(self, tmp_path, capsys):
+        err, error = _main_config_error(
+            tmp_path, capsys, "annulus",
+            _set(("experiments", "annulus"), {"t_values": [math.nan]}))
+        assert "experiments.annulus.t_values[0] must be finite" in err
+        assert error["problems"] == [
+            "experiments.annulus.t_values[0] must be finite, got nan"]
+
+
+class TestDecayValidation:
+    @pytest.mark.parametrize("spec,problem", [
+        ({"window": [math.nan, 5.0]}, "experiments.decay.window[0] must be finite"),
+        ({"window": [5.0, math.inf]}, "experiments.decay.window[1] must be finite"),
+        ({"window": [5.0, 5.0]}, "experiments.decay.window must be two numbers"),
+        ({"window": [15.0, 5.0]}, "experiments.decay.window must be two numbers"),
+        ({"window": [5.0]}, "experiments.decay.window must be two numbers"),
+        ({"window": []}, "experiments.decay.window: expected a non-empty list"),
+        ({"end": "middle"}, "experiments.decay.end must be 'left' or 'right'"),
+    ])
+    def test_collected_by_parse_config(self, tmp_path, spec, problem):
+        (found,) = _experiment_problems(tmp_path, "decay", spec)
+        assert found.startswith(problem)
+
+    def test_nan_window_exits_with_config_error(self, tmp_path, capsys):
+        err, error = _main_config_error(
+            tmp_path, capsys, "decay",
+            _set(("experiments", "decay"), {"window": [math.nan, 5.0]}))
+        assert "experiments.decay.window[0] must be finite" in err
+        assert error["problems"] == [
+            "experiments.decay.window[0] must be finite, got nan"]
+
+
+class TestEnergyValidation:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -0.02, "tight"])
+    def test_collected_by_parse_config(self, tmp_path, bad):
+        (found,) = _experiment_problems(tmp_path, "energy", {"tolerance": bad})
+        assert found.startswith("experiments.energy.tolerance")
+
+    def test_nan_tolerance_exits_with_config_error(self, tmp_path, capsys):
+        err, error = _main_config_error(
+            tmp_path, capsys, "energy",
+            _set(("experiments", "energy"), {"tolerance": math.nan}))
+        assert "experiments.energy.tolerance must be finite and positive" in err
+        assert error["problems"] == [
+            "experiments.energy.tolerance must be finite and positive, got nan"]
+
+
+class TestQuantizeValidation:
+    @pytest.mark.parametrize("spec,problem", [
+        ({"n_constant": math.nan}, "experiments.quantize.n_constant must be finite"),
+        ({"n_constant": -1}, "experiments.quantize.n_constant must be an integer >= 0"),
+        ({"n_constant": 2.5}, "experiments.quantize.n_constant must be an integer >= 0"),
+        ({"n_constant": True}, "experiments.quantize.n_constant must be an integer >= 0"),
+        ({"zero_positions": [{"r": math.nan, "theta": 0.0}]},
+         "experiments.quantize.zero_positions[0].r must be finite"),
+        ({"zero_positions": [{"r": 0.0}]},
+         "experiments.quantize.zero_positions[0]: missing theta"),
+        ({"zero_positions": [3.0]},
+         "experiments.quantize.zero_positions[0]: expected a mapping"),
+        ({"zero_positions": []},
+         "experiments.quantize.zero_positions: expected a non-empty list"),
+    ])
+    def test_collected_by_parse_config(self, tmp_path, spec, problem):
+        (found,) = _experiment_problems(tmp_path, "quantize", spec)
+        assert found.startswith(problem)
+
+    def test_nan_n_constant_exits_with_config_error(self, tmp_path, capsys):
+        err, error = _main_config_error(
+            tmp_path, capsys, "quantize",
+            _set(("experiments", "quantize"), {"n_constant": math.nan}))
+        assert "experiments.quantize.n_constant must be finite" in err
+        assert error["problems"] == [
+            "experiments.quantize.n_constant must be finite, got nan"]
+
+
+class TestEvValidation:
+    @pytest.mark.parametrize("spec,problem", [
+        ({"offsets": [0.0, math.nan]}, "experiments.ev.offsets[1] must be finite"),
+        ({"offsets": []}, "experiments.ev.offsets: expected a non-empty list"),
+        ({"coordinate": -1}, "experiments.ev.coordinate must be an integer in [0, 1)"),
+        ({"coordinate": 1}, "experiments.ev.coordinate must be an integer in [0, 1)"),
+        ({"coordinate": 0.5}, "experiments.ev.coordinate must be an integer in [0, 1)"),
+        ({"coordinate": math.nan}, "experiments.ev.coordinate must be finite"),
+    ])
+    def test_collected_by_parse_config(self, tmp_path, spec, problem):
+        (found,) = _experiment_problems(tmp_path, "ev", spec)
+        assert found.startswith(problem)
+
+    def test_nan_offset_exits_with_config_error(self, tmp_path, capsys):
+        err, error = _main_config_error(
+            tmp_path, capsys, "ev",
+            _set(("experiments", "ev"), {"offsets": [0.0, math.nan]}))
+        assert "experiments.ev.offsets[1] must be finite" in err
+        assert error["problems"] == [
+            "experiments.ev.offsets[1] must be finite, got nan"]

@@ -189,18 +189,23 @@ class TestGaugeStepJacobian:
 
 class TestGaugeStepOperator:
     @pytest.mark.parametrize("k", [1, 2])
-    def test_matches_sparse_assembly(self, k):
-        surf = cyl(n_r=21, n_theta=12, h_r=0.3)
+    @pytest.mark.parametrize("n_theta", [12, 13])
+    @pytest.mark.parametrize("flavor", ["gauge_step", "five_point"])
+    def test_matches_sparse_assembly(self, flavor, n_theta, k):
+        surf = cyl(n_r=21, n_theta=n_theta, h_r=0.3)
         rng = np.random.default_rng(20 + k)
         if k == 1:
-            f = degree_one_seed(n_r=21, n_theta=12, h_r=0.3)
+            f = degree_one_seed(n_r=21, n_theta=n_theta, h_r=0.3)
         else:
             t2 = TargetSpace(3, 2, [[1, 0, 1], [0, 1, 1]], [1.0, 1.0])
             f = constant_field(surf, 0, t2, [1.3, 0.9, 0.4])
             f = f.with_fields(u=f.u * (1.0 + 0.5 * rng.normal(size=f.u.shape)))
         p = f.piece
-        op = gauge_step_operator(f)
-        A = _assemble_domain_matrix(f, (0, p.n_r - 1), "gauge_step")
+        if flavor == "gauge_step":
+            op = gauge_step_operator(f)
+        else:
+            op = lambda xi: linearized_apply(f, xi)
+        A = _assemble_domain_matrix(f, (0, p.n_r - 1), flavor)
         for _ in range(3):
             xi = rng.normal(size=(p.n_r, p.n_theta, k))
             out = op(xi)
