@@ -168,11 +168,11 @@ def _end(value, name: str, problems: list):
     return value
 
 
-def _zero_positions(value, name: str, problems: list):
-    """value as a non-empty list of complex zeros r + i theta, each given as
-    a mapping with finite r and theta; None otherwise."""
-    if not isinstance(value, (list, tuple)) or not value:
-        problems.append(f"{name}: expected a non-empty list")
+def _zero_positions(value, name: str, problems: list, empty: bool = False):
+    """value as a list of complex zeros r + i theta, each given as a mapping
+    with finite r and theta, non-empty unless empty; None otherwise."""
+    if not isinstance(value, (list, tuple)) or not (value or empty):
+        problems.append(f"{name}: expected a {'' if empty else 'non-empty '}list")
         return None
     out = []
     for i, spec in enumerate(value):
@@ -325,7 +325,12 @@ def parse_config(path) -> RunConfig:
                 if spec.get("broken"):
                     gluings[eid] = 0
                 elif "delta" in spec:
-                    gluings[eid] = _complex_from(spec["delta"])
+                    delta = _complex_from(spec["delta"])
+                    if cmath.isfinite(delta):
+                        gluings[eid] = delta
+                    else:
+                        problems.append(f"surface.gluings.{key}.delta must be "
+                                        f"finite, got {spec['delta']!r}")
                 else:
                     where = f"surface.gluings.{key}"
                     L = _number(spec, "length", where, problems)
@@ -344,13 +349,14 @@ def parse_config(path) -> RunConfig:
             if vid not in graph.genus:
                 problems.append(f"quasimap.zeros: unknown vertex {vid!r}")
                 continue
-            try:
-                zeros[vid] = tuple(
-                    tuple(complex(z["r"], z["theta"]) for z in coord)
-                    for coord in coords
-                )
-            except (KeyError, TypeError) as exc:
-                problems.append(f"quasimap.zeros.{vid}: {exc}")
+            where = f"quasimap.zeros.{vid}"
+            if not isinstance(coords, (list, tuple)):
+                problems.append(f"{where}: expected a list per coordinate")
+                continue
+            checked = [_zero_positions(coord, f"{where}[{j}]", problems, empty=True)
+                       for j, coord in enumerate(coords)]
+            if None not in checked:
+                zeros[vid] = tuple(tuple(coord) for coord in checked)
     if graph is not None and target is not None:
         asympt = {}
         for item in qblock.get("asymptotics") or []:

@@ -2,24 +2,25 @@
 
 The unknown is a real moment-direction gauge parameter xi on grid sites
 (Dirichlet zero at truncation rings).  Every Laplacian applied here is one
-matrix-free Dirichlet-periodic stencil (_stencil) with a step: step 2 is the
-composed-centered (wide) Laplacian of the gauge step, step 1 the five-point
-one; a frozen Gram(u) is added in the same pass.  Each Newton step freezes
-the exact positive Jacobian of the discrete gauge step (step-2 stencil +
-Gram(u)) into one operator and solves it by conjugate gradients (pcg, the one
-Krylov loop of the package), optionally preconditioned by the core/sleeve
-patched inverse, whose exact domain solves on the broken surface are a
-banded Cholesky per parity class.  The Newton is inexact: the inner relative
-tolerance of each step is an Eisenstat-Walker forcing term (choice 2), loose
-while the outer residual is large, never tighter than the step needs to land
-below newton_tol, and floored at cg_tol.  A backtracking line search guards
-the large-residual regime and rejects overflowing trial steps.  The
-five-point operator of the continuum linearization (step-1 stencil + Gram(u),
-linearized_apply) is the default system solved by cg_solve, which like the
-local gauge-fixing diagnostics (flat complex gauge on a patch: the masked
-step-1 stencil; Coulomb gauge) solves to cg_tol in the same Krylov loop.  The
-sparse twin of both steps is _assemble_domain_matrix, which the patched
-preconditioner factors.
+Dirichlet-periodic stencil with a step, assembled with the pointwise Gram(u)
+into one CSR matrix per freeze (_operator): step 2 is the composed-centered
+(wide) Laplacian of the gauge step, step 1 the five-point one.  The index
+arrays depend only on the grid shape and the step, are built once and
+shared read-only; a freeze writes only the data.  Each Newton step freezes
+the exact positive Jacobian of the discrete gauge step (step 2 + Gram(u))
+and solves it by conjugate gradients (pcg, the one Krylov loop of the
+package) on flat interior vectors, one CSR matvec per iteration, optionally
+preconditioned by the core/sleeve patched inverse.  Its domain solves on the
+broken surface factor the same operator on each domain, a banded Cholesky per
+parity class.  The Newton is inexact: the inner relative tolerance of each
+step is an Eisenstat-Walker forcing term (choice 2), loose while the outer
+residual is large, never tighter than the step needs to land below
+newton_tol, and floored at cg_tol.  A backtracking line search guards the
+large-residual regime and rejects overflowing trial steps.  The five-point
+operator of the continuum linearization (step 1 + Gram(u), linearized_apply)
+is the default system solved by cg_solve, which like the local gauge-fixing
+diagnostics (flat complex gauge on a patch: the masked step-1 operator;
+Coulomb gauge) solves to cg_tol in the same Krylov loop.
 """
 
 from __future__ import annotations
@@ -27,11 +28,13 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
 import scipy.linalg as la
 import scipy.sparse as sp
+from scipy.linalg.blas import daxpy, ddot
 
 from .fields import (
     FieldError,
@@ -136,55 +139,86 @@ def _zero_boundary(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-def _stencil(f: GaugedField, step: int,
-             gram: bool = True) -> Callable[[np.ndarray], np.ndarray]:
-    """Matrix-free positive Laplacian on Dirichlet-periodic parameters of f's
-    piece, plus (gram) the pointwise Gram(u), frozen here, in the same pass.
+@lru_cache(maxsize=16)
+def _pattern(inner: int, nth: int, k: int, step: int):
+    """Read-only CSR (indptr, indices) of the step stencil on (inner, nth, k)
+    interior unknowns in (ring, theta, component) order.
+
+    Every row has 4 + k slots: ring - step, theta - step, the k components of
+    its site (the Gram block row), theta + step, ring + step.  A ring
+    neighbour past the domain is a dummy slot on the row's own column whose
+    coefficient is always zero.  The arrays are shared by every operator of
+    this shape, so nothing may write them: a matrix that gets sorted or
+    pruned must take its own copy first.
+    """
+    s = step
+    itype = np.int32 if inner * nth * k * (4 + k) < 2**31 else np.int64
+    idx = np.arange(inner * nth * k, dtype=itype).reshape(inner, nth, k)
+    cols = np.empty((inner, nth, k, 4 + k), dtype=itype)
+    cols[..., 0] = cols[..., 3 + k] = idx
+    cols[s:, ..., 0] = idx[:-s]
+    cols[:-s, ..., 3 + k] = idx[s:]
+    cols[..., 1] = np.roll(idx, s, axis=1)
+    cols[..., 2 : 2 + k] = idx[:, :, None, :]
+    cols[..., 2 + k] = np.roll(idx, -s, axis=1)
+    indices = cols.reshape(-1)
+    indptr = np.arange(0, indices.size + 1, 4 + k, dtype=itype)
+    indices.flags.writeable = indptr.flags.writeable = False
+    return indptr, indices
+
+
+def _operator(f: GaugedField, rows: tuple, step: int,
+              gram: bool = True) -> sp.csr_matrix:
+    """Positive Laplacian of the step stencil plus (gram) the pointwise
+    Gram(u) on rows [a, b] of f's piece, Dirichlet at rings a and b, periodic
+    in theta, as a CSR matrix over the interior unknowns in (ring, theta,
+    component) order.
 
     The radial part is D^T D, D the difference across step rings divided by
-    step * h_r, with Dirichlet zero rings; the angular part is the periodic
-    second difference across step angles divided by (step * h_theta)^2.
-    step = 1 is the five-point operator, step = 2 the composed-centered
-    (wide) one of the gauge step.
-
-    The apply reads only the interior rows of its argument and returns a new
-    array whose boundary rows are zero; its buffers are allocated here.
+    step * h_r over the pairs of rings inside [a, b]; the angular part is the
+    periodic second difference across step angles divided by
+    (step * h_theta)^2.  step = 1 is the five-point operator, step = 2 the
+    composed-centered (wide) one of the gauge step.  The radial weight is
+    1/h_r^2 for step 1 and the product of the centered weights 1/(2 h_r) for
+    step 2, so that every entry is bitwise that of the kron-assembled sparse
+    operator.  Only the data array is built here; the index arrays are
+    _pattern's.
     """
     p, k, s = f.piece, f.target.k, step
-    n_r, nth = p.n_r, p.n_theta
-    sh = s * p.h_r
-    sh2t = s * s * p.h_theta**2
-    gram = gram_field(f)[1:-1] if gram else None
-    diag = None if gram is None or k > 1 else np.ascontiguousarray(gram[..., 0, :])
-    # xi with zero boundary rings and a periodic theta halo of width step
-    halo = np.zeros((n_r, nth + 2 * s, k))
-    xi_z = halo[:, s:-s]
-    # radial differences, padded by step - 1 zeros on both sides (Dirichlet)
-    pad = np.zeros((n_r + s - 2, nth, k))
-    diff = pad[s - 1 : n_r - 1]
-    scratch = np.empty((n_r - 2, nth, k))
+    a, b = rows
+    inner, nth = b - a - 1, p.n_theta
+    if inner < 1:
+        raise SolverError("operator domain too thin")
+    w_r = 1.0 / p.h_r**2 if s == 1 else (0.5 / p.h_r) * (0.5 / p.h_r)
+    w_t = 1.0 / (s * s * p.h_theta**2)
+    ring = np.arange(inner)[:, None, None]
+    data = np.empty((inner, nth, k, 4 + k))
+    data[..., 0] = np.where(ring >= s, -w_r, 0.0)
+    data[..., 1] = data[..., 2 + k] = -w_t
+    data[..., 3 + k] = np.where(ring < inner - s, -w_r, 0.0)
+    data[..., 2 : 2 + k] = gram_field(f)[a + 1 : b] if gram else 0.0
+    pairs = (ring >= s - 1).astype(float) + (ring <= inner - s)  # D^T D diagonal
+    c = np.arange(k)
+    data[:, :, c, 2 + c] += pairs * w_r + 2.0 * w_t
+    indptr, indices = _pattern(inner, nth, k, s)
+    n = inner * nth * k
+    return sp.csr_matrix((data.reshape(-1), indices, indptr), shape=(n, n))
+
+
+def _stencil(f: GaugedField, step: int,
+             gram: bool = True) -> Callable[[np.ndarray], np.ndarray]:
+    """The _operator of f's whole piece (Gram(u) frozen here) as an apply on
+    full-piece parameters: it reads only the interior rows of its argument
+    and returns a new array whose boundary rows are zero."""
+    n_r, nth, k = f.piece.n_r, f.piece.n_theta, f.target.k
+    A = _operator(f, (0, n_r - 1), step, gram)
 
     def apply(xi: np.ndarray) -> np.ndarray:
-        inner = xi[1:-1]
-        halo[1:-1, s:-s] = inner
-        halo[1:-1, :s] = inner[:, -s:]
-        halo[1:-1, -s:] = inner[:, :s]
-        np.divide(np.subtract(xi_z[s:], xi_z[:-s], out=diff), sh, out=diff)
         out = np.zeros((n_r, nth, k))
-        o = out[1:-1]
-        np.subtract(pad[s:], pad[:-s], out=o)
-        o /= -sh
-        ang = np.multiply(inner, 2.0, out=scratch)
-        ang -= halo[1:-1, : -2 * s]
-        ang -= halo[1:-1, 2 * s :]
-        ang /= sh2t
-        o += ang
-        if diag is not None:
-            o += np.multiply(diag, inner, out=scratch)
-        elif gram is not None:
-            o += np.einsum("xyab,xyb->xya", gram, inner)
+        out[1:-1] = (A @ xi[1:-1].reshape(-1)).reshape(n_r - 2, nth, k)
         return out
 
+    apply.matrix = A
     return apply
 
 
@@ -238,10 +272,6 @@ def gauge_step_jacobian_apply(f: GaugedField, xi: np.ndarray) -> np.ndarray:
     return gauge_step_operator(f)(xi)
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.dot(a.ravel(), b.ravel()))
-
-
 def pcg(op: Callable, rhs: np.ndarray, M: Optional[Callable], tol: float,
         maxit: int):
     """Preconditioned conjugate gradients for op x = rhs from x = 0.
@@ -249,34 +279,36 @@ def pcg(op: Callable, rhs: np.ndarray, M: Optional[Callable], tol: float,
     op must be symmetric positive and M (None: identity) a symmetric positive
     approximate inverse.  Stops at relative residual tol; raises on
     loss of positivity (a misconfigured operator) or when maxit is exceeded.
-    Returns (x, iterations).
+    Returns (x, iterations).  x and the residual are updated in place by
+    BLAS daxpy on flat views.
     """
-    x = np.zeros_like(rhs)
-    r = rhs.copy()
-    rr = _dot(r, r)
-    rhs_norm = np.sqrt(rr)
+    x = np.zeros(np.shape(rhs))
+    r = np.array(rhs, dtype=float)
+    xv, rv = x.reshape(-1), r.reshape(-1)
+    rr = ddot(rv, rv)
+    rhs_norm = math.sqrt(rr)
     if rhs_norm == 0.0:
         return x, 0
     z = r if M is None else M(r)
-    rz = rr if M is None else _dot(r, z)
-    d = z.copy()
-    scaled = np.empty_like(rhs)
+    rz = rr if M is None else ddot(rv, z.reshape(-1))
+    d = np.array(z, dtype=float)
+    dv = d.reshape(-1)
     for it in range(1, maxit + 1):
-        Ad = op(d)
-        dAd = _dot(d, Ad)
+        Ad = op(d).reshape(-1)
+        dAd = ddot(dv, Ad)
         if dAd <= 0.0:
             raise SolverError("operator lost positivity; misconfigured system")
         alpha = rz / dAd
-        x += np.multiply(d, alpha, out=scaled)
-        r -= np.multiply(Ad, alpha, out=scaled)
-        rr = _dot(r, r)
-        if np.sqrt(rr) <= tol * rhs_norm:
+        daxpy(dv, xv, a=alpha)
+        daxpy(Ad, rv, a=-alpha)
+        rr = ddot(rv, rv)
+        if math.sqrt(rr) <= tol * rhs_norm:
             return x, it
         if M is None:
             z, rz_new = r, rr
         else:
             z = M(r)
-            rz_new = _dot(r, z)
+            rz_new = ddot(rv, z.reshape(-1))
         d *= rz_new / rz
         d += z
         rz = rz_new
@@ -294,11 +326,24 @@ def cg_solve(
 
     operator replaces the default five-point operator of linearized_apply
     (Gram(u) frozen for the solve); cfg.cg_tol and cfg.max_cg bound the
-    solve (see pcg).  Returns (xi, iterations).
+    solve (see pcg).  An operator made by _stencil is solved on flat interior
+    vectors with its CSR matrix.  Returns (xi, iterations).
     """
     apply_op = operator if operator is not None else _stencil(f, 1)
-    return pcg(apply_op, _zero_boundary(rhs), preconditioner,
-               cfg.cg_tol, cfg.max_cg)
+    A = getattr(apply_op, "matrix", None)
+    if A is None:
+        return pcg(apply_op, _zero_boundary(rhs), preconditioner,
+                   cfg.cg_tol, cfg.max_cg)
+    xi = np.zeros(rhs.shape)
+    inner = xi[1:-1]
+    M = None
+    if preconditioner is not None:
+        def M(v):
+            inner[...] = v.reshape(inner.shape)
+            return preconditioner(xi)[1:-1].reshape(-1)
+    x, iterations = pcg(A.dot, rhs[1:-1].reshape(-1), M, cfg.cg_tol, cfg.max_cg)
+    inner[...] = x.reshape(inner.shape)
+    return xi, iterations
 
 
 # -- Newton solve -------------------------------------------------------------
@@ -523,66 +568,20 @@ def coulomb_gauge_local(f: GaugedField, rows: tuple, kappa: float = 1.0,
 
 # -- patched approximate inverse ---------------------------------------------
 
-# _stencil step of each domain flavor: "gauge_step" is the wide stencil
+# _operator step of each domain flavor: "gauge_step" is the wide stencil
 _STENCIL_STEP = {"five_point": 1, "gauge_step": 2}
-
-
-def _periodic_stencil(n: int, step: int, center: float, side: float) -> sp.csr_matrix:
-    """center on the diagonal and side at offsets +-step, periodic mod n."""
-    j = np.arange(n)
-    return sp.csr_matrix(
-        (np.repeat([center, side, side], n),
-         (np.tile(j, 3), np.concatenate([j, (j + step) % n, (j - step) % n]))),
-        shape=(n, n),
-    )
 
 
 def _assemble_domain_matrix(f: GaugedField, rows: tuple,
                             flavor: str = "five_point") -> sp.csc_matrix:
-    """Sparse (Laplacian + Gram) on domain rows [a, b], Dirichlet at the
-    domain's own boundary rings, periodic in theta.  Unknowns are ordered by
-    (ring, theta, component).
-
-    The sparse twin of _stencil on the domain: flavor "five_point" is step 1
-    (linearized_apply), "gauge_step" step 2 (the operator solved inside
-    Newton).  The coefficients are written per flavor, not from one step
-    formula, so that each flavor's entries keep their own exact rounding."""
-    p = f.piece
-    k = f.target.k
-    a, b = rows
-    m = b - a + 1
-    nth = p.n_theta
-    inner = m - 2  # Dirichlet at local rows 0 and m-1
-    if inner < 1:
-        raise SolverError("preconditioner domain too thin")
-    if flavor == "five_point":
-        lap_r = sp.diags(
-            [np.full(inner, 2.0 / p.h_r**2), np.full(inner - 1, -1.0 / p.h_r**2),
-             np.full(inner - 1, -1.0 / p.h_r**2)],
-            [0, 1, -1], format="csr",
-        )
-        lap_t = _periodic_stencil(nth, 1, 2.0 / p.h_theta**2, -1.0 / p.h_theta**2)
-    elif flavor == "gauge_step":
-        d_r = sp.diags(
-            [np.full(inner - 1, 0.5 / p.h_r), np.full(inner - 1, -0.5 / p.h_r)],
-            [1, -1], format="csr",
-        )
-        lap_r = (d_r.T @ d_r).tocsr()
-        lap_t = _periodic_stencil(nth, 2, 0.5 / p.h_theta**2, -0.25 / p.h_theta**2)
-    else:
+    """The _operator of flavor "five_point" (step 1, linearized_apply) or
+    "gauge_step" (step 2, the operator solved inside Newton) on domain rows
+    [a, b], with its own index arrays and without the zero dummy slots."""
+    if flavor not in _STENCIL_STEP:
         raise SolverError(f"unknown operator flavor {flavor!r}")
-    lap = sp.kron(lap_r, sp.identity(nth), format="csr") + sp.kron(
-        sp.identity(inner), lap_t, format="csr"
-    )
-    A = sp.kron(lap, sp.identity(k), format="csr")
-    # Gram(u) couples the k components of one site
-    site = np.arange(inner * nth * k).reshape(inner * nth, k)
-    G = sp.csr_matrix(
-        (gram_field(f)[a + 1 : b].ravel(),
-         (np.repeat(site, k, axis=1).ravel(), np.tile(site, k).ravel())),
-        shape=A.shape,
-    )
-    return (A + G).tocsc()
+    A = _operator(f, rows, _STENCIL_STEP[flavor]).tocsc()
+    A.eliminate_zeros()
+    return A
 
 
 def _banded_inverse(A: sp.spmatrix, shape: tuple, step: int) -> Callable:

@@ -465,19 +465,6 @@ class NeckCover:
     j_hi: int
     phi_plus: np.ndarray
 
-    def sleeve_map(self, ring: int) -> int:
-        """Identification of the + copy of a band ring with its - copy.
-
-        The twist is already absorbed into the strip rolls, so the map is the
-        identity on global ring indices; it exists only on the band.
-        """
-        if not self.j_lo <= ring <= self.j_hi:
-            raise SurfaceError(f"ring {ring} outside sleeve band")
-        return ring
-
-    def sleeve_map_inverse(self, ring: int) -> int:
-        return self.sleeve_map(ring)
-
 
 @dataclass(frozen=True)
 class CoverPiece:

@@ -580,3 +580,55 @@ class TestEvValidation:
         assert "experiments.ev.offsets[1] must be finite" in err
         assert error["problems"] == [
             "experiments.ev.offsets[1] must be finite, got nan"]
+
+
+class TestGluingDeltaValidation:
+    @pytest.mark.parametrize("bad", [[math.nan, 0.0], [0.0, math.inf], math.nan,
+                                     {"re": -math.inf}])
+    def test_non_finite_delta(self, tmp_path, bad):
+        edit = _set(("surface", "gluings", "0"), {"delta": bad})
+        with pytest.raises(ConfigError) as err:
+            parse_config(neck_config(tmp_path, edit))
+        (problem,) = err.value.problems
+        assert problem.startswith("surface.gluings.0.delta must be finite")
+
+    def test_finite_delta_accepted(self, tmp_path):
+        edit = _set(("surface", "gluings", "0"), {"delta": [1e-8, 0.0]})
+        assert parse_config(neck_config(tmp_path, edit)).gluings[0] == 1e-8
+
+    def test_nan_delta_exits_with_config_error(self, tmp_path, capsys):
+        err, error = _main_config_error(
+            tmp_path, capsys, "solve",
+            _set(("surface", "gluings", "0"), {"delta": [math.nan, 0.0]}))
+        assert "surface.gluings.0.delta must be finite" in err
+        assert error["problems"] == [
+            "surface.gluings.0.delta must be finite, got [nan, 0.0]"]
+
+
+class TestQuasimapZeroValidation:
+    @pytest.mark.parametrize("zeros,problem", [
+        ([[{"r": math.nan, "theta": 0.1}]], "quasimap.zeros.u[0][0].r must be finite"),
+        ([[{"r": -4.0, "theta": math.inf}]],
+         "quasimap.zeros.u[0][0].theta must be finite"),
+        ([[{"r": -4.0}]], "quasimap.zeros.u[0][0]: missing theta"),
+        ([[3.0]], "quasimap.zeros.u[0][0]: expected a mapping"),
+        ([3.0], "quasimap.zeros.u[0]: expected a list"),
+        (3.0, "quasimap.zeros.u: expected a list per coordinate"),
+    ])
+    def test_collected_by_parse_config(self, tmp_path, zeros, problem):
+        with pytest.raises(ConfigError) as err:
+            parse_config(neck_config(tmp_path, _set(("quasimap", "zeros", "u"), zeros)))
+        (found,) = err.value.problems
+        assert found.startswith(problem)
+
+    def test_coordinate_without_zeros_accepted(self, tmp_path):
+        cfg = parse_config(neck_config(tmp_path, _set(("quasimap", "zeros", "u"), [[]])))
+        assert cfg.quasimap.zeros["u"] == ((),)
+
+    def test_nan_zero_exits_with_config_error(self, tmp_path, capsys):
+        err, error = _main_config_error(
+            tmp_path, capsys, "solve",
+            _set(("quasimap", "zeros", "u"), [[{"r": math.nan, "theta": 0.1}]]))
+        assert "quasimap.zeros.u[0][0].r must be finite" in err
+        assert error["problems"] == [
+            "quasimap.zeros.u[0][0].r must be finite, got nan"]

@@ -195,15 +195,6 @@ class TestCoreSleeve:
         assert (cover.a, cover.b) == (0, surf.pieces[0].n_r - 1)
         assert np.all(cover.phi == 1.0)
 
-    def test_sleeve_map_is_involutive_identity(self):
-        graph, comps = two_component_setup()
-        surf = glue(comps, graph, {0: math.exp(-10.0)}, sleeve_width=4.0)
-        (nc,) = core_sleeve(surf).necks
-        for ring in range(nc.j_lo, nc.j_hi + 1):
-            assert nc.sleeve_map_inverse(nc.sleeve_map(ring)) == ring
-        with pytest.raises(SurfaceError):
-            nc.sleeve_map(nc.j_lo - 1)
-
     def test_partition_of_unity_exact(self):
         graph, comps = two_component_setup()
         surf = glue(comps, graph, {0: math.exp(-10.0)}, sleeve_width=4.0)
