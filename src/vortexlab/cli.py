@@ -2,12 +2,15 @@
 
 One YAML config file describes the target, the modular graph, the meshed
 surface, the quasimap data, the solver settings and the experiment
-parameters.  Subcommands: solve, decay, annulus, quantize, neck, ev, graph,
+parameters.  Every key is checked against one table (_TABLE) and every bad
+value is one listed problem; the domain objects are built from checked
+blocks only.  Subcommands: solve, decay, annulus, quantize, neck, ev, graph,
 energy.  Artifacts are named by a content hash of the config so sweeps never
 collide; identical (config, seed) reruns give byte-identical JSON.
 
 Exit codes: 0 success, 1 hard assertion failed, 2 configuration error,
-3 numerical failure.
+3 numerical failure, 4 internal error (any other exception: one line on
+stderr, and its traceback in the error artifact).
 """
 
 from __future__ import annotations
@@ -19,27 +22,22 @@ import json
 import math
 import os
 import sys
+import traceback
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 import yaml
 
+from . import VortexlabError
 from . import experiments as xp
-from .fields import FieldError, save_field
-from .modgraph import (
-    GraphError,
-    ModularGraph,
-    cyl_chains,
-    graph_from_json,
-    is_stable,
-    stabilize,
-    total_genus,
-)
-from .quasimap import QuasimapData, QuasimapError, build_seed, correspondence
+from .fields import constant_field, save_field
+from .modgraph import (GraphError, ModularGraph, cyl_chains, graph_from_json,
+                       is_stable, stabilize, total_genus)
+from .quasimap import QuasimapData, build_seed, correspondence
 from .solver import SolveConfig, SolverError, newton_solve
 from .surface import ComponentMesh, End, GluedSurface, SurfaceError, glue
-from .target import TargetError, TargetSpace, validate_chamber
+from .target import TargetError, TargetSpace, kempf_ness, validate_chamber
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "run", "emit_report", "main"]
 
@@ -49,9 +47,10 @@ EXIT_OK = 0
 EXIT_ASSERTION = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+EXIT_INTERNAL = 4
 
 
-class ConfigError(ValueError):
+class ConfigError(VortexlabError, ValueError):
     """Carries every validation problem found in a config file, and the
     file's content when it could be read (it names the error artifact)."""
 
@@ -62,8 +61,10 @@ class ConfigError(ValueError):
 
 
 def _content_hash(raw: dict) -> str:
-    content = {k: v for k, v in raw.items() if k != "out"}
-    blob = json.dumps(content, sort_keys=True, default=str)
+    # keys become strings first, so that keys of mixed types sort
+    content = json.loads(json.dumps({k: v for k, v in raw.items() if k != "out"},
+                                    default=str))
+    blob = json.dumps(content, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
@@ -77,7 +78,7 @@ class RunConfig:
     break_radius: float
     quasimap: QuasimapData
     solve: SolveConfig
-    experiments: dict  # every block checked, defaults filled in (_experiments)
+    experiments: dict  # every block checked, defaults filled in (_experiment_table)
     seed: int
     out_dir: str
     raw: dict
@@ -90,137 +91,283 @@ class RunConfig:
         return _content_hash(self.raw)
 
 
-def _complex_from(value) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if isinstance(value, dict):
-        return complex(value.get("re", 0.0), value.get("im", 0.0))
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(value[0], value[1])
-    raise ValueError(f"cannot read complex value from {value!r}")
+# -- the config table -----------------------------------------------------------
+# A kind is a check function (value, name, problems) returning the checked
+# value, or None with the problem appended; [kind] is a list of such values,
+# (key kind, kind) a mapping with keys of its own and {key: (default, kind)}
+# a table, a mapping with known keys.
+
+REQUIRED = object()  # the default of a key that must be given
+
+
+def _real(value, name: str, problems: list):
+    """value as a float, finite or not."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        problems.append(f"{name}: not a number: {value!r}")
+        return None
 
 
 def _finite(value, name: str, problems: list, positive: bool = True):
-    """value as a float that is finite and, if asked, positive; otherwise
-    None, with the problem appended."""
-    try:
-        number = float(value)
-    except (TypeError, ValueError):
-        problems.append(f"{name}: not a number: {value!r}")
-        return None
-    if not math.isfinite(number) or (positive and number <= 0):
+    """value as a float that is finite and, if asked, positive."""
+    number = _real(value, name, problems)
+    if number is not None and (not math.isfinite(number) or (positive and number <= 0)):
         need = "finite and positive" if positive else "finite"
         problems.append(f"{name} must be {need}, got {value!r}")
         return None
     return number
 
 
-def _number(block: dict, key: str, where: str, problems: list,
-            default=None, positive: bool = True):
-    """block[key] (or default) checked by _finite; None when missing."""
-    value = block.get(key, default)
-    if value is None:
-        problems.append(f"{where}: missing {key}")
-        return None
-    return _finite(value, f"{where}.{key}", problems, positive)
+_signed = partial(_finite, positive=False)
 
 
 def _numbers(value, name: str, problems: list, positive: bool = True):
-    """value as a non-empty list of numbers each checked by _finite; None
-    when any is not."""
+    """value as a non-empty list of numbers each checked by _finite."""
     if not isinstance(value, (list, tuple)) or not value:
         problems.append(f"{name}: expected a non-empty list")
         return None
-    out = [_finite(x, f"{name}[{i}]", problems, positive) for i, x in enumerate(value)]
-    return None if None in out else out
+    return _check(value, [partial(_finite, positive=positive)], name, problems)
 
 
-def _integer(value, name: str, problems: list, hi=None):
-    """value as an int >= 0, and < hi unless hi is None; None otherwise."""
-    number = _finite(value, name, problems, positive=False)
+def _integer(value, name: str, problems: list, lo=0, hi=None, positive=False):
+    """value checked by _finite as an int >= lo and < hi (None: no bound)."""
+    number = _finite(value, name, problems, positive)
     if number is None:
         return None
-    if (isinstance(value, bool) or not number.is_integer() or number < 0
-            or (hi is not None and number >= hi)):
-        bound = ">= 0" if hi is None else f"in [0, {hi})"
-        problems.append(f"{name} must be an integer {bound}, got {value!r}")
+    if (isinstance(value, bool) or not number.is_integer()
+            or (lo is not None and number < lo) or (hi is not None and number >= hi)):
+        bound = "" if lo is None else f" >= {lo}" if hi is None else f" in [{lo}, {hi})"
+        problems.append(f"{name} must be an integer{bound}, got {value!r}")
         return None
     return int(number)
 
 
-def _window(value, name: str, problems: list):
-    """value as two finite numbers (lo, hi) with lo < hi; None otherwise."""
-    pair = _numbers(value, name, problems, positive=False)
-    if pair is None:
+def _of_type(types, what: str):
+    """The kind of the values of the given types (bool only if named)."""
+    def check(value, name: str, problems: list):
+        if isinstance(value, types) and (bool in types or not isinstance(value, bool)):
+            return value
+        problems.append(f"{name} must be {what}, got {value!r}")
         return None
-    if len(pair) != 2 or not pair[0] < pair[1]:
+    return check
+
+
+_flag = _of_type((bool,), "true or false")
+_name = _of_type((str, int), "a string or an integer")
+
+
+def _window(value, name: str, problems: list):
+    """value as two finite numbers (lo, hi) with lo < hi."""
+    pair = _numbers(value, name, problems, positive=False)
+    if pair is not None and (len(pair) != 2 or not pair[0] < pair[1]):
         problems.append(
             f"{name} must be two numbers [lo, hi] with lo < hi, got {value!r}")
         return None
-    return tuple(pair)
+    return None if pair is None else tuple(pair)
 
 
 def _end(value, name: str, problems: list):
-    """value if it names a cylinder end; None otherwise."""
+    """value if it names a cylinder end."""
     if value not in ("left", "right"):
         problems.append(f"{name} must be 'left' or 'right', got {value!r}")
         return None
     return value
 
 
+def _complex(value, name: str, problems: list):
+    """value as a finite complex number: a number, [re, im] or {re, im}."""
+    parts = ((value.get("re", 0.0), value.get("im", 0.0)) if isinstance(value, dict)
+             else value if isinstance(value, (list, tuple)) and len(value) == 2
+             else (value, 0.0))
+    try:
+        number = complex(float(parts[0]), float(parts[1]))
+    except (TypeError, ValueError, OverflowError):
+        problems.append(f"{name}: not a complex number: {value!r}")
+        return None
+    if not cmath.isfinite(number):
+        problems.append(f"{name} must be finite, got {value!r}")
+        return None
+    return number
+
+
 def _zero_positions(value, name: str, problems: list, empty: bool = False):
     """value as a list of complex zeros r + i theta, each given as a mapping
-    with finite r and theta, non-empty unless empty; None otherwise."""
+    with finite r and theta, non-empty unless empty."""
     if not isinstance(value, (list, tuple)) or not (value or empty):
         problems.append(f"{name}: expected a {'' if empty else 'non-empty '}list")
         return None
-    out = []
-    for i, spec in enumerate(value):
-        where = f"{name}[{i}]"
-        if not isinstance(spec, dict):
-            problems.append(f"{where}: expected a mapping with r and theta")
-            out.append(None)
-            continue
-        r, theta = (_number(spec, key, where, problems, positive=False)
-                    for key in ("r", "theta"))
-        out.append(None if None in (r, theta) else complex(r, theta))
-    return None if None in out else out
+    zeros = _check(value, [{"r": (REQUIRED, _signed), "theta": (REQUIRED, _signed)}],
+                   name, problems)
+    return None if zeros is None else [complex(z["r"], z["theta"]) for z in zeros]
 
 
-def _experiments(block, n_coordinates, problems: list) -> dict:
-    """Every experiments.<name>.<key> the subcommands read, checked, with its
-    default where the config leaves it out; unknown keys are ignored."""
-    checks = {
-        "decay": {"window": ((5.0, 15.0), _window), "end": ("right", _end)},
-        "annulus": {"t_values": ((0, 2, 4, 6, 8), partial(_numbers, positive=False)),
-                    "perturbation": (0.05, partial(_finite, positive=False))},
-        "energy": {"tolerance": (0.02, _finite)},
-        "quantize": {"n_constant": (5, _integer),
-                     "zero_positions": ([{"r": 0.0, "theta": 0.0}], _zero_positions)},
-        "neck": {"lengths": ((10.0, 20.0, 40.0), _numbers)},
-        "ev": {"offsets": ((0.0, 0.2, 0.4), partial(_numbers, positive=False)),
-               "coordinate": (0, partial(_integer, hi=n_coordinates))},
+def _zeros(value, name: str, problems: list):
+    """value as a tuple over coordinates of each coordinate's zeros."""
+    if not isinstance(value, (list, tuple)):
+        problems.append(f"{name}: expected a list per coordinate")
+        return None
+    zeros = _check(value, [partial(_zero_positions, empty=True)], name, problems)
+    return None if zeros is None else tuple(map(tuple, zeros))
+
+
+def _cylinder_end(value, name: str, problems: list):
+    """value as an End: {leg: marking} or {edge: id}."""
+    end = _check(value, {"leg": (None, _integer), "edge": (None, _integer)},
+                 name, problems)
+    if end is not None and end["leg"] is not None:
+        return End("truncation", ("leg", end["leg"]))
+    if end is not None and end["edge"] is not None:
+        return End("socket", edge=end["edge"])
+    if end is not None:
+        problems.append(f"{name}: needs 'leg' or 'edge'")
+    return None
+
+
+def _gluing(value, name: str, problems: list):
+    """A gluing as its parameter delta: 0 when broken, else the given delta
+    or exp(-(length + i twist))."""
+    g = _check(value, {"broken": (False, _flag), "delta": (None, _complex),
+                       "length": (None, _finite), "twist": (0.0, _signed)},
+               name, problems)
+    if g is None or g["broken"] or g["delta"] is not None:
+        return None if g is None else 0 if g["broken"] else g["delta"]
+    if g["length"] is None:
+        problems.append(f"{name}: missing length")
+        return None
+    return cmath.exp(complex(-g["length"], -g["twist"]))
+
+
+_TABLE = {
+    "target": (REQUIRED, {
+        "n": (REQUIRED, partial(_integer, lo=1)),
+        "k": (REQUIRED, partial(_integer, lo=1)),
+        "weights": (REQUIRED, [[partial(_integer, lo=None)]]),
+        "tau": (REQUIRED, [_real]),  # TargetSpace checks that it is finite
+    }),
+    "graph": (REQUIRED, {  # a graph_from_json literal
+        "vertices": (REQUIRED, [{"id": (REQUIRED, _name), "genus": (REQUIRED, _integer)}]),
+        "edges": ([], [[_name]]),
+        "legs": ([], [{"index": (REQUIRED, _integer), "vertex": (REQUIRED, _name)}]),
+    }),
+    "surface": (REQUIRED, {
+        "n_theta": (REQUIRED, partial(_integer, lo=None, positive=True)),
+        "h_r": (REQUIRED, _finite),
+        "sleeve_width": (8.0, _finite),
+        "break_radius": (12.0, _finite),
+        "components": ({}, (_name, {"length": (REQUIRED, _finite),
+                                    "r_min": (None, _signed),  # else -length / 2
+                                    "left": (REQUIRED, _cylinder_end),
+                                    "right": (REQUIRED, _cylinder_end)})),
+        "gluings": ({}, (_integer, _gluing)),
+    }),
+    "quasimap": ({}, {
+        "zeros": ({}, (_name, _zeros)),
+        "asymptotics": ([], [{"anchor": (REQUIRED, [_name]),
+                              "value": (REQUIRED, [_complex])}]),
+    }),
+    "solve": ({}, {  # the types; SolveConfig checks the values
+        "newton_tol": (SolveConfig.newton_tol, _real),
+        "max_newton": (SolveConfig.max_newton, partial(_integer, lo=None)),
+        "cg_tol": (SolveConfig.cg_tol, _real),
+        "max_cg": (SolveConfig.max_cg, partial(_integer, lo=None)),
+        "damping": (SolveConfig.damping, _flag),
+        "preconditioner": (SolveConfig.preconditioner, _name),
+    }),
+    "experiments": ({}, None),  # _experiment_table, once the target is known
+    "seed": (0, _integer),
+    "out": ("out", _name),
+}
+
+
+def _experiment_table(n_coordinates) -> dict:
+    """Every experiments.<name>.<key> the subcommands read."""
+    return {
+        "decay": ({}, {"window": ((5.0, 15.0), _window), "end": ("right", _end)}),
+        "annulus": ({}, {"t_values": ((0, 2, 4, 6, 8), partial(_numbers, positive=False)),
+                         "perturbation": (0.05, _signed)}),
+        "energy": ({}, {"tolerance": (0.02, _finite)}),
+        "quantize": ({}, {"n_constant": (5, _integer),
+                          "zero_positions": ([{"r": 0.0, "theta": 0.0}], _zero_positions)}),
+        "neck": ({}, {"lengths": ((10.0, 20.0, 40.0), _numbers)}),
+        "ev": ({}, {"offsets": ((0.0, 0.2, 0.4), partial(_numbers, positive=False)),
+                    "coordinate": (0, partial(_integer, hi=n_coordinates))}),
     }
-    if not isinstance(block, dict):
-        problems.append("experiments: expected a mapping")
-        return {}
+
+
+def _fields(value: dict, table: dict, name: str, problems: list) -> dict:
+    """The entries of mapping value checked against table.  A key left out
+    takes its default (REQUIRED: a problem), and so does a null one whose
+    default is an empty block or list; a key the table does not know is a
+    problem.  A failed entry, or a left-out one without default, is None."""
+    where = f"{name}: " if name else ""
+    problems += [f"{where}unknown key {key!r}"
+                 for key in sorted(value.keys() - table.keys(), key=str)]
     out = {}
-    for name, keys in checks.items():
-        spec = block.get(name)
-        if spec is None:
-            spec = {}
-        elif not isinstance(spec, dict):
-            problems.append(f"experiments.{name}: expected a mapping")
-            continue
-        out[name] = {key: check(spec.get(key, default), f"experiments.{name}.{key}",
-                                problems)
-                     for key, (default, check) in keys.items()}
+    for key, (default, kind) in table.items():
+        entry = value.get(key, default)
+        if entry is None and isinstance(default, (dict, list)):
+            entry = default
+        if entry is REQUIRED:
+            problems.append(f"{where}missing {key}" if name else f"missing block: {key}")
+            entry = None
+        elif kind is not None and (entry is not None or default is not None):
+            entry = _check(entry, kind, f"{name}.{key}" if name else key, problems)
+        out[key] = entry
+    return out
+
+
+def _check(value, kind, name: str, problems: list):
+    """value checked against kind; None when any part of it fails."""
+    if callable(kind):
+        return kind(value, name, problems)
+    listed = isinstance(kind, list)
+    if not isinstance(value, (list, tuple) if listed else dict):
+        problems.append(f"{name}: expected a {'list' if listed else 'mapping'}")
+        return None
+    before = len(problems)
+    if listed:
+        out = [_check(v, kind[0], f"{name}[{i}]", problems) for i, v in enumerate(value)]
+    elif isinstance(kind, tuple):
+        out = {kind[0](k, f"{name}.{k}", problems): _check(v, kind[1], f"{name}.{k}", problems)
+               for k, v in value.items()}
+    else:
+        out = _fields(value, kind, name, problems)
+    return out if len(problems) == before else None
+
+
+# -- domain objects, built from checked blocks only ----------------------------
+
+def _meshes(spec: dict, graph: ModularGraph, problems: list) -> dict:
+    """ComponentMesh per meshed vertex of a checked surface block."""
+    out = {}
+    for vid, c in spec["components"].items():
+        where = f"surface.components.{vid}"
+        found = [] if vid in graph.genus else [
+            f"surface.components: unknown vertex {vid!r}"]
+        for end in (c["left"], c["right"]):
+            if end.anchor and end.anchor[1] not in [i for i, _ in graph.legs]:
+                found.append(f"{where}: unknown marking {end.anchor[1]}")
+            if end.edge is not None and end.edge >= len(graph.edges):
+                found.append(f"{where}: unknown edge {end.edge}")
+        rings = c["length"] / spec["h_r"]
+        if not math.isfinite(rings):
+            found.append(f"{where}: length / h_r is not finite")
+        problems += found
+        try:
+            if not found:
+                r_min = -c["length"] / 2 if c["r_min"] is None else c["r_min"]
+                out[vid] = ComponentMesh(round(rings) + 1, spec["n_theta"],
+                                         spec["h_r"], r_min, c["left"], c["right"])
+        except SurfaceError as exc:
+            problems.append(f"{where}: {exc}")
     return out
 
 
 def parse_config(path) -> RunConfig:
-    """Read and validate a config file, collecting every error found."""
-    problems = []
+    """Read a config file, check every key against _TABLE and build the
+    domain objects from the blocks that passed; a ConfigError lists every
+    problem found."""
     try:
         with open(path) as fh:
             raw = yaml.safe_load(fh) or {}
@@ -229,175 +376,47 @@ def parse_config(path) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError([f"config must be a mapping, got {type(raw).__name__}"])
 
-    target = None
-    tblock = raw.get("target")
-    if not isinstance(tblock, dict):
-        problems.append("missing block: target")
-    else:
-        try:
-            target = TargetSpace(
-                int(tblock.get("n", 0)), int(tblock.get("k", 0)),
-                tblock.get("weights", []), tblock.get("tau", []),
-            )
-            validate_chamber(target)
-        except (TargetError, TypeError, ValueError) as exc:
-            problems.append(f"target: {exc}")
-            target = None
-
-    graph = None
-    gblock = raw.get("graph")
-    if not isinstance(gblock, dict):
-        problems.append("missing block: graph")
-    else:
-        try:
-            graph = graph_from_json(json.dumps(gblock))
-        except (GraphError, TypeError) as exc:
-            problems.append(f"graph: {exc}")
-
+    problems = []
+    spec = _fields(raw, _TABLE, "", problems)
+    t, g, s, q = (spec[key] for key in ("target", "graph", "surface", "quasimap"))
+    target = graph = quasimap = solve = None
     components, gluings = {}, {}
-    sleeve_width, break_radius = 8.0, 12.0
-    sblock = raw.get("surface")
-    if not isinstance(sblock, dict):
-        problems.append("missing block: surface")
-    elif graph is not None:
-        sleeve_width = _number(sblock, "sleeve_width", "surface", problems, 8.0)
-        break_radius = _number(sblock, "break_radius", "surface", problems, 12.0)
-        specs = sblock.get("components") or {}
-        # the mesh is required once a component is meshed
-        n_theta, h_r = (
-            _number(sblock, key, "surface", problems)
-            if specs or key in sblock else None
-            for key in ("n_theta", "h_r")
-        )
-        if n_theta is not None and not n_theta.is_integer():
-            problems.append(
-                f"surface.n_theta must be an integer, got {sblock['n_theta']!r}")
-            n_theta = None
-
-        def parse_end(spec, vid, side):
-            if not isinstance(spec, dict):
-                problems.append(f"surface.components.{vid}: missing {side} end")
-                return End("truncation")
-            if "leg" in spec:
-                idx = spec["leg"]
-                if graph is not None and idx not in [i for i, _ in graph.legs]:
-                    problems.append(
-                        f"surface.components.{vid}: unknown marking {idx}")
-                return End("truncation", ("leg", idx))
-            if "edge" in spec:
-                eid = spec["edge"]
-                if graph is not None and not 0 <= eid < len(graph.edges):
-                    problems.append(f"surface.components.{vid}: unknown edge {eid}")
-                return End("socket", edge=eid)
-            problems.append(f"surface.components.{vid}: end needs 'leg' or 'edge'")
-            return End("truncation")
-
-        for vid, spec in specs.items():
-            where = f"surface.components.{vid}"
-            if graph is not None and vid not in graph.genus:
-                problems.append(f"surface.components: unknown vertex {vid!r}")
-                continue
-            if not isinstance(spec, dict):
-                problems.append(f"{where}: expected a mapping")
-                continue
-            length = _number(spec, "length", where, problems)
-            if length is None:
-                continue
-            r_min = _number(spec, "r_min", where, problems, -length / 2,
-                            positive=False)
-            if None in (r_min, n_theta, h_r):
-                continue
-            try:
-                n_r = int(round(length / h_r)) + 1
-                components[vid] = ComponentMesh(
-                    n_r, int(n_theta), h_r, r_min,
-                    parse_end(spec.get("left"), vid, "left"),
-                    parse_end(spec.get("right"), vid, "right"),
-                )
-            except (ValueError, SurfaceError, TypeError) as exc:
-                problems.append(f"{where}: {exc}")
-        for key, spec in (sblock.get("gluings") or {}).items():
-            try:
-                eid = int(key)
-                if graph is not None and not 0 <= eid < len(graph.edges):
-                    problems.append(f"surface.gluings: unknown edge {eid}")
-                    continue
-                if spec.get("broken"):
-                    gluings[eid] = 0
-                elif "delta" in spec:
-                    delta = _complex_from(spec["delta"])
-                    if cmath.isfinite(delta):
-                        gluings[eid] = delta
-                    else:
-                        problems.append(f"surface.gluings.{key}.delta must be "
-                                        f"finite, got {spec['delta']!r}")
-                else:
-                    where = f"surface.gluings.{key}"
-                    L = _number(spec, "length", where, problems)
-                    t = _number(spec, "twist", where, problems, 0.0,
-                                positive=False)
-                    if None not in (L, t):
-                        gluings[eid] = cmath.exp(complex(-L, -t))
-            except (KeyError, ValueError, TypeError, AttributeError) as exc:
-                problems.append(f"surface.gluings.{key}: {exc}")
-
-    quasimap = None
-    qblock = raw.get("quasimap") or {}
-    zeros = {}
-    if graph is not None:
-        for vid, coords in (qblock.get("zeros") or {}).items():
-            if vid not in graph.genus:
-                problems.append(f"quasimap.zeros: unknown vertex {vid!r}")
-                continue
-            where = f"quasimap.zeros.{vid}"
-            if not isinstance(coords, (list, tuple)):
-                problems.append(f"{where}: expected a list per coordinate")
-                continue
-            checked = [_zero_positions(coord, f"{where}[{j}]", problems, empty=True)
-                       for j, coord in enumerate(coords)]
-            if None not in checked:
-                zeros[vid] = tuple(tuple(coord) for coord in checked)
-    if graph is not None and target is not None:
-        asympt = {}
-        for item in qblock.get("asymptotics") or []:
-            try:
-                anchor = tuple(item["anchor"])
-                anchor = (anchor[0],) + tuple(
-                    int(x) if isinstance(x, (int, float)) else x for x in anchor[1:])
-                asympt[anchor] = [_complex_from(v) for v in item["value"]]
-                if len(asympt[anchor]) != target.n:
-                    problems.append(
-                        f"quasimap.asymptotics {anchor}: needs {target.n} values")
-            except (KeyError, TypeError, ValueError) as exc:
-                problems.append(f"quasimap.asymptotics: {exc}")
-        quasimap = QuasimapData(graph, target, zeros, asympt,
-                                deltas=dict(gluings))
-
     try:
-        solve = SolveConfig(**(raw.get("solve") or {}))
-    except (SolverError, TypeError) as exc:
+        if t is not None:
+            target = TargetSpace(t["n"], t["k"], t["weights"], t["tau"])
+            validate_chamber(target)
+    except TargetError as exc:
+        problems.append(f"target: {exc}")
+        target = None
+    try:
+        graph = None if g is None else graph_from_json(g)
+    except GraphError as exc:
+        problems.append(f"graph: {exc}")
+    if None not in (graph, s):
+        components = _meshes(s, graph, problems)
+        gluings = {e: d for e, d in s["gluings"].items() if e < len(graph.edges)}
+        problems += [f"surface.gluings: unknown edge {e}"
+                     for e in s["gluings"] if e not in gluings]
+    if None not in (graph, q):
+        problems += [f"quasimap.zeros: unknown vertex {vid!r}"
+                     for vid in q["zeros"] if vid not in graph.genus]
+    if None not in (graph, target, q):
+        asymptotics = {tuple(a["anchor"]): a["value"] for a in q["asymptotics"]}
+        problems += [f"quasimap.asymptotics {anchor}: needs {target.n} values"
+                     for anchor, value in asymptotics.items() if len(value) != target.n]
+        quasimap = QuasimapData(graph, target, q["zeros"], asymptotics, dict(gluings))
+    try:
+        solve = None if spec["solve"] is None else SolveConfig(**spec["solve"])
+    except SolverError as exc:
         problems.append(f"solve: {exc}")
-        solve = SolveConfig()
-
-    experiments = _experiments(raw.get("experiments") or {},
-                               None if target is None else target.n, problems)
-
+    experiments = _check(spec["experiments"],
+                         _experiment_table(None if target is None else target.n),
+                         "experiments", problems)
     if problems:
         raise ConfigError(problems, raw)
-    return RunConfig(
-        target=target,
-        graph=graph,
-        components=components,
-        gluings=gluings,
-        sleeve_width=sleeve_width,
-        break_radius=break_radius,
-        quasimap=quasimap,
-        solve=solve,
-        experiments=experiments,
-        seed=int(raw.get("seed", 0)),
-        out_dir=str(raw.get("out", "out")),
-        raw=raw,
-    )
+    return RunConfig(target, graph, components, gluings, s["sleeve_width"],
+                     s["break_radius"], quasimap, solve, experiments, spec["seed"],
+                     str(spec["out"]), raw)
 
 
 # -- report emission ----------------------------------------------------------
@@ -452,15 +471,14 @@ def _run_solve(cfg: RunConfig, out, name, snapshots=False):
     surf = cfg.surface()
     fam = correspondence(cfg.quasimap, surf, cfg.solve)
     summary = _family_summary(fam)
-    tables = {}
     if snapshots:
         os.makedirs(out, exist_ok=True)
         for pi, f in fam.fields.items():
             csv = os.path.join(out, f"{name}-field-{pi}.csv")
             hdr = os.path.join(out, f"{name}-field-{pi}-header.json")
             save_field(f, csv, hdr)
-    paths = emit_report(out, name, summary, tables)
-    return EXIT_OK if summary["converged"] else EXIT_ASSERTION, paths
+    code = EXIT_OK if summary["converged"] else EXIT_ASSERTION
+    return code, emit_report(out, name, summary, {})
 
 
 def _run_decay(cfg: RunConfig, out, name):
@@ -469,15 +487,10 @@ def _run_decay(cfg: RunConfig, out, name):
     fam = correspondence(cfg.quasimap, surf, cfg.solve)
     pi = sorted(fam.fields)[0]
     fit = xp.decay_fit(fam.fields[pi], block["end"], block["window"])
-    summary = {
-        "gamma_hat": fit.gamma_hat,
-        "c_hat": fit.c_hat,
-        "r_squared": fit.r_squared,
-        "window": list(fit.window),
-        "rejected": fit.rejected,
-        "note": fit.note,
-        "mass_scale_reference": xp.mass_scale(cfg.target),
-    }
+    summary = {"gamma_hat": fit.gamma_hat, "c_hat": fit.c_hat,
+               "r_squared": fit.r_squared, "window": list(fit.window),
+               "rejected": fit.rejected, "note": fit.note,
+               "mass_scale_reference": xp.mass_scale(cfg.target)}
     rows = [(float(r), float(e), float(np.log(max(e, 1e-300))))
             for r, e in fit.samples]
     paths = emit_report(out, name, summary, {"decay": (["r", "e_r", "log_e_r"], rows)})
@@ -489,9 +502,6 @@ def _run_annulus(cfg: RunConfig, out, name):
     block = cfg.experiments["annulus"]
     eps = block["perturbation"]
     surf = cfg.surface()
-    from .fields import constant_field
-    from .target import kempf_ness
-
     point = kempf_ness(cfg.target, np.ones(cfg.target.n)).point
     f = constant_field(surf, 0, cfg.target, point)
     p = f.piece
@@ -499,12 +509,8 @@ def _run_annulus(cfg: RunConfig, out, name):
     f = f.with_fields(u=f.u * (1 + eps * np.exp(-(z - p.r[0])))[:, :, None])
     solved, _, _ = newton_solve(f, cfg.solve)
     out_data = xp.annulus_check(solved, block["t_values"])
-    summary = {
-        "monotone": out_data["monotone"],
-        "delta_hat": out_data["delta_hat"],
-        "r_squared": out_data["r_squared"],
-        "orbit_diameter": out_data["orbit_diameter"],
-    }
+    summary = {key: out_data[key]
+               for key in ("monotone", "delta_hat", "r_squared", "orbit_diameter")}
     rows = [(float(t), float(e)) for t, e in out_data["table"]]
     paths = emit_report(out, name, summary, {"annulus": (["T", "E_mid"], rows)})
     code = EXIT_OK if out_data["monotone"] else EXIT_ASSERTION
@@ -514,9 +520,6 @@ def _run_annulus(cfg: RunConfig, out, name):
 def _run_quantize(cfg: RunConfig, out, name):
     block = cfg.experiments["quantize"]
     surf = cfg.surface()
-    from .fields import constant_field
-    from .target import kempf_ness
-
     rng = np.random.default_rng(cfg.seed)
     seeds = []
     for _ in range(block["n_constant"]):
@@ -528,14 +531,9 @@ def _run_quantize(cfg: RunConfig, out, name):
         q = QuasimapData(cfg.graph, cfg.target, {vertex: ((z0,),)})
         seeds.append(build_seed(q, surf, 0))
     scan = xp.quantization_scan(seeds, cfg.solve)
-    summary = {
-        "gap": scan["gap"],
-        "floor": scan["floor"],
-        "band": list(scan["band"]),
-        "band_empty": scan["band_empty"],
-        "n_constant": scan["n_constant"],
-        "pairing_reference": xp.pairing_value(cfg.target, 1),
-    }
+    summary = {"gap": scan["gap"], "floor": scan["floor"], "band": list(scan["band"]),
+               "band_empty": scan["band_empty"], "n_constant": scan["n_constant"],
+               "pairing_reference": xp.pairing_value(cfg.target, 1)}
     rows = [(i, float(e)) for i, e in enumerate(scan["energies"])]
     paths = emit_report(out, name, summary, {"energies": (["seed", "energy"], rows)})
     return (EXIT_OK if scan["band_empty"] else EXIT_ASSERTION), paths
@@ -543,18 +541,9 @@ def _run_quantize(cfg: RunConfig, out, name):
 
 def _run_neck(cfg: RunConfig, out, name):
     lengths = cfg.experiments["neck"]["lengths"]
-    if len(cfg.gluings) != 1:
-        raise ConfigError(["neck experiment needs exactly one glued edge"])
-    (eid,) = cfg.gluings
-
-    def components_factory(L):
-        return cfg.graph, cfg.components, eid
-
-    def q_factory(L):
-        return cfg.quasimap
-
-    fam = xp.neck_family(components_factory, q_factory, lengths, cfg.solve,
-                         cfg.sleeve_width)
+    (eid,) = cfg.gluings  # run() checks there is exactly one
+    fam = xp.neck_family(lambda L: (cfg.graph, cfg.components, eid),
+                         lambda L: cfg.quasimap, lengths, cfg.solve, cfg.sleeve_width)
     summary = {"lengths": lengths, "m0": {}, "totals": {}, "bubble": {}}
     tables = {}
     for L, prof in fam["profiles"].items():
@@ -566,8 +555,7 @@ def _run_neck(cfg: RunConfig, out, name):
         summary["bubble"][key] = s
         rows = [(float(r), float(e)) for r, e in zip(prof.rho, prof.ring_energy)]
         tables[f"profile-{key}"] = (["rho", "ring_energy"], rows)
-    paths = emit_report(out, name, summary, tables)
-    return EXIT_OK, paths
+    return EXIT_OK, emit_report(out, name, summary, tables)
 
 
 def _run_ev(cfg: RunConfig, out, name):
@@ -578,8 +566,7 @@ def _run_ev(cfg: RunConfig, out, name):
     base = cfg.quasimap
     vertex = next(iter(cfg.components))
     for off in offsets:
-        zeros = {v: tuple(tuple(z for z in zl) for zl in zls)
-                 for v, zls in base.zeros.items()}
+        zeros = dict(base.zeros)
         zls = list(zeros.get(vertex, tuple(() for _ in range(cfg.target.n))))
         while len(zls) <= coord:
             zls.append(())
@@ -591,33 +578,23 @@ def _run_ev(cfg: RunConfig, out, name):
     dists = xp.ev_continuity(fams)
     summary = {"offsets": offsets,
                "distances": {str(k): v for k, v in dists.items()}}
-    rows = []
-    for leg, ds in sorted(dists.items()):
-        for i, d in enumerate(ds):
-            rows.append((leg, float(offsets[i]), float(offsets[i + 1]), float(d)))
-    paths = emit_report(out, name, summary,
-                        {"distances": (["leg", "from", "to", "distance"], rows)})
-    return EXIT_OK, paths
+    rows = [(leg, float(offsets[i]), float(offsets[i + 1]), float(d))
+            for leg, ds in sorted(dists.items()) for i, d in enumerate(ds)]
+    return EXIT_OK, emit_report(out, name, summary,
+                                {"distances": (["leg", "from", "to", "distance"], rows)})
 
 
 def _run_graph(cfg: RunConfig, out, name):
     g = cfg.graph
-    summary = {
-        "total_genus": total_genus(g),
-        "n_markings": g.n_markings,
-        "stable": is_stable(g),
-    }
+    summary = {"total_genus": total_genus(g), "n_markings": g.n_markings,
+               "stable": is_stable(g)}
     try:
-        st = stabilize(g)
-        summary["stabilization_vertices"] = len(st.genus)
-        dec = cyl_chains(g)
-        summary["cylinder_chains"] = [
-            {"kind": c.kind, "length": len(c.vertices)} for c in dec.chains
-        ]
+        summary["stabilization_vertices"] = len(stabilize(g).genus)
+        summary["cylinder_chains"] = [{"kind": c.kind, "length": len(c.vertices)}
+                                      for c in cyl_chains(g).chains]
     except GraphError as exc:
         summary["stabilization_error"] = str(exc)
-    paths = emit_report(out, name, summary, {})
-    return EXIT_OK, paths
+    return EXIT_OK, emit_report(out, name, summary, {})
 
 
 def _run_energy(cfg: RunConfig, out, name):
@@ -625,38 +602,31 @@ def _run_energy(cfg: RunConfig, out, name):
     fam = correspondence(cfg.quasimap, surf, cfg.solve)
     degree = _total_bundle_degree(cfg)
     check = xp.energy_homology_check(fam.total_energy, degree, cfg.target)
-    summary = dict(check)
-    summary["degree"] = degree
-    paths = emit_report(out, name, summary, {})
+    paths = emit_report(out, name, {**check, "degree": degree}, {})
     tol = cfg.experiments["energy"]["tolerance"]
     ok = degree == 0 or check["relative_gap"] <= tol
     return (EXIT_OK if ok else EXIT_ASSERTION), paths
 
 
-SUBCOMMANDS = {
-    "solve": _run_solve,
-    "decay": _run_decay,
-    "annulus": _run_annulus,
-    "quantize": _run_quantize,
-    "neck": _run_neck,
-    "ev": _run_ev,
-    "graph": _run_graph,
-    "energy": _run_energy,
-}
+SUBCOMMANDS = {"solve": _run_solve, "decay": _run_decay, "annulus": _run_annulus,
+               "quantize": _run_quantize, "neck": _run_neck, "ev": _run_ev,
+               "graph": _run_graph, "energy": _run_energy}
 
 
 def run(cfg: RunConfig, subcommand: str, snapshots: bool = False):
-    """Run one subcommand; returns (exit code, artifact paths)."""
+    """Run one subcommand; returns (exit code, artifact paths).  A package
+    error inside is a numerical failure: exit 3 with an error artifact."""
     if subcommand not in SUBCOMMANDS:
-        raise ConfigError([f"unknown subcommand {subcommand!r}"])
+        raise ConfigError([f"unknown subcommand {subcommand!r}"], cfg.raw)
+    if subcommand == "neck" and len(cfg.gluings) != 1:
+        raise ConfigError(["neck experiment needs exactly one glued edge"], cfg.raw)
     name = f"{subcommand}-{cfg.content_hash()}"
     out = cfg.out_dir
     try:
         if subcommand == "solve":
             return _run_solve(cfg, out, name, snapshots=snapshots)
         return SUBCOMMANDS[subcommand](cfg, out, name)
-    except (SolverError, QuasimapError, TargetError, SurfaceError, FieldError,
-            GraphError, xp.ExperimentError) as exc:
+    except VortexlabError as exc:
         _write_error(out, name, {"error": str(exc)})
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL, {}
@@ -673,21 +643,21 @@ def _write_error(out_dir, name, content: dict) -> str:
     return path
 
 
-def _config_failure(exc: ConfigError, subcommand: str, raw, out_dir) -> int:
-    """Report a configuration error on stderr and, when the output directory
-    is named (--out or the config's out key), as an error artifact named
-    like the run's; returns the exit code."""
-    for p in exc.problems:
-        print(f"configuration error: {p}", file=sys.stderr)
+def _failure(code: int, lines: list, content: dict, subcommand: str, raw, out_dir):
+    """Report a failed run: lines on stderr and, when the output directory
+    is named (--out or the config's out key), content as an error artifact
+    named like the run's; returns code."""
+    for line in lines:
+        print(line, file=sys.stderr)
     if out_dir is None and raw is not None and "out" in raw:
         out_dir = str(raw["out"])
     if out_dir is not None:
         name = f"{subcommand}-{_content_hash(raw) if raw is not None else 'config'}"
         try:
-            _write_error(out_dir, name, {"error": str(exc), "problems": exc.problems})
+            _write_error(out_dir, name, content)
         except OSError as err:
             print(f"cannot write the error artifact: {err}", file=sys.stderr)
-    return EXIT_CONFIG
+    return code
 
 
 def main(argv=None) -> int:
@@ -707,35 +677,38 @@ def main(argv=None) -> int:
     parser.add_argument("--snapshots", action="store_true",
                         help="write per-piece field snapshots (solve)")
     args = parser.parse_args(argv)
+    if args.seed is not None and args.seed < 0:
+        parser.error("--seed must be an integer >= 0")
 
-    if args.subcommand == "graph" and args.graph_json:
-        try:
-            with open(args.graph_json) as fh:
-                g = graph_from_json(fh.read())
-        except (OSError, GraphError) as exc:
-            print(f"configuration error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-        summary = {"total_genus": total_genus(g), "stable": is_stable(g),
-                   "n_markings": g.n_markings, "schema_version": SCHEMA_VERSION}
-        print(json.dumps(summary, sort_keys=True))
-        return EXIT_OK
-
-    if not args.config:
-        print("configuration error: --config is required", file=sys.stderr)
-        return EXIT_CONFIG
+    cfg = None
     try:
+        if args.subcommand == "graph" and args.graph_json:
+            try:
+                with open(args.graph_json) as fh:
+                    g = graph_from_json(fh.read())
+            except (OSError, GraphError) as exc:
+                raise ConfigError([str(exc)]) from exc
+            print(json.dumps({"total_genus": total_genus(g), "stable": is_stable(g),
+                              "n_markings": g.n_markings,
+                              "schema_version": SCHEMA_VERSION}, sort_keys=True))
+            return EXIT_OK
+        if not args.config:
+            raise ConfigError(["--config is required"])
         cfg = parse_config(args.config)
-    except ConfigError as exc:
-        return _config_failure(exc, args.subcommand, exc.raw, args.out)
-    if args.out:
-        cfg.out_dir = args.out
-    if args.seed is not None:
-        cfg.seed = args.seed
-        cfg.raw["seed"] = args.seed
-    try:
+        if args.out:
+            cfg.out_dir = args.out
+        if args.seed is not None:
+            cfg.seed = args.seed
+            cfg.raw["seed"] = args.seed
         code, paths = run(cfg, args.subcommand, snapshots=args.snapshots)
     except ConfigError as exc:
-        return _config_failure(exc, args.subcommand, cfg.raw, cfg.out_dir)
+        return _failure(EXIT_CONFIG, [f"configuration error: {p}" for p in exc.problems],
+                        {"error": str(exc), "problems": exc.problems},
+                        args.subcommand, exc.raw, args.out)
+    except Exception as exc:  # anything else is a defect of the program
+        return _failure(EXIT_INTERNAL, [f"internal error: {exc!r}"],
+                        {"error": repr(exc), "traceback": traceback.format_exc()},
+                        args.subcommand, None if cfg is None else cfg.raw, args.out)
     for label, path in sorted(paths.items()):
         print(f"{label}: {path}")
     return code

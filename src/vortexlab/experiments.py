@@ -16,6 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import VortexlabError
 from .fields import GaugedField, energy, energy_density
 from .quasimap import correspondence
 from .solver import SolveConfig, newton_solve
@@ -50,7 +51,7 @@ ENERGY_QUANTUM = 4.0 * math.pi
 QUANT_FLOOR = 1e-6
 
 
-class ExperimentError(RuntimeError):
+class ExperimentError(VortexlabError, RuntimeError):
     pass
 
 

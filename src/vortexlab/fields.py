@@ -26,6 +26,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import VortexlabError
 from .surface import GluedSurface, Piece
 from .target import (
     Fingerprint,
@@ -63,7 +64,7 @@ __all__ = [
 ]
 
 
-class FieldError(ValueError):
+class FieldError(VortexlabError, ValueError):
     """Inconsistent field data or an end without a well-defined limit."""
 
 

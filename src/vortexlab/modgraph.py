@@ -13,6 +13,8 @@ import itertools
 import json
 from dataclasses import dataclass
 
+from . import VortexlabError
+
 __all__ = [
     "ModularGraph",
     "CylChain",
@@ -30,7 +32,7 @@ __all__ = [
 ]
 
 
-class GraphError(ValueError):
+class GraphError(VortexlabError, ValueError):
     """Raised for malformed graphs or illegal graph operations."""
 
 
@@ -334,13 +336,20 @@ def graphs_isomorphic(a: ModularGraph, b: ModularGraph) -> bool:
 
 
 def graph_from_json(text: str) -> ModularGraph:
-    """Parse {"vertices":[{"id","genus"}], "edges":[[a,b]], "legs":[{"index","vertex"}]}."""
-    data = json.loads(text) if isinstance(text, str) else text
+    """Parse {"vertices":[{"id","genus"}], "edges":[[a,b]], "legs":[{"index","vertex"}]}
+    (JSON text or the decoded mapping); genus and index must be integers."""
+    def whole(x, what):  # an int, or a float without a fractional part
+        if type(x) not in (int, float) or x != x // 1:
+            raise ValueError(f"{what} must be an integer, got {x!r}")
+        return int(x)
+
     try:
-        genus = {v["id"]: int(v["genus"]) for v in data["vertices"]}
-        edges = tuple((e[0], e[1]) for e in data.get("edges", []))
-        legs = tuple((int(l["index"]), l["vertex"]) for l in data.get("legs", []))
-    except (KeyError, TypeError, IndexError) as exc:
+        data = json.loads(text) if isinstance(text, str) else text
+        genus = {v["id"]: whole(v["genus"], "genus") for v in data["vertices"]}
+        edges = tuple(tuple(e) for e in data.get("edges", []))
+        legs = tuple((whole(l["index"], "leg index"), l["vertex"]) for l in data.get("legs", []))
+        hash((edges, legs))  # a vertex id must be hashable
+    except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise GraphError(f"malformed graph literal: {exc}") from exc
     return ModularGraph(genus, edges, legs)
 

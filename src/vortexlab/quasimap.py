@@ -19,6 +19,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import VortexlabError
 from .fields import GaugedField, d_r, lambda_integral, limit_orbit
 from .modgraph import ModularGraph
 from .solver import SolveConfig, newton_solve
@@ -47,7 +48,7 @@ __all__ = [
 MAX_DEGREE = 4
 
 
-class QuasimapError(ValueError):
+class QuasimapError(VortexlabError, ValueError):
     """Invalid quasimap data (unstable, out-of-range zeros, bad degrees)."""
 
 

@@ -36,6 +36,7 @@ import scipy.linalg as la
 import scipy.sparse as sp
 from scipy.linalg.blas import daxpy, ddot
 
+from . import VortexlabError
 from .fields import (
     FieldError,
     GaugedField,
@@ -71,7 +72,7 @@ __all__ = [
 ]
 
 
-class SolverError(RuntimeError):
+class SolverError(VortexlabError, RuntimeError):
     """Divergence, SPD violation, or an unstable seed."""
 
 
@@ -168,11 +169,11 @@ def _pattern(inner: int, nth: int, k: int, step: int):
 
 
 def _operator(f: GaugedField, rows: tuple, step: int,
-              gram: bool = True) -> sp.csr_matrix:
-    """Positive Laplacian of the step stencil plus (gram) the pointwise
-    Gram(u) on rows [a, b] of f's piece, Dirichlet at rings a and b, periodic
-    in theta, as a CSR matrix over the interior unknowns in (ring, theta,
-    component) order.
+              gram: Optional[np.ndarray]) -> sp.csr_matrix:
+    """Positive Laplacian of the step stencil plus the pointwise gram
+    (gram_field(f) of f's whole piece, or None) on rows [a, b] of the piece,
+    Dirichlet at rings a and b, periodic in theta, as a CSR matrix over the
+    interior unknowns in (ring, theta, component) order.
 
     The radial part is D^T D, D the difference across step rings divided by
     step * h_r over the pairs of rings inside [a, b]; the angular part is the
@@ -196,7 +197,7 @@ def _operator(f: GaugedField, rows: tuple, step: int,
     data[..., 0] = np.where(ring >= s, -w_r, 0.0)
     data[..., 1] = data[..., 2 + k] = -w_t
     data[..., 3 + k] = np.where(ring < inner - s, -w_r, 0.0)
-    data[..., 2 : 2 + k] = gram_field(f)[a + 1 : b] if gram else 0.0
+    data[..., 2 : 2 + k] = 0.0 if gram is None else gram[a + 1 : b]
     pairs = (ring >= s - 1).astype(float) + (ring <= inner - s)  # D^T D diagonal
     c = np.arange(k)
     data[:, :, c, 2 + c] += pairs * w_r + 2.0 * w_t
@@ -211,7 +212,7 @@ def _stencil(f: GaugedField, step: int,
     full-piece parameters: it reads only the interior rows of its argument
     and returns a new array whose boundary rows are zero."""
     n_r, nth, k = f.piece.n_r, f.piece.n_theta, f.target.k
-    A = _operator(f, (0, n_r - 1), step, gram)
+    A = _operator(f, (0, n_r - 1), step, gram_field(f) if gram else None)
 
     def apply(xi: np.ndarray) -> np.ndarray:
         out = np.zeros((n_r, nth, k))
@@ -573,13 +574,16 @@ _STENCIL_STEP = {"five_point": 1, "gauge_step": 2}
 
 
 def _assemble_domain_matrix(f: GaugedField, rows: tuple,
-                            flavor: str = "five_point") -> sp.csc_matrix:
+                            flavor: str = "five_point",
+                            gram: Optional[np.ndarray] = None) -> sp.csc_matrix:
     """The _operator of flavor "five_point" (step 1, linearized_apply) or
     "gauge_step" (step 2, the operator solved inside Newton) on domain rows
-    [a, b], with its own index arrays and without the zero dummy slots."""
+    [a, b], with its own index arrays and without the zero dummy slots.
+    gram is gram_field(f), evaluated here when not given."""
     if flavor not in _STENCIL_STEP:
         raise SolverError(f"unknown operator flavor {flavor!r}")
-    A = _operator(f, rows, _STENCIL_STEP[flavor]).tocsc()
+    A = _operator(f, rows, _STENCIL_STEP[flavor],
+                  gram_field(f) if gram is None else gram).tocsc()
     A.eliminate_zeros()
     return A
 
@@ -663,10 +667,11 @@ class PatchedPreconditioner:
         self.domains = []
         necks = f.piece.necks
         covers = [c for c in decomposition.covers if c.piece_index == pi]
+        gram = gram_field(f)  # one evaluation for every domain
         for ci, cover in enumerate(covers):
             left = 0 if ci == 0 else necks[ci - 1].i_plus
             right = f.piece.n_r - 1 if ci == len(covers) - 1 else necks[ci].i_minus
-            A = _assemble_domain_matrix(f, (left, right), flavor)
+            A = _assemble_domain_matrix(f, (left, right), flavor, gram)
             solve = _banded_inverse(
                 A, (right - left - 1, self.piece.n_theta, self.k),
                 _STENCIL_STEP[flavor],

@@ -18,6 +18,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import VortexlabError
 from .modgraph import ModularGraph
 
 __all__ = [
@@ -42,7 +43,7 @@ __all__ = [
 MIN_SITES = 8
 
 
-class SurfaceError(ValueError):
+class SurfaceError(VortexlabError, ValueError):
     """Invalid mesh resolution, incompatible gluing data, or bad layout."""
 
 

@@ -16,6 +16,8 @@ from math import gcd
 
 import numpy as np
 
+from . import VortexlabError
+
 __all__ = [
     "TargetSpace",
     "TargetError",
@@ -36,7 +38,7 @@ __all__ = [
 ZERO_TOL = 1e-9
 
 
-class TargetError(ValueError):
+class TargetError(VortexlabError, ValueError):
     """Bad target data, unstable input, or chamber misconfiguration."""
 
 
@@ -51,11 +53,14 @@ class TargetSpace:
     tau: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
+        try:
+            w = np.asarray(self.weights, dtype=float)
+        except ValueError as exc:  # ragged rows
+            raise TargetError(f"weights are not a matrix: {exc}") from exc
         if w.shape != (self.k, self.n):
             raise TargetError(f"weight matrix shape {w.shape} != (k, n)=({self.k}, {self.n})")
-        if not np.all(w == np.round(w)):
-            raise TargetError("weights must be integers")
+        if not np.all((w == np.round(w)) & (np.abs(w) < 2**31)):
+            raise TargetError("weights must be integers of size below 2^31")
         object.__setattr__(self, "weights", np.round(w).astype(int))
         tau = np.asarray(self.tau, dtype=float).reshape(-1)
         if tau.shape != (self.k,):

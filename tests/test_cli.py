@@ -632,3 +632,110 @@ class TestQuasimapZeroValidation:
         assert "quasimap.zeros.u[0][0].r must be finite" in err
         assert error["problems"] == [
             "quasimap.zeros.u[0][0].r must be finite, got nan"]
+
+
+def _graph_literal(tmp_path, text):
+    path = tmp_path / "graph.json"
+    path.write_text(text)
+    return ["graph", "--graph-json", str(path)]
+
+
+def _config_args(tmp_path, edit):
+    return ["graph", "--config", neck_config(tmp_path, edit)]
+
+
+def _set_vertex_genus(value):
+    def edit(data):
+        data["graph"]["vertices"][0]["genus"] = value
+    return edit
+
+
+def _set_leg_index(value):
+    def edit(data):
+        data["graph"]["legs"][0]["index"] = value
+    return edit
+
+
+class TestEveryBadValueIsAConfigError:
+    """Each case used to end in a traceback, or in a run on a truncated
+    value; each now exits 2 with the problem named on stderr."""
+
+    CASES = {
+        "seed-not-a-number": (
+            lambda tmp: _config_args(tmp, _set(("seed",), "abc")),
+            "seed: not a number: 'abc'"),
+        "target-n-fractional": (
+            lambda tmp: _config_args(tmp, _set(("target", "n"), 1.5)),
+            "target.n must be an integer >= 1, got 1.5"),
+        "genus-not-a-number": (
+            lambda tmp: _config_args(tmp, _set_vertex_genus("x")),
+            "graph.vertices[0].genus: not a number: 'x'"),
+        "genus-fractional": (
+            lambda tmp: _config_args(tmp, _set_vertex_genus(0.5)),
+            "graph.vertices[0].genus must be an integer >= 0, got 0.5"),
+        "leg-index-not-a-number": (
+            lambda tmp: _config_args(tmp, _set_leg_index("first")),
+            "graph.legs[0].index: not a number: 'first'"),
+        "components-a-list": (
+            lambda tmp: _config_args(tmp, _set(("surface", "components"), [1, 2])),
+            "surface.components: expected a mapping"),
+        "gluings-a-list": (
+            lambda tmp: _config_args(tmp, _set(("surface", "gluings"), [{"length": 20.0}])),
+            "surface.gluings: expected a mapping"),
+        "gluing-keys-of-mixed-types": (
+            lambda tmp: _config_args(tmp, _set(("surface", "gluings"), {
+                0: {"length": 20.0}, "1": {"broken": True}})),
+            "surface.gluings: unknown edge 1"),
+        "quasimap-a-list": (
+            lambda tmp: _config_args(tmp, _set(("quasimap",), ["zeros"])),
+            "quasimap: expected a mapping"),
+        "graph-json-malformed": (
+            lambda tmp: _graph_literal(tmp, "{bad"),
+            "malformed graph literal: Expecting property name"),
+        "graph-json-genus-not-a-number": (
+            lambda tmp: _graph_literal(tmp, json.dumps(
+                {"vertices": [{"id": "a", "genus": "x"}], "edges": [], "legs": []})),
+            "malformed graph literal: genus must be an integer, got 'x'"),
+        "graph-json-unhashable-endpoint": (
+            lambda tmp: _graph_literal(tmp, json.dumps(
+                {"vertices": [{"id": "a", "genus": 0}], "edges": [[["a"], "a"]]})),
+            "malformed graph literal: unhashable type: 'list'"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_exits_with_config_error(self, tmp_path, capsys, case):
+        args, problem = self.CASES[case]
+        assert main(args(tmp_path)) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert f"configuration error: {problem}" in err
+
+
+class TestInternalError:
+    def test_exit_4_with_one_line_and_an_artifact(self, tmp_path, capsys, monkeypatch):
+        def fail(cfg, out, name):
+            raise ZeroDivisionError("a defect")
+
+        monkeypatch.setitem(cli.SUBCOMMANDS, "graph", fail)
+        path = neck_config(tmp_path, lambda data: None)
+        assert main(["graph", "--config", path]) == cli.EXIT_INTERNAL
+        err = capsys.readouterr().err
+        assert err == "internal error: ZeroDivisionError('a defect')\n"
+        (error_file,) = (tmp_path / "out").glob("graph-*-error.json")
+        error = load_json(error_file)
+        assert error["error"] == "ZeroDivisionError('a defect')"
+        assert "raise ZeroDivisionError" in error["traceback"]
+
+    def test_config_error_inside_run_still_exits_2(self, tmp_path, capsys):
+        path = write_config(tmp_path, MINIMAL)
+        assert main(["neck", "--config", path]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "configuration error: neck experiment needs exactly one glued edge" in err
+
+
+def test_negative_seed_override_is_a_usage_error(tmp_path, capsys):
+    path = write_config(tmp_path, MINIMAL)
+    with pytest.raises(SystemExit) as exit_:
+        main(["quantize", "--config", path, "--seed", "-1"])
+    assert exit_.value.code == EXIT_CONFIG
+    assert "--seed must be an integer >= 0" in capsys.readouterr().err

@@ -239,6 +239,21 @@ class TestGaugeStepOperator:
         assert rep.newton_iterations > 0
         assert len(calls) == rep.newton_iterations
 
+    def test_patched_setup_evaluates_gram_once(self, monkeypatch):
+        # one evaluation per Newton step, plus one for the preconditioner
+        # setup however many domains it factors
+        calls = []
+        original = solver.gram_field
+        monkeypatch.setattr(solver, "gram_field",
+                            lambda f: calls.append(1) or original(f))
+        seed = glued_pair(L=40.0, n_theta=16, h_r=0.2)
+        _, _, rep = newton_solve(seed, SolveConfig(preconditioner="patched"))
+        assert rep.newton_iterations > 0
+        assert len(calls) == rep.newton_iterations + 1
+        calls.clear()
+        assert len(PatchedPreconditioner(seed, flavor="gauge_step").domains) == 2
+        assert len(calls) == 1
+
 
 class TestCG:
     def test_recovers_known_solution(self):
