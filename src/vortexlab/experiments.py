@@ -17,11 +17,13 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import VortexlabError
-from .fields import GaugedField, energy, energy_density
+from .fields import GaugedField, energy, energy_density, holonomy, ring_average
 from .quasimap import correspondence
 from .solver import SolveConfig, newton_solve
 from .surface import glue
 from .target import (
+    L_operator,
+    TargetError,
     TargetSpace,
     fingerprint_distance,
     kempf_ness,
@@ -68,9 +70,9 @@ def mass_scale(t: TargetSpace) -> float:
         v = rng.normal(size=t.n) + 1j * rng.normal(size=t.n)
         try:
             p = kempf_ness(t, v)
-        except Exception:
+        except TargetError:
             continue
-        gram = (t.weights * np.abs(p.point) ** 2) @ t.weights.T
+        gram = L_operator(t, p.point)
         return 2.0 * math.sqrt(max(np.min(np.linalg.eigvalsh(gram)), 0.0))
     raise ExperimentError("no zero-level sample point found")
 
@@ -130,16 +132,10 @@ def decay_fit(f: GaugedField, end: str, window: tuple,
 
 
 def _ring_orbit(f: GaugedField, ring: int):
-    """Gauge-invariant summary of one ring: untwist by the rounded profile,
-    average and retract."""
-    from .fields import lambda_profile
-
-    p = f.piece
-    lam = np.round(lambda_profile(f)[ring])
-    w = f.target.weights.astype(float)
-    theta = p.h_theta * np.arange(p.n_theta)
-    untwist = np.exp(1j * np.outer(theta, w.T @ lam))
-    avg = (f.u[ring] * untwist).mean(axis=0)
+    """Gauge-invariant summary of one ring: untwist by the ring's rounded
+    holonomy, average and retract."""
+    lift, _ = holonomy(f, f.piece.r[ring])
+    avg = ring_average(f, ring, np.round(lift))
     return kempf_ness(f.target, avg).fingerprint
 
 

@@ -3,13 +3,15 @@
 A field is a pair (a, u) on the grid sites of one connected piece: real
 connection components a_r, a_theta with values in R^k and a section u with
 values in C^n, together with integer angular twists at the two truncated
-ends.  The effective angular connection is a_theta plus a smooth radial
-interpolation between the end twists, so a stays single-valued while the
-far rings carry flat holonomy.
+ends.  a_theta is the whole angular connection: a seed writes the radial
+ramp between the end twists into it once (quasimap.build_seed), so every
+formula reads the stored arrays, and lam_left/lam_right are the flat
+holonomies the boundary rings carry.  A snapshot (save_field, schema version
+SNAPSHOT_SCHEMA) stores exactly these arrays and twists.
 
 Conventions (pinned by the discrete identities tested in the suite):
   - holomorphic coordinate z = r + i theta, dbar = (d_r + i d_theta)/2;
-  - curvature *F = d_r(a_theta_eff) - d_theta(a_r), centered differences;
+  - curvature *F = d_r(a_theta) - d_theta(a_r), centered differences;
   - vortex residual  *F - Phi(u)  with Phi(v) = 1/2 w|v|^2 - tau, so that
     holomorphically seeded positive-degree fields are solvable and the
     linearized operator (-Laplace + Gram) is positive;
@@ -22,7 +24,6 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, replace
-from typing import Optional
 
 import numpy as np
 
@@ -50,14 +51,11 @@ __all__ = [
     "apply_complex_gauge",
     "holonomy",
     "limit_orbit",
+    "ring_average",
     "winding_number",
     "boundary_contract",
     "d_r",
     "d_theta",
-    "lambda_profile",
-    "lambda_integral",
-    "smootherstep",
-    "smootherstep_integral",
     "surface_spec_hash",
     "save_field",
     "load_field",
@@ -68,26 +66,12 @@ class FieldError(VortexlabError, ValueError):
     """Inconsistent field data or an end without a well-defined limit."""
 
 
-def smootherstep(x) -> np.ndarray:
-    """Quintic ramp with vanishing first and second derivatives at 0 and 1."""
-    t = np.clip(x, 0.0, 1.0)
-    return t**3 * (10.0 + t * (-15.0 + 6.0 * t))
-
-
-def smootherstep_integral(x) -> np.ndarray:
-    t = np.clip(x, 0.0, 1.0)
-    ramp = 2.5 * t**4 - 3.0 * t**5 + t**6
-    return ramp + np.where(np.asarray(x) > 1.0, np.asarray(x) - 1.0, 0.0)
-
-
 @dataclass(frozen=True)
 class GaugedField:
     """Field data on one piece of a glued surface.
 
-    The end twists interpolate across a radial window [twist_center -
-    twist_width/2, twist_center + twist_width/2] (defaults: the whole piece);
-    outside the window the profile is exactly constant, so the far rings stay
-    flat to machine precision.
+    lam_left/lam_right are the integer holonomies of the two boundary rings;
+    a_theta already carries them (boundary_contract measures how closely).
     """
 
     surface: GluedSurface
@@ -98,8 +82,6 @@ class GaugedField:
     u: np.ndarray        # (n_r, n_theta, n) complex
     lam_left: np.ndarray   # (k,) integers, global angular frame
     lam_right: np.ndarray  # (k,) integers
-    twist_center: Optional[float] = None
-    twist_width: Optional[float] = None
 
     def __post_init__(self):
         p = self.piece
@@ -132,13 +114,14 @@ class GaugedField:
 
 
 def constant_field(surface, piece_index, target, v, lam=None) -> GaugedField:
+    """Constant section v with the flat connection a_theta = lam everywhere."""
     p = surface.pieces[piece_index]
     v = np.asarray(v, dtype=complex).reshape(target.n)
     lam = np.zeros(target.k) if lam is None else np.asarray(lam, dtype=float)
     return GaugedField(
         surface, piece_index, target,
         a_r=np.zeros((p.n_r, p.n_theta, target.k)),
-        a_theta=np.zeros((p.n_r, p.n_theta, target.k)),
+        a_theta=np.broadcast_to(lam, (p.n_r, p.n_theta, target.k)).copy(),
         u=np.broadcast_to(v, (p.n_r, p.n_theta, target.n)).copy(),
         lam_left=lam.copy(), lam_right=lam.copy(),
     )
@@ -160,47 +143,12 @@ def d_theta(arr: np.ndarray, h: float) -> np.ndarray:
     return (np.roll(arr, -1, axis=1) - np.roll(arr, 1, axis=1)) / (2.0 * h)
 
 
-# -- end twists ---------------------------------------------------------------
-
-def _twist_window(f: GaugedField):
-    p = f.piece
-    r0, r1 = p.r[0], p.r[-1]
-    width = f.twist_width if f.twist_width is not None else (r1 - r0)
-    center = f.twist_center if f.twist_center is not None else 0.5 * (r0 + r1)
-    width = max(min(width, r1 - r0), 2.0 * p.h_r)
-    lo = min(max(center - 0.5 * width, r0), r1 - width)
-    return lo, width
-
-
-def lambda_profile(f: GaugedField) -> np.ndarray:
-    """Radial interpolation (n_r, k) between the end twists."""
-    lo, width = _twist_window(f)
-    x = (f.piece.r - lo) / width
-    s = smootherstep(x)[:, None]
-    return f.lam_left[None, :] * (1.0 - s) + f.lam_right[None, :] * s
-
-
-def lambda_integral(f: GaugedField) -> np.ndarray:
-    """Antiderivative (n_r, k) of the twist profile, zero at the left ring."""
-    p = f.piece
-    lo, width = _twist_window(f)
-    x = (p.r - lo) / width
-    x0 = (p.r[0] - lo) / width
-    si = (smootherstep_integral(x) - smootherstep_integral(x0))[:, None] * width
-    lin = (p.r - p.r[0])[:, None]
-    return f.lam_left[None, :] * (lin - si) + f.lam_right[None, :] * si
-
-
-def a_theta_effective(f: GaugedField) -> np.ndarray:
-    return f.a_theta + lambda_profile(f)[:, None, :]
-
-
 # -- local operators ----------------------------------------------------------
 
 def curvature(f: GaugedField) -> np.ndarray:
-    """*F = d_r a_theta_eff - d_theta a_r, per site in R^k."""
+    """*F = d_r a_theta - d_theta a_r, per site in R^k."""
     p = f.piece
-    return d_r(a_theta_effective(f), p.h_r) - d_theta(f.a_r, p.h_theta)
+    return d_r(f.a_theta, p.h_r) - d_theta(f.a_r, p.h_theta)
 
 
 def moment_map_field(f: GaugedField) -> np.ndarray:
@@ -215,14 +163,20 @@ def gram_field(f: GaugedField) -> np.ndarray:
     return np.einsum("aj,bj,xyj->xyab", w, w, np.abs(f.u) ** 2)
 
 
-def dbar_residual(f: GaugedField) -> np.ndarray:
-    """(0,1) part of the covariant derivative in the frame dz̄/2."""
+def _covariant_derivative(f: GaugedField):
+    """(D_r u, D_theta u) with D = d + i (w a), per site in C^n."""
     p = f.piece
     w = f.target.weights.astype(float)
     wa_r = np.einsum("aj,xya->xyj", w, f.a_r)
-    wa_t = np.einsum("aj,xya->xyj", w, a_theta_effective(f))
-    du = d_r(f.u, p.h_r) + 1j * d_theta(f.u, p.h_theta)
-    return 0.5 * (du + (1j * wa_r - wa_t) * f.u)
+    wa_t = np.einsum("aj,xya->xyj", w, f.a_theta)
+    return (d_r(f.u, p.h_r) + 1j * wa_r * f.u,
+            d_theta(f.u, p.h_theta) + 1j * wa_t * f.u)
+
+
+def dbar_residual(f: GaugedField) -> np.ndarray:
+    """(0,1) part of the covariant derivative in the frame dz̄/2."""
+    dr, dt = _covariant_derivative(f)
+    return 0.5 * (dr + 1j * dt)
 
 
 def vortex_residual(f: GaugedField) -> np.ndarray:
@@ -240,22 +194,13 @@ class EnergyReport:
         return self.partials[name]
 
 
-def _covariant_derivative_sq(f: GaugedField) -> np.ndarray:
-    p = f.piece
-    w = f.target.weights.astype(float)
-    wa_r = np.einsum("aj,xya->xyj", w, f.a_r)
-    wa_t = np.einsum("aj,xya->xyj", w, a_theta_effective(f))
-    dr = d_r(f.u, p.h_r) + 1j * wa_r * f.u
-    dt = d_theta(f.u, p.h_theta) + 1j * wa_t * f.u
-    return np.sum(np.abs(dr) ** 2 + np.abs(dt) ** 2, axis=-1)
-
-
 def energy_density(f: GaugedField) -> np.ndarray:
     curv = curvature(f)
+    dr, dt = _covariant_derivative(f)
     phi = moment_map_field(f)
     return (
         np.sum(curv**2, axis=-1)
-        + _covariant_derivative_sq(f)
+        + np.sum(np.abs(dr) ** 2 + np.abs(dt) ** 2, axis=-1)
         + np.sum(phi**2, axis=-1)
     )
 
@@ -338,14 +283,14 @@ def apply_complex_gauge(f: GaugedField, xi) -> GaugedField:
 # -- end data -----------------------------------------------------------------
 
 def holonomy(f: GaugedField, r0: float):
-    """Angular holonomy at radius r0: twist profile plus the a_theta average.
+    """Angular holonomy at radius r0: the ring average of a_theta.
 
     Returns (lift, fractional part); the fractional part is the distance
     representative modulo the integer lattice.
     """
     p = f.piece
     i = p.ring_of(r0)
-    lift = lambda_profile(f)[i] + f.a_theta[i].mean(axis=0)
+    lift = f.a_theta[i].mean(axis=0)
     frac = lift - np.round(lift)
     return lift, frac
 
@@ -356,18 +301,22 @@ def end_ring(f: GaugedField, end: str, inset: float = 1.0) -> int:
     return n_in if end == "left" else p.n_r - 1 - n_in
 
 
+def ring_average(f: GaugedField, ring: int, lam) -> np.ndarray:
+    """Angular mean of u on one ring after undoing the integer twist lam."""
+    p = f.piece
+    w = f.target.weights.astype(float)
+    theta = p.h_theta * np.arange(p.n_theta)
+    untwist = np.exp(1j * np.outer(theta, w.T @ lam))  # (n_theta, n)
+    return (f.u[ring] * untwist).mean(axis=0)
+
+
 def limit_orbit(f: GaugedField, end: str, inset: float = 1.0) -> Fingerprint:
     """Evaluation at a truncated end: untwist the ring, average, retract to
     the moment-map zero level, and return the gauge-invariant fingerprint."""
     if end not in ("left", "right"):
         raise FieldError("end must be 'left' or 'right'")
-    p = f.piece
     i = end_ring(f, end, inset)
-    lam = f.lam_left if end == "left" else f.lam_right
-    w = f.target.weights.astype(float)
-    theta = p.h_theta * np.arange(p.n_theta)
-    untwist = np.exp(1j * np.outer(theta, w.T @ lam))  # (n_theta, n)
-    ring_avg = (f.u[i] * untwist).mean(axis=0)
+    ring_avg = ring_average(f, i, f.lam_left if end == "left" else f.lam_right)
     scale = max(1.0, float(np.max(np.abs(f.u[i]))))
     if not is_semistable(f.target, ring_avg) or np.max(np.abs(ring_avg)) < 1e-8 * scale:
         raise FieldError(
@@ -390,16 +339,15 @@ def winding_number(f: GaugedField, ring: int, coord: int) -> int:
 
 def boundary_contract(f: GaugedField) -> dict:
     """Measured deviations of the truncated-end rings from flat twisted data:
-    sup |a_theta_eff - lambda| and |Phi(u)| on each boundary ring."""
+    sup |a_theta - lambda| and |Phi(u)| on each boundary ring."""
     p = f.piece
-    eff = a_theta_effective(f)
     phi = moment_map_field(f)
     out = {}
     for name, ring, lam in (
         ("left", 0, f.lam_left),
         ("right", p.n_r - 1, f.lam_right),
     ):
-        out[f"{name}_flatness"] = float(np.max(np.abs(eff[ring] - lam)))
+        out[f"{name}_flatness"] = float(np.max(np.abs(f.a_theta[ring] - lam)))
         out[f"{name}_moment"] = float(np.max(np.abs(phi[ring])))
     return out
 
@@ -422,8 +370,13 @@ def surface_spec_hash(surface: GluedSurface, piece_index: int) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
+#: version 2: a_theta_* is the whole angular connection, end-twist ramp included
+SNAPSHOT_SCHEMA = 2
+
+
 def save_field(f: GaugedField, csv_path, header_path):
-    """Plain-text site table plus a JSON header with twists and the mesh hash."""
+    """Plain-text site table plus a JSON header with the schema version, the
+    end twists and the mesh hash."""
     p = f.piece
     k, n = f.target.k, f.target.n
     cols = ["site", "r", "theta"]
@@ -445,6 +398,7 @@ def save_field(f: GaugedField, csv_path, header_path):
     header = {
         "lam_left": [int(x) for x in np.round(f.lam_left)],
         "lam_right": [int(x) for x in np.round(f.lam_right)],
+        "schema_version": SNAPSHOT_SCHEMA,
         "surface_hash": surface_spec_hash(f.surface, f.piece_index),
         "shape": [p.n_r, p.n_theta],
         "target": {
@@ -461,6 +415,11 @@ def save_field(f: GaugedField, csv_path, header_path):
 def load_field(surface, piece_index, target, csv_path, header_path) -> GaugedField:
     with open(header_path) as fh:
         header = json.load(fh)
+    if header.get("schema_version") != SNAPSHOT_SCHEMA:
+        raise FieldError(
+            f"field snapshot has schema version {header.get('schema_version')!r}, "
+            f"expected {SNAPSHOT_SCHEMA}"
+        )
     if header["surface_hash"] != surface_spec_hash(surface, piece_index):
         raise FieldError("field snapshot belongs to a different mesh")
     p = surface.pieces[piece_index]

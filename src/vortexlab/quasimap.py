@@ -6,9 +6,11 @@ cylinder coordinates), per-end asymptotic values, and gluing parameters: on
 genus-zero cylinder components every holomorphic pair is complex-gauge
 equivalent to such a normal form.  Seeds pair a product of elementary factors
 prod_m (e^{-z} - e^{-z_m}) with the end twists forced by the degrees, and a
-radial real rescale putting the boundary rings on the moment-map zero level;
-the correspondence solves each connected piece and checks that the limit
-orbits on the two sides of every kept node agree.
+radial real rescale putting the boundary rings on the moment-map zero level.
+The radial ramp between the two end twists is written into the seed's a_theta
+once (_twist_ramp is the only code that knows it); after that a field is its
+arrays.  The correspondence solves each connected piece and checks that the
+limit orbits on the two sides of every kept node agree.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from . import VortexlabError
-from .fields import GaugedField, d_r, lambda_integral, limit_orbit
+from .fields import GaugedField, d_r, energy_density, limit_orbit
 from .modgraph import ModularGraph
 from .solver import SolveConfig, newton_solve
 from .surface import GluedSurface, SurfaceError
@@ -222,6 +224,33 @@ def _piece_zeros_global(q: QuasimapData, surface: GluedSurface, piece_index: int
     return per_coord
 
 
+def _twist_ramp(piece, lam_left, lam_right, zeros):
+    """The seed's angular connection between the end twists, (n_r, k), and
+    its antiderivative from the left ring.
+
+    The ramp is the quintic smootherstep (first and second derivatives
+    vanish at both ends of its window); the window, at most 8 long, sits on
+    the zeros' mean radius and 2 inside the ends, so the far rings carry
+    exactly constant twists (no profile junk in the tails).
+    """
+    r = piece.r
+    span = r[-1] - r[0]
+    width = min(8.0, max(span - 4.0, 2 * piece.h_r))
+    all_zeros = [z for zl in zeros for z in zl]
+    center = float(np.mean([z.real for z in all_zeros])) if all_zeros else 0.5 * (r[0] + r[-1])
+    center = float(np.clip(center, r[0] + 2.0 + width / 2, r[-1] - 2.0 - width / 2))
+    width = max(width, 2.0 * piece.h_r)
+    lo = min(max(center - 0.5 * width, r[0]), r[-1] - width)
+    x = (r - lo) / width
+    t = np.clip(x, 0.0, 1.0)
+    step = (t**3 * (10.0 + t * (-15.0 + 6.0 * t)))[:, None]
+    antider = 2.5 * t**4 - 3.0 * t**5 + t**6 + np.where(x > 1.0, x - 1.0, 0.0)
+    si = (antider - antider[0])[:, None] * width
+    profile = lam_left[None, :] * (1.0 - step) + lam_right[None, :] * step
+    integral = lam_left[None, :] * ((r - r[0])[:, None] - si) + lam_right[None, :] * si
+    return profile, integral
+
+
 def build_seed(
     q: QuasimapData,
     surface: GluedSurface,
@@ -229,8 +258,9 @@ def build_seed(
     margin: float = 0.5,
 ) -> GaugedField:
     """Holomorphic seed on one piece: section from elementary factors with the
-    degree-forced end twists and a radial rescale pinning the boundary rings
-    to the moment-map zero level.  The dbar residual is O(h^2)."""
+    degree-forced end twists, their ramp written into a_theta, and a radial
+    rescale pinning the boundary rings to the moment-map zero level.  The dbar
+    residual is O(h^2)."""
     piece = surface.pieces[piece_index]
     t = q.target
     zeros = _piece_zeros_global(q, surface, piece_index)
@@ -271,23 +301,8 @@ def build_seed(
                 continue
             log_u[:, :, j] += np.log(x_right[j]) - tail
 
-    # twist factor: the ramp is confined to a window around the zeros so the
-    # far rings see exactly constant twists (no profile junk in the tails)
-    all_zeros = [z for zl in zeros for z in zl]
-    span = r_hi - r_lo
-    width = min(8.0, max(span - 4.0, 2 * piece.h_r))
-    center = float(np.mean([z.real for z in all_zeros])) if all_zeros else 0.5 * (r_lo + r_hi)
-    center = float(np.clip(center, r_lo + 2.0 + width / 2, r_hi - 2.0 - width / 2))
-    probe = GaugedField(
-        surface, piece_index, t,
-        a_r=np.zeros((piece.n_r, piece.n_theta, t.k)),
-        a_theta=np.zeros((piece.n_r, piece.n_theta, t.k)),
-        u=np.zeros((piece.n_r, piece.n_theta, t.n), dtype=complex),
-        lam_left=lam_left, lam_right=lam_right,
-        twist_center=center, twist_width=width,
-    )
-    I_lam = lambda_integral(probe)  # (n_r, k)
-    log_u += np.einsum("aj,xa->xj", w, I_lam)[:, None, :]
+    profile, integral = _twist_ramp(piece, lam_left, lam_right, zeros)
+    log_u += np.einsum("aj,xa->xj", w, integral)[:, None, :]
 
     # per-ring real rescale onto the moment-map zero level: a radial complex
     # gauge guess that keeps holomorphy and localizes the residual
@@ -300,17 +315,14 @@ def build_seed(
     log_u -= np.einsum("aj,xa->xj", w, s_prof)[:, None, :]
 
     u = np.where(dead[None, None, :], 0.0, np.exp(log_u))
-    a_theta = np.broadcast_to(-d_r(s_prof, piece.h_r)[:, None, :],
-                              (piece.n_r, piece.n_theta, t.k)).copy()
+    a_theta = (-d_r(s_prof, piece.h_r) + profile)[:, None, :]
     return GaugedField(
         surface, piece_index, t,
         a_r=np.zeros((piece.n_r, piece.n_theta, t.k)),
-        a_theta=a_theta,
+        a_theta=np.broadcast_to(a_theta, (piece.n_r, piece.n_theta, t.k)).copy(),
         u=u,
         lam_left=lam_left,
         lam_right=lam_right,
-        twist_center=center,
-        twist_width=width,
     )
 
 
@@ -343,8 +355,6 @@ def _find_end(surface: GluedSurface, anchor: tuple):
 
 def _decay_rate_estimate(f: GaugedField, end: str) -> float:
     """Crude log-slope of the ring energy density toward an end (positive)."""
-    from .fields import energy_density
-
     p = f.piece
     dens = energy_density(f).sum(axis=1) * p.h_theta
     n = p.n_r

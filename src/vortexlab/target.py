@@ -218,6 +218,9 @@ def is_semistable(t: TargetSpace, v) -> bool:
     return bool(semistable_mask(t, _as_point(t, v)[None, :])[0])
 
 
+# a trial step may overflow (its potential is then +inf and rejected); a tau
+# too large for the float range shows as a non-finite Phi and is reported
+@np.errstate(over="ignore", invalid="ignore")
 def kempf_ness_shifts(t: TargetSpace, V, tol: float = 1e-12, max_iter: int = 60):
     """Newton solve for s_i in R^k with Phi(e^{(w^T s_i)} v_i) = 0, for every
     row v_i of V (m, n) at once.
@@ -225,8 +228,9 @@ def kempf_ness_shifts(t: TargetSpace, V, tol: float = 1e-12, max_iter: int = 60)
     The rescaled point e^{(w^T s)_j} v_j follows the imaginary-direction flow;
     Phi along it is the gradient of a strictly convex potential, so Newton
     with a backtracking line search per row converges for semistable rows.
-    Converged rows drop out of the iteration.  Returns (S (m, k), iterations
-    (m,)).
+    A row has converged when |Phi| <= tol * max(1, |tau|), a tolerance the
+    float resolution of Phi's two terms can meet; converged rows drop out of
+    the iteration.  Returns (S (m, k), iterations (m,)).
     """
     V = _as_rows(t, V)
     patterns, inverse = _patterns(V)
@@ -234,10 +238,11 @@ def kempf_ness_shifts(t: TargetSpace, V, tol: float = 1e-12, max_iter: int = 60)
         raise TargetError("kempf_ness requires a semistable point")
     m = np.abs(V) ** 2
     w = t.weights.astype(float)
+    tau_size = float(np.max(np.abs(t.tau)))
+    tol = tol * max(1.0, tau_size)
 
     def potential(S, M):
-        with np.errstate(over="ignore"):
-            val = 0.25 * np.sum(np.exp(2.0 * (S @ w)) * M, axis=1) - S @ t.tau
+        val = 0.25 * np.sum(np.exp(2.0 * (S @ w)) * M, axis=1) - S @ t.tau
         return np.where(np.isfinite(val), val, np.inf)
 
     # warm start: least-squares shift putting every active modulus near one,
@@ -254,6 +259,11 @@ def kempf_ness_shifts(t: TargetSpace, V, tol: float = 1e-12, max_iter: int = 60)
     for it in range(max_iter):
         scaled = np.exp(2.0 * (s @ w)) * ml
         f = 0.5 * scaled @ w.T - t.tau
+        if not np.all(np.isfinite(f)):
+            raise TargetError(
+                f"kempf_ness Newton left the float range: |tau| = {tau_size:.3g} "
+                "is too large to retract onto"
+            )
         done = np.linalg.norm(f, axis=1) <= tol
         if done.any():
             S[live] = s
@@ -280,7 +290,10 @@ def kempf_ness_shifts(t: TargetSpace, V, tol: float = 1e-12, max_iter: int = 60)
             rows = np.arange(len(live))[rows][rejected]
             alpha[rows] *= 0.5
         s = s + alpha[:, None] * step
-    raise TargetError("kempf_ness Newton did not converge; chamber misconfiguration")
+    raise TargetError(
+        f"kempf_ness Newton did not converge in {max_iter} steps at |tau| = "
+        f"{tau_size:.3g}; chamber misconfiguration or tau too large"
+    )
 
 
 def kempf_ness_shift(t: TargetSpace, v, tol: float = 1e-12, max_iter: int = 60):

@@ -15,8 +15,10 @@ from vortexlab.cli import (
     parse_config,
     run,
 )
-from vortexlab.fields import FieldError
+from vortexlab.fields import FieldError, energy, load_field
 from vortexlab.modgraph import GraphError
+
+CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
 MINIMAL = {
     "target": {"n": 1, "k": 1, "weights": [[1]], "tau": [1.0]},
@@ -124,6 +126,23 @@ class TestRun:
         blob2 = open(paths2["summary"], "rb").read()
         assert os.path.basename(paths1["summary"]) == os.path.basename(paths2["summary"])
         assert blob1 == blob2
+
+    def test_snapshots_reload_at_the_summary_energy(self, tmp_path):
+        # a snapshot is the whole field: reloaded pieces sum to the energy
+        # the solve reported
+        config = os.path.join(CONFIGS, "connectedness.yaml")
+        out = tmp_path / "snap"
+        assert main(["solve", "--config", config, "--snapshots", "--out", str(out)]) == EXIT_OK
+        cfg = parse_config(config)
+        surf = cfg.surface()
+        (summary,) = [p for p in out.glob("solve-*.json") if "-field-" not in p.name]
+        total = 0.0
+        for pi in range(len(surf.pieces)):
+            stem = str(out / f"{summary.stem}-field-{pi}")
+            f = load_field(surf, pi, cfg.target, stem + ".csv", stem + "-header.json")
+            total += energy(f).total
+        expected = load_json(summary)["total_energy"]
+        assert total == pytest.approx(expected, rel=1e-12)
 
     def test_graph_subcommand_reports_genus_one(self, tmp_path):
         data = json.loads(json.dumps(MINIMAL))

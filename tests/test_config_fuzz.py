@@ -1,24 +1,31 @@
-"""Property test of parse_config on mutated copies of the shipped configs.
+"""Property tests of parse_config and main on mutated copies of the shipped
+configs.
 
 Each example applies one to three mutations: a value set to 0, -1, NaN,
 +-inf, 1e308 or 2.5; a key or list entry dropped; a mapping swapped for a
 list or a scalar, a list for a mapping, or a scalar for a list.  Whatever
 the input, parse_config returns a RunConfig or raises ConfigError, and a
-returned RunConfig holds no NaN.
+returned RunConfig holds no NaN.  Through main, the cheap graph subcommand
+exits 0 or 2 without a traceback or a RuntimeWarning, writes an error
+artifact whenever it fails, and writes no NaN.
 """
 
 import cmath
+import contextlib
 import dataclasses
 import glob
+import io
+import json
 import math
 import os
+import warnings
 
 import numpy as np
 import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vortexlab.cli import ConfigError, RunConfig, parse_config
+from vortexlab.cli import EXIT_CONFIG, EXIT_OK, ConfigError, RunConfig, main, parse_config
 
 CONFIGS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), os.pardir,
                                         "configs", "*.yaml")))
@@ -88,3 +95,31 @@ def test_mutated_config_parses_or_is_a_config_error(tmp_path_factory, data):
         return
     assert isinstance(cfg, RunConfig)
     assert not _has_nan(dataclasses.replace(cfg, raw={}))
+
+
+def _no_nan(constant):
+    if constant == "NaN":
+        raise AssertionError("NaN written to a JSON output")
+    return float(constant)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(data=mutated_configs())
+def test_mutated_config_through_main_ends_in_a_documented_exit(tmp_path_factory, data):
+    base = tmp_path_factory.mktemp("main")
+    path, out = base / "mutated.yaml", base / "out"
+    path.write_text(yaml.safe_dump(data))
+    stderr = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("always")
+        code = main(["graph", "--config", str(path), "--out", str(out)])
+    assert code in (EXIT_OK, EXIT_CONFIG), stderr.getvalue()
+    assert "Traceback" not in stderr.getvalue()
+    assert "RuntimeWarning" not in stderr.getvalue()
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    outputs = sorted(out.glob("*.json")) if out.exists() else []
+    if code != EXIT_OK:
+        assert any(p.name.endswith("-error.json") for p in outputs)
+    for p in outputs:
+        json.loads(p.read_text(), parse_constant=_no_nan)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from vortexlab import experiments
 from vortexlab.experiments import (
     ExperimentError,
     NeckProfile,
@@ -21,7 +22,7 @@ from vortexlab.modgraph import ModularGraph
 from vortexlab.quasimap import QuasimapData, build_seed, correspondence
 from vortexlab.solver import SolveConfig, newton_solve
 from vortexlab.surface import ComponentMesh, End, single_cylinder
-from vortexlab.target import TargetSpace, kempf_ness
+from vortexlab.target import TargetError, TargetSpace, kempf_ness
 
 T1 = TargetSpace(1, 1, [[1]], [1.0])
 T2 = TargetSpace(1, 1, [[1]], [2.0])
@@ -315,3 +316,25 @@ class TestMassGapMonotonicity:
         g2 = decay_fit(f2, "right", (2.0, 5.0)).gamma_hat
         assert g2 >= 0.9 * g1
         assert mass_scale(T2) > mass_scale(T1)
+
+
+class TestMassScale:
+    def test_reference_value(self):
+        # |v|^2 = 2 tau on the zero level, so Gram = 2 tau and the rate 2 sqrt(2 tau)
+        assert mass_scale(T1) == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-12)
+
+    def test_programming_error_propagates(self, monkeypatch):
+        def broken(t, v):
+            raise ZeroDivisionError("defect in the retraction")
+
+        monkeypatch.setattr(experiments, "kempf_ness", broken)
+        with pytest.raises(ZeroDivisionError):
+            mass_scale(T1)
+
+    def test_unreachable_samples_are_an_experiment_error(self, monkeypatch):
+        def unstable(t, v):
+            raise TargetError("kempf_ness requires a semistable point")
+
+        monkeypatch.setattr(experiments, "kempf_ness", unstable)
+        with pytest.raises(ExperimentError, match="no zero-level sample"):
+            mass_scale(T1)

@@ -1,9 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from vortexlab.fields import (
     FieldError,
-    GaugedField,
     apply_complex_gauge,
     apply_unitary_gauge,
     boundary_contract,
@@ -12,8 +13,6 @@ from vortexlab.fields import (
     dbar_residual,
     energy,
     holonomy,
-    lambda_integral,
-    lambda_profile,
     limit_orbit,
     load_field,
     moment_map_field,
@@ -21,6 +20,7 @@ from vortexlab.fields import (
     vortex_residual,
     winding_number,
 )
+from vortexlab.quasimap import _twist_ramp
 from vortexlab.surface import single_cylinder
 from vortexlab.target import TargetSpace, fingerprint_distance
 
@@ -283,21 +283,16 @@ class TestHolonomyAndEnds:
 
 
 class TestLambdaProfile:
+    # the end-twist ramp a seed writes into a_theta, and its antiderivative
     def test_end_values(self):
-        f = constant_field(cyl(), 0, T1, [1.0], lam=[0.0])
-        f2 = GaugedField(f.surface, 0, T1, f.a_r, f.a_theta, f.u,
-                         np.array([2.0]), np.array([0.0]))
-        prof = lambda_profile(f2)
+        prof, _ = _twist_ramp(cyl().pieces[0], np.array([2.0]), np.array([0.0]), [[]])
         assert prof[0, 0] == pytest.approx(2.0)
         assert prof[-1, 0] == pytest.approx(0.0)
 
     def test_integral_consistent_with_profile(self):
-        f = constant_field(cyl(), 0, T1, [1.0])
-        f2 = GaugedField(f.surface, 0, T1, f.a_r, f.a_theta, f.u,
-                         np.array([1.0]), np.array([-1.0]))
-        prof = lambda_profile(f2)
-        integ = lambda_integral(f2)
-        p = f.piece
+        p = cyl().pieces[0]
+        prof, integ = _twist_ramp(p, np.array([1.0]), np.array([-1.0]), [[]])
+        assert integ[0, 0] == 0.0
         mid = (integ[1:, 0] - integ[:-1, 0]) / p.h_r
         avg = 0.5 * (prof[1:, 0] + prof[:-1, 0])
         assert np.max(np.abs(mid - avg)) < 5e-3
@@ -345,6 +340,21 @@ class TestSerialization:
                 lines.append(",".join(f"{x:.17g}" if isinstance(x, float) else str(x)
                                       for x in row))
         assert csv.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+    @pytest.mark.parametrize("version", [None, 1, 3])
+    def test_other_schema_version_rejected(self, tmp_path, version):
+        surf = cyl(n_r=16, n_theta=8, h_r=0.5)
+        csv, hdr = tmp_path / "f.csv", tmp_path / "f.json"
+        save_field(constant_field(surf, 0, T1, [1.0]), csv, hdr)
+        header = json.loads(hdr.read_text())
+        assert header["schema_version"] == 2
+        if version is None:
+            del header["schema_version"]
+        else:
+            header["schema_version"] = version
+        hdr.write_text(json.dumps(header))
+        with pytest.raises(FieldError, match="schema version"):
+            load_field(surf, 0, T1, csv, hdr)
 
     def test_hash_mismatch(self, tmp_path):
         surf = cyl(n_r=16, n_theta=8, h_r=0.5)

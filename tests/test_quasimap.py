@@ -129,14 +129,14 @@ class TestBuildSeed:
     def test_unstable_ring_is_named(self, monkeypatch):
         # a twist integral that sends rings 5 and 9 below the float range
         # leaves those rings with vanishing moduli
-        real_integral = quasimap.lambda_integral
+        real_ramp = quasimap._twist_ramp
 
-        def sinking(probe):
-            out = real_integral(probe)
-            out[[5, 9]] = -1e4
-            return out
+        def sinking(*args):
+            profile, integral = real_ramp(*args)
+            integral[[5, 9]] = -1e4
+            return profile, integral
 
-        monkeypatch.setattr(quasimap, "lambda_integral", sinking)
+        monkeypatch.setattr(quasimap, "_twist_ramp", sinking)
         q = QuasimapData(G1, T1, {}, asymptotics={("leg", 1): [1], ("leg", 2): [1]})
         with pytest.raises(QuasimapError, match="ring 5 is not semistable"):
             build_seed(q, cylinder(), 0)

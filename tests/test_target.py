@@ -276,3 +276,25 @@ class TestTauFinite:
     def test_non_finite_tau_rejected(self, bad):
         with pytest.raises(TargetError, match="tau must be finite"):
             TargetSpace(1, 1, [[1]], [bad])
+
+
+class TestLargeTau:
+    # the convergence test is relative to |tau|: an absolute 1e-12 is below
+    # the float resolution of Phi once |tau| >= 1e4
+    @pytest.mark.parametrize("tau", [1e4, 1e12])
+    def test_large_tau_validates_and_retracts(self, tau):
+        for w in ([[1]], [[1, 2]]):
+            t = TargetSpace(len(w[0]), 1, w, [tau])
+            assert validate_chamber(t)
+            V = np.array([[0.3 + 0.1j] * t.n, [2.0 - 1.0j] * t.n])
+            S, _ = kempf_ness_shifts(t, V)
+            for v, s in zip(V, S):
+                on_level = np.exp(t.weights.T @ s) * v
+                assert np.linalg.norm(moment_map(t, on_level)) <= 1e-12 * tau
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("tau", [1e15, 1e308])
+    def test_unreachable_tau_is_named(self, tau):
+        t = TargetSpace(1, 1, [[1]], [tau])
+        with pytest.raises(TargetError, match=r"\|tau\| = 1e\+(15|308) is too large"):
+            validate_chamber(t)
