@@ -2,25 +2,21 @@
 
 The unknown is a real moment-direction gauge parameter xi on grid sites
 (Dirichlet zero at truncation rings).  Every Laplacian applied here is one
-Dirichlet-periodic stencil with a step, assembled with the pointwise Gram(u)
-into one CSR matrix per freeze (_operator): step 2 is the composed-centered
-(wide) Laplacian of the gauge step, step 1 the five-point one.  The index
-arrays depend only on the grid shape and the step, are built once and
-shared read-only; a freeze writes only the data.  Each Newton step freezes
-the exact positive Jacobian of the discrete gauge step (step 2 + Gram(u))
-and solves it by conjugate gradients (pcg, the one Krylov loop of the
-package) on flat interior vectors, one CSR matvec per iteration, optionally
-preconditioned by the core/sleeve patched inverse.  Its domain solves on the
-broken surface factor the same operator on each domain, a banded Cholesky per
-parity class.  The Newton is inexact: the inner relative tolerance of each
-step is an Eisenstat-Walker forcing term (choice 2), loose while the outer
-residual is large, never tighter than the step needs to land below
-newton_tol, and floored at cg_tol.  A backtracking line search guards the
-large-residual regime and rejects overflowing trial steps.  The five-point
-operator of the continuum linearization (step 1 + Gram(u), linearized_apply)
-is the default system solved by cg_solve, which like the local gauge-fixing
-diagnostics (flat complex gauge on a patch: the masked step-1 operator;
-Coulomb gauge) solves to cg_tol in the same Krylov loop.
+Dirichlet-periodic stencil with a step plus the pointwise Gram(u), assembled
+into one CSR matrix per freeze (_operator; its index arrays are built once
+per shape and shared read-only): step 2 is the composed-centered (wide)
+Laplacian of the gauge step, step 1 the five-point one.  Each Newton step
+freezes the exact positive Jacobian of the discrete gauge step (step 2) and
+solves it by conjugate gradients (pcg, the one Krylov loop of the package),
+one CSR matvec per iteration, optionally preconditioned by the core/sleeve
+patched inverse.  Its domain solves write every parity class's band straight
+from the same operator's coefficients, factor it once, and solve at each
+apply only the trailing block under the cutoff.  The Newton is inexact: the
+inner tolerance of each step is an Eisenstat-Walker forcing term (choice 2)
+floored at cg_tol, and a backtracking line search guards the large-residual
+regime.  The five-point operator (linearized_apply) is the default system of
+cg_solve, which the local gauge-fixing diagnostics (flat complex gauge on a
+patch, Coulomb gauge) share.
 """
 
 from __future__ import annotations
@@ -32,9 +28,9 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.linalg as la
 import scipy.sparse as sp
 from scipy.linalg.blas import daxpy, ddot
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from . import VortexlabError
 from .fields import (
@@ -574,143 +570,146 @@ _STENCIL_STEP = {"five_point": 1, "gauge_step": 2}
 
 
 def _assemble_domain_matrix(f: GaugedField, rows: tuple,
-                            flavor: str = "five_point",
-                            gram: Optional[np.ndarray] = None) -> sp.csc_matrix:
+                            flavor: str = "five_point") -> sp.csc_matrix:
     """The _operator of flavor "five_point" (step 1, linearized_apply) or
     "gauge_step" (step 2, the operator solved inside Newton) on domain rows
-    [a, b], with its own index arrays and without the zero dummy slots.
-    gram is gram_field(f), evaluated here when not given."""
+    [a, b] as a sparse matrix with its own index arrays and without the zero
+    dummy slots: the reference the class bands are checked against."""
     if flavor not in _STENCIL_STEP:
         raise SolverError(f"unknown operator flavor {flavor!r}")
-    A = _operator(f, rows, _STENCIL_STEP[flavor],
-                  gram_field(f) if gram is None else gram).tocsc()
+    A = _operator(f, rows, _STENCIL_STEP[flavor], gram_field(f)).tocsc()
     A.eliminate_zeros()
     return A
 
 
-def _banded_inverse(A: sp.spmatrix, shape: tuple, step: int) -> Callable:
-    """Exact inverse of an SPD domain matrix A on unknowns of the given
-    (rings, n_theta, k) shape whose stencil reaches rings and angles +-step.
+def _class_bands(data: np.ndarray, step: int, descending: bool) -> list:
+    """LAPACK upper band of each parity class of a domain's _operator data,
+    viewed (rings, n_theta, k, 4 + k), with its rings descending if asked.
 
-    Such a stencil never mixes ring parity classes mod step, nor angle parity
-    classes when step divides n_theta, and Gram(u) stays at one site, so A
-    splits into independent classes.  Ordered by (ring, theta, component),
-    each class is banded with half-bandwidth (its angle count) * k; it is
-    factored once by banded Cholesky.  Returns solve(rhs) for rhs of the
-    given shape, applied on strided views of rhs.
+    A stencil reaching rings and angles +-step mixes no ring classes mod
+    step, nor angle classes mod step when step divides n_theta (Gram(u)
+    stays at one site).  In (ring, theta, component) order a class of T
+    angles has half-bandwidth u = T k, and entry A[i, j], i before j, goes
+    to band row u + i - j of column j: the Gram block on rows u .. u - k + 1,
+    the in-class theta neighbour (q = step // angle stride angles on) on row
+    u - q k, the periodic wrap of the last q angles on row u - (T - q) k and
+    the ring neighbour on row 0.  Returns [(cls, band)]: the class's flat
+    domain-local unknowns, (rings, T, k) in band order, and its F-ordered band.
     """
-    inner, nth, k = shape
+    nth, k = data.shape[1:3]
+    idx = np.arange(data[..., 0].size).reshape(data.shape[:3])
+    if descending:
+        data, idx = data[::-1], idx[::-1]
     st = step if nth % step == 0 else 1
-    views = [(slice(pr, None, step), slice(pt, None, st))
-             for pr in range(min(step, inner)) for pt in range(st)]
-    cls = np.empty(shape, dtype=np.intp)  # class of each unknown
-    pos = np.empty(shape, dtype=np.intp)  # its index in the class ordering
-    for i, view in enumerate(views):
-        cls[view] = i
-        pos[view] = np.arange(pos[view].size).reshape(pos[view].shape)
-    cls, pos = cls.ravel(), pos.ravel()
-    # the class orderings are monotone in the global one: upper stays upper
-    U = sp.triu(A, format="coo")
-    c, r, q, v = cls[U.col], pos[U.row], pos[U.col], U.data
-    if np.any((cls[U.row] != c) & (v != 0.0)):
-        raise SolverError("domain stencil couples parity classes")
-    factors = []
-    for i, view in enumerate(views):
-        sel = c == i
-        rc, qc = r[sel], q[sel]
-        u = int(np.max(qc - rc))
-        ab = np.zeros((u + 1, int(np.count_nonzero(cls == i))))
-        ab[u + rc - qc, qc] = v[sel]  # LAPACK upper band storage
-        try:
-            factors.append((view, la.cholesky_banded(ab, overwrite_ab=True)))
-        except la.LinAlgError as exc:
-            raise SolverError(
-                f"preconditioner domain matrix is not positive definite: {exc}"
-            ) from exc
-
-    def solve(rhs: np.ndarray) -> np.ndarray:
-        out = np.empty_like(rhs)
-        for view, cb in factors:
-            b = rhs[view]
-            out[view] = la.cho_solve_banded(
-                (cb, False), b.reshape(-1), check_finite=False
-            ).reshape(b.shape)
-        return out
-
-    return solve
+    T, q, u = nth // st, step // st, nth // st * k
+    bands = []
+    for pr in range(min(step, len(data))):
+        for pt in range(st):
+            view = (slice(pr, None, step), slice(pt, None, st))
+            D = data[view]
+            Z = np.zeros(D.shape[:3] + (u + 1,))  # the band, transposed
+            for d in range(k):
+                c = np.arange(d, k)
+                Z[:, :, d:, u - d] = D[:, :, c - d, 2 + c]
+            Z[:, q:, :, u - q * k] = D[:, : T - q, :, 2 + k]
+            Z[:, T - q :, :, u - (T - q) * k] = D[:, :q, :, 1]
+            Z[1:, ..., 0] = D[:-1, ..., 0 if descending else 3 + k]
+            bands.append((idx[view], Z.reshape(-1, u + 1).T))
+    return bands
 
 
-@dataclass
 class _Domain:
-    rows: tuple
-    cover: tuple  # cover chunk rows [a, b]
-    phi: np.ndarray
-    solve: Callable  # exact inverse on the domain's interior rows
+    """Exact inverse of the _operator data (rings, n_theta, k, 4 + k) of
+    piece rows [a, b], with the domain's cover rows [ca, cb] and cutoff phi.
+
+    Each class band is factored once in place (dpbtrf), its rings descending
+    when the cover lies nearer the domain's low end so that the cover's
+    rings come last.  classes holds (indices, start, factor) per class: its
+    flat domain-local unknowns in band order, the position of its first
+    cover ring and the upper Cholesky band.
+    """
+
+    def __init__(self, data: np.ndarray, rows: tuple, cover: tuple,
+                 phi: np.ndarray, step: int):
+        self.rows, self.cover, self.phi = rows, cover, phi
+        inner, nth, k = data.shape[:3]
+        c0 = max(cover[0] - rows[0] - 1, 0)  # cover as interior ring indices
+        c1 = min(cover[1] - rows[0] - 1, inner - 1)
+        descending = c1 + 1 < inner - c0
+        self.classes = []
+        for cls, band in _class_bands(data, step, descending):
+            factor, info = dpbtrf(band, overwrite_ab=1)
+            if info > 0:
+                raise SolverError("preconditioner domain matrix is not positive "
+                                  f"definite: leading minor {info} of a parity class")
+            ring = cls[:, 0, 0] // (nth * k)
+            lead = np.count_nonzero(ring > c1 if descending else ring < c0)
+            self.classes.append((cls.reshape(-1), lead * cls[0].size, factor))
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Whole-domain solve through the full factors; rhs (rings, n_theta, k)."""
+        flat, out = rhs.reshape(-1), np.empty(rhs.size)
+        for cls, _, factor in self.classes:
+            out[cls] = dpbtrs(factor, flat[cls])[0]
+        return out.reshape(rhs.shape)
 
 
 class PatchedPreconditioner:
     """Approximate inverse glued from per-component reference solves.
 
     The literal pipeline lifts a section to the core/sleeve cover, applies the
-    exact broken-surface inverse per component (banded Cholesky per parity
-    class, see _banded_inverse), multiplies by the cutoff weights and pushes
-    forward (apply).  apply_symmetric splits the cutoff as sqrt(phi) on both
-    sides, which keeps the map positive for use inside CG.
+    exact broken-surface inverse per component (_Domain), multiplies by the
+    cutoff weights and pushes forward (apply).  apply_symmetric splits the
+    cutoff as sqrt(phi) on both sides, which keeps the map positive for use
+    inside CG.  A domain's right-hand side vanishes off its cover, which is
+    all that is read back, so each class solves exactly with the trailing
+    block of its factor from its first cover ring on: one gather of eta, one
+    dpbtrs per class block and one scatter-add make an apply.
     """
 
     def __init__(self, f: GaugedField, decomposition: Optional[CoreSleeve] = None,
                  flavor: str = "five_point"):
-        self.piece = f.piece
-        self.k = f.target.k
+        if flavor not in _STENCIL_STEP:
+            raise SolverError(f"unknown operator flavor {flavor!r}")
+        step, p, k = _STENCIL_STEP[flavor], f.piece, f.target.k
         decomposition = decomposition or core_sleeve(f.surface)
-        pi = f.piece_index
-        self.domains = []
-        necks = f.piece.necks
-        covers = [c for c in decomposition.covers if c.piece_index == pi]
+        covers = [c for c in decomposition.covers if c.piece_index == f.piece_index]
         gram = gram_field(f)  # one evaluation for every domain
+        size = p.n_theta * k  # unknowns per ring
+        self.domains, self._blocks, parts, n = [], [], [], 0
         for ci, cover in enumerate(covers):
-            left = 0 if ci == 0 else necks[ci - 1].i_plus
-            right = f.piece.n_r - 1 if ci == len(covers) - 1 else necks[ci].i_minus
-            A = _assemble_domain_matrix(f, (left, right), flavor, gram)
-            solve = _banded_inverse(
-                A, (right - left - 1, self.piece.n_theta, self.k),
-                _STENCIL_STEP[flavor],
-            )
-            self.domains.append(
-                _Domain((left, right), (cover.a, cover.b), cover.phi.copy(), solve)
-            )
+            left = 0 if ci == 0 else p.necks[ci - 1].i_plus
+            right = p.n_r - 1 if ci == len(covers) - 1 else p.necks[ci].i_minus
+            data = _operator(f, (left, right), step, gram).data
+            dom = _Domain(data.reshape(right - left - 1, p.n_theta, k, 4 + k),
+                          (left, right), (cover.a, cover.b), cover.phi.copy(), step)
+            self.domains.append(dom)
+            pad = (cover.a, p.n_r - 1 - cover.b)  # cover indicator, cutoff by ring
+            on = np.pad(np.ones_like(cover.phi), pad)
+            phi = np.pad(cover.phi, pad)
+            for cls, start, factor in dom.classes:
+                src = cls[start:] + (left + 1) * size
+                self._blocks.append((n, n + src.size, factor[:, start:]))
+                n += src.size
+                parts.append((src, on[src // size], phi[src // size]))
+        self._src, self._inside, self._phi = (np.concatenate(x) for x in zip(*parts))
+        self._sqrt_phi = np.sqrt(self._phi)
 
-    def _solve_domain(self, dom: _Domain, eta_chunk: np.ndarray) -> np.ndarray:
-        a, b = dom.rows
-        ca, cb = dom.cover
-        full = np.zeros((b - a + 1, self.piece.n_theta, self.k))
-        full[ca - a : cb - a + 1] = eta_chunk
-        full[1:-1] = dom.solve(full[1:-1])
-        full[0] = 0.0
-        full[-1] = 0.0
-        return full[ca - a : cb - a + 1]
-
-    def _apply(self, eta: np.ndarray, split_weights: bool) -> np.ndarray:
-        out = np.zeros_like(eta)
-        for dom in self.domains:
-            ca, cb = dom.cover
-            w = dom.phi[:, None, None]
-            chunk = eta[ca : cb + 1]
-            pre = np.sqrt(w) if split_weights else 1.0
-            post = np.sqrt(w) if split_weights else w
-            sol = self._solve_domain(dom, chunk * pre)
-            out[ca : cb + 1] += post * sol
-        out[0] = 0.0
-        out[-1] = 0.0
-        return out
+    def _apply(self, eta: np.ndarray, pre: np.ndarray, post: np.ndarray) -> np.ndarray:
+        v = eta.reshape(-1)[self._src] * pre
+        for start, stop, factor in self._blocks:
+            v[start:stop] = dpbtrs(factor, v[start:stop], overwrite_b=1)[0]
+        return np.bincount(self._src, weights=post * v,
+                           minlength=eta.size).reshape(eta.shape)
 
     def apply(self, eta: np.ndarray) -> np.ndarray:
-        """Literal lift -> solve -> cutoff -> push-forward pipeline."""
-        return self._apply(eta, split_weights=False)
+        """Literal lift -> solve -> cutoff -> push-forward pipeline: the cover
+        indicator before the domain solves, phi after."""
+        return self._apply(eta, self._inside, self._phi)
 
     def apply_symmetric(self, eta: np.ndarray) -> np.ndarray:
         """Symmetrized cutoff placement; positive, usable inside CG."""
-        return self._apply(eta, split_weights=True)
+        return self._apply(eta, self._sqrt_phi, self._sqrt_phi)
 
 
 def patched_preconditioner(f: GaugedField,

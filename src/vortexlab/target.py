@@ -245,13 +245,17 @@ def kempf_ness_shifts(t: TargetSpace, V, tol: float = 1e-12, max_iter: int = 60)
         val = 0.25 * np.sum(np.exp(2.0 * (S @ w)) * M, axis=1) - S @ t.tau
         return np.where(np.isfinite(val), val, np.inf)
 
-    # warm start: least-squares shift putting every active modulus near one,
-    # so wildly scaled inputs cannot overflow the exponentials
+    # warm start: least-squares shift putting every active squared modulus
+    # near max(1, |tau|), the scale of the zero level, so wildly scaled inputs
+    # cannot overflow the exponentials and a large tau starts near its level
     S = np.zeros((len(V), t.k))
+    log_scale = np.log(max(1.0, tau_size))
     for p, act in enumerate(patterns):
         members = np.flatnonzero(inverse == p)
         S[members] = np.linalg.lstsq(
-            w[:, act].T, -0.5 * np.log(m[np.ix_(members, act)]).T, rcond=None
+            w[:, act].T,
+            -0.5 * (np.log(m[np.ix_(members, act)]) - log_scale).T,
+            rcond=None,
         )[0].T
     iterations = np.zeros(len(V), dtype=int)
     live = np.arange(len(V))

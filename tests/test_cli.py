@@ -314,6 +314,36 @@ def _set(path, value):
     return edit
 
 
+class TestPatchedThroughMain:
+    # the shipped neck family with the core/sleeve preconditioner and with
+    # plain CG: the same energies, and a rerun writes the same bytes
+    def _summary(self, tmp_path, name, preconditioner):
+        run_dir = tmp_path / name
+        run_dir.mkdir()
+        cfg = neck_config(run_dir, _set(("solve", "preconditioner"), preconditioner))
+        assert main(["neck", "--config", cfg]) == EXIT_OK
+        (summary,) = (run_dir / "out").glob("neck-*.json")
+        return summary.read_bytes()
+
+    def test_patched_matches_plain_cg(self, tmp_path, monkeypatch):
+        from vortexlab.solver import PatchedPreconditioner
+
+        applies = []
+        original = PatchedPreconditioner.apply_symmetric
+        monkeypatch.setattr(PatchedPreconditioner, "apply_symmetric",
+                            lambda self, eta: applies.append(1) or original(self, eta))
+        patched = self._summary(tmp_path, "patched", "patched")
+        assert applies
+        assert self._summary(tmp_path, "rerun", "patched") == patched
+        applies.clear()
+        plain = self._summary(tmp_path, "none", "none")
+        assert not applies
+        totals, reference = json.loads(patched)["totals"], json.loads(plain)["totals"]
+        assert totals.keys() == reference.keys() == {"L10", "L20", "L40"}
+        for key, value in reference.items():
+            assert totals[key] == pytest.approx(value, rel=1e-10)
+
+
 class TestNumericValidation:
     POSITIVE = [
         (("surface", "h_r"), "surface.h_r"),

@@ -653,23 +653,28 @@ class TestOperatorPositivity:
             assert np.sum(xi * gauge_step_jacobian_apply(f, xi)) > 0
 
 
+def two_neck_seed():
+    """Three components in a chain: one piece with two necks."""
+    g = ModularGraph(
+        {"a": 0, "b": 0, "c": 0},
+        (("a", "b"), ("b", "c")),
+        ((1, "a"), (2, "c")),
+    )
+    mk = lambda rmin, l, r: ComponentMesh(41, 16, 0.25, rmin, l, r)
+    comps = {
+        "a": mk(-8.0, End("truncation", ("leg", 1)), End("socket", edge=0)),
+        "b": mk(0.0, End("socket", edge=0), End("socket", edge=1)),
+        "c": mk(0.0, End("socket", edge=1), End("truncation", ("leg", 2))),
+    }
+    surf = glue(comps, g, {0: math.exp(-20.0), 1: math.exp(-25.0)},
+                sleeve_width=8.0)
+    q = QuasimapData(g, T1, {"b": ((4.0 + 0.4j,),)})
+    return build_seed(q, surf, 0)
+
+
 class TestTwoNeckChain:
     def test_three_components_two_necks_solve_and_precondition(self):
-        g = ModularGraph(
-            {"a": 0, "b": 0, "c": 0},
-            (("a", "b"), ("b", "c")),
-            ((1, "a"), (2, "c")),
-        )
-        mk = lambda rmin, l, r: ComponentMesh(41, 16, 0.25, rmin, l, r)
-        comps = {
-            "a": mk(-8.0, End("truncation", ("leg", 1)), End("socket", edge=0)),
-            "b": mk(0.0, End("socket", edge=0), End("socket", edge=1)),
-            "c": mk(0.0, End("socket", edge=1), End("truncation", ("leg", 2))),
-        }
-        surf = glue(comps, g, {0: math.exp(-20.0), 1: math.exp(-25.0)},
-                    sleeve_width=8.0)
-        q = QuasimapData(g, T1, {"b": ((4.0 + 0.4j,),)})
-        field, _, rep = newton_solve(build_seed(q, surf, 0), SolveConfig())
+        field, _, rep = newton_solve(two_neck_seed(), SolveConfig())
         assert rep.converged
         assert abs(rep.final_energy - 4 * math.pi) / (4 * math.pi) < 0.03
         pre = patched_preconditioner(field)
@@ -746,9 +751,10 @@ def _twisted_neck_seed(n_theta=16, h_r=0.2):
     return build_seed(q, surf, 0)
 
 
-def _splu_patched(f, flavor):
-    """apply_symmetric of the patched preconditioner with sparse-LU domain
-    solves (reference)."""
+def _splu_patched(f, flavor, symmetric=True):
+    """apply_symmetric (or, not symmetric, apply: the cover indicator before
+    the solve and phi after it) of the patched preconditioner with whole-domain
+    sparse-LU solves (reference)."""
     pre = PatchedPreconditioner(f, flavor=flavor)
     lus = [spla.splu(_assemble_domain_matrix(f, d.rows, flavor)) for d in pre.domains]
 
@@ -756,12 +762,13 @@ def _splu_patched(f, flavor):
         out = np.zeros_like(eta)
         for dom, lu in zip(pre.domains, lus):
             (a, b), (ca, cb) = dom.rows, dom.cover
-            w = np.sqrt(dom.phi)[:, None, None]
+            w = dom.phi[:, None, None]
+            lift, cut = (np.sqrt(w), np.sqrt(w)) if symmetric else (1.0, w)
             full = np.zeros((b - a + 1,) + eta.shape[1:])
-            full[ca - a : cb - a + 1] = w * eta[ca : cb + 1]
+            full[ca - a : cb - a + 1] = lift * eta[ca : cb + 1]
             sol = np.zeros_like(full)
             sol[1:-1] = lu.solve(full[1:-1].ravel()).reshape(sol[1:-1].shape)
-            out[ca : cb + 1] += w * sol[ca - a : cb - a + 1]
+            out[ca : cb + 1] += cut * sol[ca - a : cb - a + 1]
         out[0] = out[-1] = 0.0
         return out
 
@@ -809,6 +816,26 @@ class TestSharedIndexArrays:
         assert not op.matrix.indptr.flags.writeable
 
 
+def _domain_data(f, rows, flavor):
+    """The domain's _operator data viewed (rings, n_theta, k, 4 + k)."""
+    k = f.target.k
+    A = solver._operator(f, rows, solver._STENCIL_STEP[flavor], gram_field(f))
+    return A.data.reshape(rows[1] - rows[0] - 1, f.piece.n_theta, k, 4 + k)
+
+
+def _band_matrix(band):
+    """The symmetric matrix of an upper band in LAPACK storage."""
+    u = band.shape[0] - 1
+    U = sp.csr_matrix(sum(sp.diags(band[r, u - r :], u - r) for r in range(u + 1)))
+    return U + sp.triu(U, 1).T
+
+
+# domain covers putting the rings in ascending (whole domain) and descending
+# (cover at the low end) order
+def _ring_order_covers(rows):
+    return (rows, (rows[0], rows[0] + 3))
+
+
 class TestBandedDomainSolve:
     @pytest.mark.parametrize("flavor", ["five_point", "gauge_step"])
     @pytest.mark.parametrize("k", [1, 2])
@@ -820,8 +847,11 @@ class TestBandedDomainSolve:
         for rows in ((0, f.piece.n_r - 1), (4, 19)):
             A = _assemble_domain_matrix(f, rows, flavor)
             shape = (rows[1] - rows[0] - 1, n_theta, k)
-            solve = solver._banded_inverse(A, shape, solver._STENCIL_STEP[flavor])
-            _assert_solves_match(solve, A, shape, rng)
+            for cover in _ring_order_covers(rows):
+                dom = solver._Domain(_domain_data(f, rows, flavor), rows, cover,
+                                     np.ones(cover[1] - cover[0] + 1),
+                                     solver._STENCIL_STEP[flavor])
+                _assert_solves_match(dom.solve, A, shape, rng)
 
     @pytest.mark.parametrize("flavor", ["five_point", "gauge_step"])
     def test_twisted_neck_domains(self, flavor):
@@ -836,15 +866,45 @@ class TestBandedDomainSolve:
 
     def test_indefinite_domain_raises(self):
         f = _domain_field(1, 16)
-        A = _assemble_domain_matrix(f, (0, 30), "gauge_step")
+        data = _domain_data(f, (0, 30), "gauge_step")
         with pytest.raises(SolverError, match="not positive definite"):
-            solver._banded_inverse(-A, (29, 16, 1), 2)
+            solver._Domain(-data, (0, 30), (0, 30), np.ones(31), 2)
 
-    def test_five_point_stencil_is_not_parity_split(self):
+    @pytest.mark.parametrize("flavor", ["five_point", "gauge_step"])
+    @pytest.mark.parametrize("descending", [False, True])
+    def test_class_bands_reassemble_the_domain_matrix(self, flavor, descending):
+        # the block diagonal of the class bands, permuted back to (ring,
+        # theta, component) order, is the domain matrix entry for entry
         f = _domain_field(1, 16)
-        A = _assemble_domain_matrix(f, (0, 30), "five_point")
-        with pytest.raises(SolverError, match="parity classes"):
-            solver._banded_inverse(A, (29, 16, 1), 2)
+        data = _domain_data(f, (0, 30), flavor)
+        step = solver._STENCIL_STEP[flavor]
+        bands = solver._class_bands(data, step, descending)
+        perm = np.concatenate([cls.ravel() for cls, _ in bands])
+        B = sp.block_diag([_band_matrix(band) for _, band in bands], format="coo")
+        A = sp.csc_matrix((B.data, (perm[B.row], perm[B.col])), shape=B.shape)
+        assert len(bands) == step * step
+        assert (A != _assemble_domain_matrix(f, (0, 30), flavor)).nnz == 0
+
+
+class TestPatchedAppliesMatchSparseLU:
+    # the applies solve only the trailing block of each class factor; on
+    # the two-neck piece the middle domain's cover sits inside it, so the
+    # trailing block also holds rings past the cover
+    @pytest.mark.parametrize("flavor", ["five_point", "gauge_step"])
+    @pytest.mark.parametrize("make_seed", [_twisted_neck_seed, two_neck_seed])
+    def test_apply_and_apply_symmetric(self, make_seed, flavor):
+        f = make_seed()
+        p = f.piece
+        eta = np.random.default_rng(33).normal(size=(p.n_r, p.n_theta, 1))
+        eta[0] = eta[-1] = 0.0
+        for symmetric in (False, True):
+            pre, reference = _splu_patched(f, flavor, symmetric)
+            out = pre.apply_symmetric(eta) if symmetric else pre.apply(eta)
+            ref = reference(eta)
+            assert np.linalg.norm(out - ref) <= 1e-10 * np.linalg.norm(ref)
+        if make_seed is two_neck_seed:
+            (a, b), (ca, cb) = pre.domains[1].rows, pre.domains[1].cover
+            assert a + 1 < ca and cb < b - 1
 
 
 class TestPatchedMatchesSparseLU:

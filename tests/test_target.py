@@ -281,7 +281,7 @@ class TestTauFinite:
 class TestLargeTau:
     # the convergence test is relative to |tau|: an absolute 1e-12 is below
     # the float resolution of Phi once |tau| >= 1e4
-    @pytest.mark.parametrize("tau", [1e4, 1e12])
+    @pytest.mark.parametrize("tau", [1e4, 1e12, 1e14, 3e14, 1e15])
     def test_large_tau_validates_and_retracts(self, tau):
         for w in ([[1]], [[1, 2]]):
             t = TargetSpace(len(w[0]), 1, w, [tau])
@@ -293,8 +293,8 @@ class TestLargeTau:
                 assert np.linalg.norm(moment_map(t, on_level)) <= 1e-12 * tau
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("tau", [1e15, 1e308])
+    @pytest.mark.parametrize("tau", [1e200, 1e308])
     def test_unreachable_tau_is_named(self, tau):
         t = TargetSpace(1, 1, [[1]], [tau])
-        with pytest.raises(TargetError, match=r"\|tau\| = 1e\+(15|308) is too large"):
+        with pytest.raises(TargetError, match=r"\|tau\| = 1e\+(200|308)\b.*too large"):
             validate_chamber(t)
