@@ -17,7 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import VortexlabError
-from .fields import GaugedField, energy, energy_density, holonomy, ring_average
+from .fields import GaugedField, energy, holonomy, ring_average, ring_energy
 from .quasimap import correspondence
 from .solver import SolveConfig, newton_solve
 from .surface import glue
@@ -42,7 +42,6 @@ __all__ = [
     "energy_homology_check",
     "pairing_value",
     "mass_scale",
-    "ring_energy",
 ]
 
 #: measured energy of the basic degree-one vortex per unit shift: the abelian
@@ -55,11 +54,6 @@ QUANT_FLOOR = 1e-6
 
 class ExperimentError(VortexlabError, RuntimeError):
     pass
-
-
-def ring_energy(f: GaugedField) -> np.ndarray:
-    """Angular line integral of the energy density per ring."""
-    return energy_density(f).sum(axis=1) * f.piece.h_theta
 
 
 def mass_scale(t: TargetSpace) -> float:
@@ -75,6 +69,15 @@ def mass_scale(t: TargetSpace) -> float:
         gram = L_operator(t, p.point)
         return 2.0 * math.sqrt(max(np.min(np.linalg.eigvalsh(gram)), 0.0))
     raise ExperimentError("no zero-level sample point found")
+
+
+def _loglinear(x: np.ndarray, logs: np.ndarray):
+    """Least-squares line through (x, logs): (slope, intercept, R^2), R^2 = 0
+    when logs is constant."""
+    slope, intercept = np.polyfit(x, logs, 1)
+    var = logs.var()
+    r2 = 1.0 - ((logs - (slope * x + intercept)) ** 2).mean() / var if var > 0 else 0.0
+    return slope, intercept, r2
 
 
 @dataclass
@@ -121,11 +124,7 @@ def decay_fit(f: GaugedField, end: str, window: tuple,
     if len(rs) < 3 or np.max(es) < zero_floor:
         return DecayFit((lo, hi), 0.0, 0.0, 0.0, samples, rejected=True,
                         note=note or "no energy in window")
-    logs = np.log(np.maximum(es, 1e-300))
-    slope, intercept = np.polyfit(rs, logs, 1)
-    pred = slope * rs + intercept
-    var = logs.var()
-    r2 = 1.0 - ((logs - pred) ** 2).mean() / var if var > 0 else 0.0
+    slope, intercept, r2 = _loglinear(rs, np.log(np.maximum(es, 1e-300)))
     gamma = -slope * sign
     return DecayFit((lo, hi), float(gamma), float(math.exp(intercept)),
                     float(r2), samples, note=note)
@@ -155,10 +154,7 @@ def annulus_check(f: GaugedField, t_values) -> dict:
     monotone = bool(np.all(np.diff(mids) <= 1e-12 * max(mids[0], 1e-300)))
     pos = mids > 0
     if pos.sum() >= 3:
-        slope, intercept = np.polyfit(table[pos, 0], np.log(mids[pos]), 1)
-        logs = np.log(mids[pos])
-        pred = slope * table[pos, 0] + intercept
-        r2 = 1.0 - ((logs - pred) ** 2).mean() / logs.var() if logs.var() > 0 else 0.0
+        slope, _, r2 = _loglinear(table[pos, 0], np.log(mids[pos]))
         delta_hat = -slope
     else:
         delta_hat, r2 = 0.0, 0.0

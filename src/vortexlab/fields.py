@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import VortexlabError
-from .surface import GluedSurface, Piece
+from .surface import GluedSurface, Piece, sleeve_band
 from .target import (
     Fingerprint,
     TargetSpace,
@@ -47,6 +47,7 @@ __all__ = [
     "moment_map_field",
     "gram_field",
     "energy",
+    "ring_energy",
     "apply_unitary_gauge",
     "apply_complex_gauge",
     "holonomy",
@@ -187,11 +188,7 @@ def vortex_residual(f: GaugedField) -> np.ndarray:
 @dataclass(frozen=True)
 class EnergyReport:
     total: float
-    density: np.ndarray  # (n_r, n_theta)
     partials: dict
-
-    def region(self, name: str) -> float:
-        return self.partials[name]
 
 
 def energy_density(f: GaugedField) -> np.ndarray:
@@ -205,12 +202,15 @@ def energy_density(f: GaugedField) -> np.ndarray:
     )
 
 
+def ring_energy(f: GaugedField) -> np.ndarray:
+    """Angular line integral of the energy density per ring."""
+    return energy_density(f).sum(axis=1) * f.piece.h_theta
+
+
 def energy(f: GaugedField) -> EnergyReport:
     """Quadrature of |*F|^2 + |d_A u|^2 + |Phi(u)|^2 over the flat area element."""
     p = f.piece
-    dens = energy_density(f)
-    wr = p.quad_weights_r
-    ring = dens.sum(axis=1) * p.h_theta * wr
+    ring = ring_energy(f) * p.quad_weights_r
     total = float(ring.sum())
     partials = {}
     covered = np.zeros(p.n_r, dtype=bool)
@@ -225,16 +225,13 @@ def energy(f: GaugedField) -> EnergyReport:
     if not np.all(covered):  # broken-end extensions
         partials["extensions"] = float(ring[~covered].sum())
     if p.necks:
-        width = f.surface.sleeve_width
-        half = lambda nk: 0.5 * (nk.i_plus + nk.i_minus)
         band = np.zeros(p.n_r, dtype=bool)
         for nk in p.necks:
-            lo = int(round(half(nk) - 0.5 * width / p.h_r))
-            hi = int(round(half(nk) + 0.5 * width / p.h_r))
+            lo, hi = sleeve_band(p, nk, f.surface.sleeve_width)
             band[lo : hi + 1] = True
         partials["sleeves"] = float(ring[band].sum())
         partials["core"] = float(ring[~band].sum())
-    return EnergyReport(total, dens, partials)
+    return EnergyReport(total, partials)
 
 
 # -- gauge actions ------------------------------------------------------------

@@ -22,16 +22,15 @@ from typing import Optional
 import numpy as np
 
 from . import VortexlabError
-from .fields import GaugedField, d_r, energy_density, limit_orbit
+from .fields import GaugedField, d_r, limit_orbit, ring_energy
 from .modgraph import ModularGraph
 from .solver import SolveConfig, newton_solve
 from .surface import GluedSurface, SurfaceError
 from .target import (
     TargetSpace,
-    fingerprint,
     fingerprint_distance,
     is_semistable,
-    kempf_ness_shift,
+    kempf_ness,
     kempf_ness_shifts,
     semistable_mask,
 )
@@ -182,9 +181,7 @@ def is_stable_quasimap(q: QuasimapData, components: Optional[dict] = None,
                 for val in vals:
                     if not is_semistable(q.target, val):
                         return False
-                    s, _ = kempf_ness_shift(q.target, val)
-                    w = q.target.weights.astype(float)
-                    fps.append(fingerprint(q.target, np.exp(w.T @ s) * val))
+                    fps.append(kempf_ness(q.target, val).fingerprint)
                 if all(fingerprint_distance(fps[0], fp) < 1e-9 for fp in fps[1:]):
                     return False  # constant on a two-pointed sphere
             else:
@@ -276,9 +273,8 @@ def build_seed(
     x_right_dir = q.asymptotic(piece.right.anchor)
     if not is_semistable(t, x_right_dir):
         raise QuasimapError("right-end asymptotic direction is unstable")
-    s_r, _ = kempf_ness_shift(t, x_right_dir)
+    x_right = kempf_ness(t, x_right_dir).point
     w = t.weights.astype(float)
-    x_right = np.exp(w.T @ s_r) * x_right_dir
 
     # section assembled in log space: log c_j + sum_m Log(e^{-z} - e^{-z_m})
     r = piece.r[:, None]
@@ -356,7 +352,7 @@ def _find_end(surface: GluedSurface, anchor: tuple):
 def _decay_rate_estimate(f: GaugedField, end: str) -> float:
     """Crude log-slope of the ring energy density toward an end (positive)."""
     p = f.piece
-    dens = energy_density(f).sum(axis=1) * p.h_theta
+    dens = ring_energy(f)
     n = p.n_r
     lo, hi = (int(0.55 * n), int(0.9 * n)) if end == "right" else (int(0.1 * n), int(0.45 * n))
     vals = np.maximum(dens[lo:hi], 1e-300)

@@ -15,8 +15,8 @@ apply only the trailing block under the cutoff.  The Newton is inexact: the
 inner tolerance of each step is an Eisenstat-Walker forcing term (choice 2)
 floored at cg_tol, and a backtracking line search guards the large-residual
 regime.  The five-point operator (linearized_apply) is the default system of
-cg_solve, which the local gauge-fixing diagnostics (flat complex gauge on a
-patch, Coulomb gauge) share.
+cg_solve; the local gauge-fixing diagnostics (flat complex gauge on a patch,
+Coulomb gauge) run pcg on their own operators.
 """
 
 from __future__ import annotations
@@ -322,15 +322,13 @@ def cg_solve(
     """Conjugate gradients for (Laplacian + Gram) xi = rhs on interior sites.
 
     operator replaces the default five-point operator of linearized_apply
-    (Gram(u) frozen for the solve); cfg.cg_tol and cfg.max_cg bound the
-    solve (see pcg).  An operator made by _stencil is solved on flat interior
-    vectors with its CSR matrix.  Returns (xi, iterations).
+    (Gram(u) frozen for the solve) and must come from _stencil, such as
+    gauge_step_operator(f): the solve runs on flat interior vectors with its
+    CSR matrix.  A plain callable operator goes to pcg directly.
+    cfg.cg_tol and cfg.max_cg bound the solve (see pcg).  Returns (xi,
+    iterations).
     """
-    apply_op = operator if operator is not None else _stencil(f, 1)
-    A = getattr(apply_op, "matrix", None)
-    if A is None:
-        return pcg(apply_op, _zero_boundary(rhs), preconditioner,
-                   cfg.cg_tol, cfg.max_cg)
+    A = (operator if operator is not None else _stencil(f, 1)).matrix
     xi = np.zeros(rhs.shape)
     inner = xi[1:-1]
     M = None
@@ -404,20 +402,22 @@ def _forcing_term(norm: float, prev_norm: Optional[float],
 
 
 def newton_solve(f: GaugedField, cfg: Optional[SolveConfig] = None,
-                 preconditioner: Optional[Callable] = None,
                  snapshot_callback: Optional[Callable] = None):
     """Drive the vortex residual to cfg.newton_tol within the complex gauge
     orbit of f.  Returns (field, xi_total, SolveReport).
 
     Each step solves its Jacobian system to the forcing term of
     _forcing_term (at least cfg.cg_tol relative) and records it in
-    report.cg_tolerances.  cfg.preconditioner = "patched" assembles the
-    core/sleeve approximate inverse from the seed and applies its symmetric
-    form inside every inner solve.  ``snapshot_callback(iteration, field)``
-    is invoked on the seed and after every accepted step."""
+    report.cg_tolerances.  cfg.preconditioner, the one selector of the inner
+    preconditioner, is "none" or "patched": the latter assembles the
+    core/sleeve approximate inverse (gauge_step flavor) from the seed and
+    applies its symmetric form inside every inner solve.
+    ``snapshot_callback(iteration, field)`` is invoked on the seed and after
+    every accepted step."""
     cfg = cfg or SolveConfig()
     _check_seed(f)
-    if preconditioner is None and cfg.preconditioner == "patched":
+    preconditioner = None
+    if cfg.preconditioner == "patched":
         preconditioner = PatchedPreconditioner(f, flavor="gauge_step").apply_symmetric
     p = f.piece
     to_norm2 = 1.0 / math.sqrt(p.h_r * p.h_theta)  # weighted l2 -> Euclidean
@@ -567,19 +567,6 @@ def coulomb_gauge_local(f: GaugedField, rows: tuple, kappa: float = 1.0,
 
 # _operator step of each domain flavor: "gauge_step" is the wide stencil
 _STENCIL_STEP = {"five_point": 1, "gauge_step": 2}
-
-
-def _assemble_domain_matrix(f: GaugedField, rows: tuple,
-                            flavor: str = "five_point") -> sp.csc_matrix:
-    """The _operator of flavor "five_point" (step 1, linearized_apply) or
-    "gauge_step" (step 2, the operator solved inside Newton) on domain rows
-    [a, b] as a sparse matrix with its own index arrays and without the zero
-    dummy slots: the reference the class bands are checked against."""
-    if flavor not in _STENCIL_STEP:
-        raise SolverError(f"unknown operator flavor {flavor!r}")
-    A = _operator(f, rows, _STENCIL_STEP[flavor], gram_field(f)).tocsc()
-    A.eliminate_zeros()
-    return A
 
 
 def _class_bands(data: np.ndarray, step: int, descending: bool) -> list:

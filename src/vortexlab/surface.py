@@ -7,6 +7,11 @@ two socket rings with the twist absorbed into an integer roll of the angular
 index.  A connected glued chain becomes a single rectangular grid (a Piece);
 delta = 0 leaves the node in place and splits the chain into broken pieces
 whose former sockets become truncated cylindrical ends.
+
+The core/sleeve cover of a piece puts a band of width sleeve_width on the
+middle of every neck (sleeve_band, the one place that rounds it to rings)
+and splits the piece into one cover chunk per component, whose weights
+ramp across each band by cutoff_profile and sum to one.
 """
 
 from __future__ import annotations
@@ -25,7 +30,6 @@ __all__ = [
     "SurfaceError",
     "End",
     "ComponentMesh",
-    "build_component",
     "Strip",
     "Neck",
     "Piece",
@@ -36,6 +40,7 @@ __all__ = [
     "NeckCover",
     "CoverPiece",
     "core_sleeve",
+    "sleeve_band",
     "cutoff_profile",
     "smoothstep",
 ]
@@ -87,28 +92,6 @@ class ComponentMesh:
     @property
     def r(self) -> np.ndarray:
         return self.r_min + self.h_r * np.arange(self.n_r)
-
-
-def build_component(spec: dict) -> ComponentMesh:
-    """Build a ComponentMesh from {n_r, n_theta, h_r, r_min, left, right}.
-
-    ``left``/``right`` are End values or dicts {kind, anchor, edge}.
-    """
-    def end_of(x):
-        if isinstance(x, End):
-            return x
-        if isinstance(x, dict):
-            return End(x["kind"], tuple(x.get("anchor", ())), x.get("edge"))
-        raise SurfaceError(f"bad end descriptor {x!r}")
-
-    return ComponentMesh(
-        n_r=int(spec["n_r"]),
-        n_theta=int(spec["n_theta"]),
-        h_r=float(spec["h_r"]),
-        r_min=float(spec.get("r_min", 0.0)),
-        left=end_of(spec["left"]),
-        right=end_of(spec["right"]),
-    )
 
 
 @dataclass(frozen=True)
@@ -186,12 +169,6 @@ class Piece:
                 return s
         raise SurfaceError(f"vertex {vertex!r} not meshed in this piece")
 
-    def global_site(self, vertex, i_local: int, j_local: int):
-        s = self.strip_for(vertex)
-        if not 0 <= i_local < s.n_r:
-            raise SurfaceError(f"ring {i_local} outside component {vertex!r}")
-        return s.i0 + i_local, (j_local + s.shift) % self.n_theta
-
     def local_z_to_global(self, vertex, z: complex) -> complex:
         """Component-local cylinder coordinate r + i theta -> piece coordinate."""
         s = self.strip_for(vertex)
@@ -221,12 +198,6 @@ class GluedSurface:
     break_radius: float
     pieces: list = field(default_factory=list)
     broken_edges: list = field(default_factory=list)
-
-    def piece_of(self, vertex):
-        for idx, p in enumerate(self.pieces):
-            if any(s.vertex == vertex for s in p.strips):
-                return idx, p
-        raise SurfaceError(f"vertex {vertex!r} is not meshed")
 
 
 def neck_parameters(delta: complex) -> tuple:
@@ -433,26 +404,24 @@ def smoothstep(x) -> np.ndarray:
     return t * t * (3.0 - 2.0 * t)
 
 
-def smoothstep_integral(x) -> np.ndarray:
-    """Integral of smoothstep from 0, exact on and off the ramp."""
-    t = np.clip(x, 0.0, 1.0)
-    ramp = t**3 - 0.5 * t**4
-    return ramp + np.where(np.asarray(x) > 1.0, np.asarray(x) - 1.0, 0.0)
-
-
 def cutoff_profile(delta: float):
-    """Monotone C^1 profile on [-delta/2, delta/2] with phi(x)+phi(-x)=1.
-
-    Returns (callable, table); the table samples (x, phi(x)) on the support.
-    """
+    """Monotone C^1 profile phi on [-delta/2, delta/2], 0 below and 1 above,
+    with phi(x) + phi(-x) = 1; returns the callable."""
     if delta <= 0:
         raise SurfaceError("cutoff width must be positive")
 
     def phi(x):
         return smoothstep((np.asarray(x, dtype=float) + delta / 2.0) / delta)
 
-    xs = np.linspace(-delta / 2.0, delta / 2.0, 101)
-    return phi, np.column_stack([xs, phi(xs)])
+    return phi
+
+
+def sleeve_band(piece: Piece, neck: Neck, width: float) -> tuple:
+    """Global rings (j_lo, j_hi) of a neck's sleeve band: the rings within
+    width / 2 of the neck's middle, rounded to the grid."""
+    half = 0.5 * (neck.i_plus + neck.i_minus)
+    half_band = 0.5 * width / piece.h_r
+    return int(round(half - half_band)), int(round(half + half_band))
 
 
 @dataclass(frozen=True)
@@ -485,14 +454,6 @@ class CoreSleeve:
     necks: tuple
     covers: tuple
 
-    def core_mask(self, piece_index: int) -> np.ndarray:
-        p = self.surface.pieces[piece_index]
-        mask = np.ones(p.n_r, dtype=bool)
-        for nc in self.necks:
-            if nc.piece_index == piece_index:
-                mask[nc.j_lo + 1 : nc.j_hi] = False
-        return mask
-
 
 def core_sleeve(surf: GluedSurface) -> CoreSleeve:
     """Core/sleeve decomposition of every glued neck (Delta-wide middle bands).
@@ -503,23 +464,20 @@ def core_sleeve(surf: GluedSurface) -> CoreSleeve:
     delta = surf.sleeve_width
     necks, covers = [], []
     for pi, piece in enumerate(surf.pieces):
-        phi, _ = cutoff_profile(delta)
+        phi = cutoff_profile(delta)
         bands = []
         for nk in piece.necks:
             if nk.length < 2.0 * delta:
                 raise SurfaceError(
                     f"neck {nk.edge}: length {nk.length} below twice the sleeve width"
                 )
-            half = 0.5 * (nk.i_plus + nk.i_minus)
-            half_band = 0.5 * delta / piece.h_r
-            j_lo = int(round(half - half_band))
-            j_hi = int(round(half + half_band))
-            rho = (np.arange(j_lo, j_hi + 1) - half) * piece.h_r
+            j_lo, j_hi = sleeve_band(piece, nk, delta)
+            mid = 0.5 * (nk.i_plus + nk.i_minus)
+            rho = (np.arange(j_lo, j_hi + 1) - mid) * piece.h_r
             phi_plus = 1.0 - phi(rho)
             necks.append(NeckCover(nk.edge, pi, j_lo, j_hi, phi_plus))
             bands.append((j_lo, j_hi, phi_plus))
         # per-component cover chunks spanning into adjacent bands
-        cuts = [0] + [b[0] for b in bands] + [piece.n_r - 1]
         for si, strip in enumerate(piece.strips):
             a = 0 if si == 0 else bands[si - 1][0]
             b = piece.n_r - 1 if si == len(piece.strips) - 1 else bands[si][1]

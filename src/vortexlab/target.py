@@ -228,9 +228,10 @@ def kempf_ness_shifts(t: TargetSpace, V, tol: float = 1e-12, max_iter: int = 60)
     The rescaled point e^{(w^T s)_j} v_j follows the imaginary-direction flow;
     Phi along it is the gradient of a strictly convex potential, so Newton
     with a backtracking line search per row converges for semistable rows.
-    A row has converged when |Phi| <= tol * max(1, |tau|), a tolerance the
-    float resolution of Phi's two terms can meet; converged rows drop out of
-    the iteration.  Returns (S (m, k), iterations (m,)).
+    A row has converged when |Phi| / max(1, |tau|) <= tol, a tolerance the
+    float resolution of Phi's two terms can meet (the norm is taken after
+    the division, so near the zero level it cannot overflow); converged rows
+    drop out of the iteration.  Returns (S (m, k), iterations (m,)).
     """
     V = _as_rows(t, V)
     patterns, inverse = _patterns(V)
@@ -239,7 +240,7 @@ def kempf_ness_shifts(t: TargetSpace, V, tol: float = 1e-12, max_iter: int = 60)
     m = np.abs(V) ** 2
     w = t.weights.astype(float)
     tau_size = float(np.max(np.abs(t.tau)))
-    tol = tol * max(1.0, tau_size)
+    scale = max(1.0, tau_size)
 
     def potential(S, M):
         val = 0.25 * np.sum(np.exp(2.0 * (S @ w)) * M, axis=1) - S @ t.tau
@@ -249,7 +250,7 @@ def kempf_ness_shifts(t: TargetSpace, V, tol: float = 1e-12, max_iter: int = 60)
     # near max(1, |tau|), the scale of the zero level, so wildly scaled inputs
     # cannot overflow the exponentials and a large tau starts near its level
     S = np.zeros((len(V), t.k))
-    log_scale = np.log(max(1.0, tau_size))
+    log_scale = np.log(scale)
     for p, act in enumerate(patterns):
         members = np.flatnonzero(inverse == p)
         S[members] = np.linalg.lstsq(
@@ -268,7 +269,7 @@ def kempf_ness_shifts(t: TargetSpace, V, tol: float = 1e-12, max_iter: int = 60)
                 f"kempf_ness Newton left the float range: |tau| = {tau_size:.3g} "
                 "is too large to retract onto"
             )
-        done = np.linalg.norm(f, axis=1) <= tol
+        done = np.linalg.norm(f / scale, axis=1) <= tol
         if done.any():
             S[live] = s
             iterations[live[done]] = it

@@ -17,6 +17,7 @@ from vortexlab.fields import (
     energy,
     gram_field,
     limit_orbit,
+    ring_energy,
     vortex_residual,
 )
 from vortexlab.modgraph import ModularGraph
@@ -28,7 +29,6 @@ from vortexlab.solver import (
     cg_solve,
     coulomb_gauge_local,
     flat_gauge_fix,
-    _assemble_domain_matrix,
     gauge_step_jacobian_apply,
     gauge_step_operator,
     gauge_update,
@@ -39,7 +39,7 @@ from vortexlab.solver import (
     patched_preconditioner,
     pcg,
 )
-from vortexlab.surface import ComponentMesh, End, glue, single_cylinder
+from vortexlab.surface import ComponentMesh, End, core_sleeve, glue, single_cylinder
 from vortexlab.target import TargetSpace, fingerprint_distance
 
 T1 = TargetSpace(1, 1, [[1]], [1.0])
@@ -298,9 +298,11 @@ class TestCG:
         f = constant_field(cyl(), 0, T1, [1.0])
         p = f.piece
         rhs = np.ones((p.n_r, p.n_theta, 1))
+        rhs[0] = rhs[-1] = 0.0
         bad_operator = lambda x: -linearized_apply(f, x)
+        cfg = SolveConfig()
         with pytest.raises(SolverError, match="positivity"):
-            cg_solve(f, rhs, SolveConfig(), operator=bad_operator)
+            pcg(bad_operator, rhs, None, cfg.cg_tol, cfg.max_cg)
 
 
 class TestPCG:
@@ -339,8 +341,7 @@ class TestNewtonSolve:
         res0 = vortex_residual(f)
         rhs = -res0
         rhs[0] = rhs[-1] = 0.0
-        oracle, _ = cg_solve(f, rhs, cfg,
-                             operator=lambda x: gauge_step_jacobian_apply(f, x))
+        oracle, _ = cg_solve(f, rhs, cfg, operator=gauge_step_operator(f))
         out, xi, rep = newton_solve(f, cfg)
         first = oracle[1:-1]
         phi_norm = abs(0.5 * v**2 - 1.0)
@@ -611,6 +612,20 @@ class TestEnergyPartials:
                             if k.startswith(("component:", "neck:")))
         assert comp_and_neck == pytest.approx(rep.total, rel=1e-12)
 
+    def test_sleeves_sum_ring_energy_over_the_cover_bands(self):
+        # two necks: the sleeve partial is the trapezoid-weighted ring
+        # energy on the union of the core/sleeve cover's neck bands
+        f = two_neck_seed()
+        p = f.piece
+        band = np.zeros(p.n_r, dtype=bool)
+        necks = core_sleeve(f.surface).necks
+        assert len(necks) == 2
+        for nc in necks:
+            band[nc.j_lo : nc.j_hi + 1] = True
+        ring = ring_energy(f) * p.quad_weights_r
+        assert energy(f).partials["sleeves"] == pytest.approx(ring[band].sum(),
+                                                              rel=1e-12)
+
 
 class TestSnapshots:
     def test_callback_sees_every_accepted_iterate(self):
@@ -775,6 +790,16 @@ def _splu_patched(f, flavor, symmetric=True):
     return pre, apply
 
 
+def _assemble_domain_matrix(f, rows, flavor="five_point"):
+    """The _operator of flavor "five_point" (step 1, linearized_apply) or
+    "gauge_step" (step 2, the operator solved inside Newton) on domain rows
+    [a, b] as a sparse matrix with its own index arrays and without the zero
+    dummy slots: the reference the class bands are checked against."""
+    A = solver._operator(f, rows, solver._STENCIL_STEP[flavor], gram_field(f)).tocsc()
+    A.eliminate_zeros()
+    return A
+
+
 def _assert_solves_match(solve, A, shape, rng):
     rhs = rng.normal(size=shape)
     ref = spla.spsolve(A, rhs.ravel()).reshape(shape)
@@ -918,11 +943,13 @@ class TestPatchedMatchesSparseLU:
         err = np.linalg.norm(pre.apply_symmetric(eta) - ref)
         assert err <= 1e-10 * np.linalg.norm(ref)
 
-    def test_newton_cg_iterations_equal_splu_reference(self):
+    def test_newton_cg_iterations_equal_splu_reference(self, monkeypatch):
         seed = glued_pair(L=40.0, n_theta=16, h_r=0.2)
         _, reference = _splu_patched(seed, "gauge_step")
         _, _, rep = newton_solve(seed, SolveConfig(preconditioner="patched"))
-        _, _, rep_ref = newton_solve(seed, SolveConfig(), preconditioner=reference)
+        monkeypatch.setattr(PatchedPreconditioner, "apply_symmetric",
+                            lambda self, eta: reference(eta))
+        _, _, rep_ref = newton_solve(seed, SolveConfig(preconditioner="patched"))
         assert rep.converged
         assert rep.cg_iterations == rep_ref.cg_iterations
         assert rep.final_energy == pytest.approx(rep_ref.final_energy, rel=1e-10)

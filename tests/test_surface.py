@@ -9,14 +9,11 @@ from vortexlab.surface import (
     ComponentMesh,
     End,
     SurfaceError,
-    build_component,
     core_sleeve,
     cutoff_profile,
     glue,
     neck_parameters,
     single_cylinder,
-    smoothstep,
-    smoothstep_integral,
 )
 
 
@@ -31,11 +28,8 @@ def two_component_setup(n_theta=16, h_r=0.1):
 
 class TestBuildComponent:
     def test_extent(self):
-        m = build_component(
-            {"n_r": 100, "n_theta": 32, "h_r": 0.1, "r_min": 0.0,
-             "left": End("truncation", ("leg", 1)),
-             "right": End("truncation", ("leg", 2))}
-        )
+        m = ComponentMesh(100, 32, 0.1, 0.0, End("truncation", ("leg", 1)),
+                          End("truncation", ("leg", 2)))
         assert m.r_max == pytest.approx(9.9)
         assert m.h_theta == pytest.approx(2 * math.pi / 32)
 
@@ -96,7 +90,8 @@ class TestGlue:
         graph, comps = two_component_setup(n_theta=16)
         surf = glue(comps, graph, {0: cmath.exp(-10.0 + 1j * math.pi)}, sleeve_width=4.0)
         (piece,) = surf.pieces
-        ring, col = piece.global_site("v", 0, 0)
+        strip = piece.strip_for("v")
+        ring, col = strip.i0, strip.shift % piece.n_theta  # v's local site (0, 0)
         assert ring == piece.necks[0].i_minus
         assert col == 8  # pi twist = half of 16 angular sites
 
@@ -105,8 +100,8 @@ class TestGlue:
         surf = glue(comps, graph, {0: 0}, sleeve_width=4.0, break_radius=5.0)
         assert surf.broken_edges == [0]
         assert len(surf.pieces) == 2
-        pu = surf.pieces[surf.piece_of("u")[0]]
-        pv = surf.pieces[surf.piece_of("v")[0]]
+        pu, pv = (next(p for p in surf.pieces if any(s.vertex == v for s in p.strips))
+                  for v in ("u", "v"))
         assert pu.right.anchor == ("node", 0, "+")
         assert pv.left.anchor == ("node", 0, "-")
         # truncated extension of 5.0 at the broken socket
@@ -148,17 +143,17 @@ class TestGlue:
 
 class TestCutoffProfile:
     def test_midpoint(self):
-        phi, _ = cutoff_profile(4.0)
+        phi = cutoff_profile(4.0)
         assert phi(0.0) == pytest.approx(0.5)
 
     def test_support_edges(self):
-        phi, _ = cutoff_profile(4.0)
+        phi = cutoff_profile(4.0)
         assert phi(2.0) == 1.0
         assert phi(-2.0) == 0.0
         assert phi(5.0) == 1.0
 
     def test_antisymmetry_identity(self):
-        phi, _ = cutoff_profile(3.0)
+        phi = cutoff_profile(3.0)
         xs = np.linspace(-1.5, 1.5, 100)
         assert np.allclose(phi(xs) + phi(-xs), 1.0, atol=1e-15)
 
@@ -166,12 +161,14 @@ class TestCutoffProfile:
         with pytest.raises(SurfaceError):
             cutoff_profile(0.0)
 
-    def test_smoothstep_integral_matches_quadrature(self):
-        xs = np.linspace(0, 2.0, 9)
-        for x in xs:
-            grid = np.linspace(0, x, 20001)
-            quad = np.trapezoid(smoothstep(grid), grid)
-            assert smoothstep_integral(x) == pytest.approx(quad, abs=1e-8)
+
+def _core_mask(cs, piece_index):
+    """Rings of a piece outside the open sleeve bands of its necks."""
+    mask = np.ones(cs.surface.pieces[piece_index].n_r, dtype=bool)
+    for nc in cs.necks:
+        if nc.piece_index == piece_index:
+            mask[nc.j_lo + 1 : nc.j_hi] = False
+    return mask
 
 
 class TestCoreSleeve:
@@ -190,7 +187,7 @@ class TestCoreSleeve:
         surf = single_cylinder(81, 16, 0.25)
         cs = core_sleeve(surf)
         assert cs.necks == ()
-        assert np.all(cs.core_mask(0))
+        assert np.all(_core_mask(cs, 0))
         (cover,) = cs.covers
         assert (cover.a, cover.b) == (0, surf.pieces[0].n_r - 1)
         assert np.all(cover.phi == 1.0)
@@ -216,7 +213,7 @@ class TestCoreSleeve:
         (nc,) = cs.necks
         assert np.all(count >= 1)
         assert np.all(count[nc.j_lo : nc.j_hi + 1] == 2)
-        core = cs.core_mask(0)
+        core = _core_mask(cs, 0)
         assert np.all(count[core] == 1) or np.all(count[nc.j_lo + 1 : nc.j_hi] == 2)
 
 

@@ -292,9 +292,22 @@ class TestLargeTau:
                 on_level = np.exp(t.weights.T @ s) * v
                 assert np.linalg.norm(moment_map(t, on_level)) <= 1e-12 * tau
 
+    # past |tau| ~ 1e154 the norm of Phi itself overflows, so the
+    # convergence test divides by |tau| first, and so does this check
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("tau", [1e200, 1e308])
+    @pytest.mark.parametrize("tau", [1e200, 1e300])
+    def test_huge_tau_validates_and_retracts_weight_one(self, tau):
+        t = TargetSpace(1, 1, [[1]], [tau])
+        assert validate_chamber(t)
+        V = np.array([[0.3 + 0.1j], [2.0 - 1.0j]])
+        S, _ = kempf_ness_shifts(t, V)
+        for v, s in zip(V, S):
+            on_level = np.exp(t.weights.T @ s) * v
+            assert np.linalg.norm(moment_map(t, on_level) / tau) <= 1e-12
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("tau", [1e307, 1e308])
     def test_unreachable_tau_is_named(self, tau):
         t = TargetSpace(1, 1, [[1]], [tau])
-        with pytest.raises(TargetError, match=r"\|tau\| = 1e\+(200|308)\b.*too large"):
+        with pytest.raises(TargetError, match=r"\|tau\| = 1e\+(307|308)\b.*too large"):
             validate_chamber(t)
