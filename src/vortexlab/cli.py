@@ -271,7 +271,6 @@ _TABLE = {
         "max_newton": (SolveConfig.max_newton, partial(_integer, lo=None)),
         "cg_tol": (SolveConfig.cg_tol, _real),
         "max_cg": (SolveConfig.max_cg, partial(_integer, lo=None)),
-        "damping": (SolveConfig.damping, _flag),
         "preconditioner": (SolveConfig.preconditioner, _name),
     }),
     "experiments": ({}, None),  # _experiment_table, once the target is known
@@ -400,6 +399,12 @@ def parse_config(path) -> RunConfig:
     if None not in (graph, q):
         problems += [f"quasimap.zeros: unknown vertex {vid!r}"
                      for vid in q["zeros"] if vid not in graph.genus]
+        anchors = ({("leg", j) for j, _ in graph.legs}
+                   | {("node", e) for e in range(len(graph.edges))})
+        problems += [f"quasimap.asymptotics[{i}].anchor: {a['anchor']!r} is not "
+                     "[leg, <marking>] or [node, <edge>] of the graph"
+                     for i, a in enumerate(q["asymptotics"])
+                     if tuple(a["anchor"]) not in anchors]
     if None not in (graph, target, q):
         asymptotics = {tuple(a["anchor"]): a["value"] for a in q["asymptotics"]}
         problems += [f"quasimap.asymptotics {anchor}: needs {target.n} values"

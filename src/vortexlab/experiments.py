@@ -51,6 +51,9 @@ ENERGY_QUANTUM = 4.0 * math.pi
 
 QUANT_FLOOR = 1e-6
 
+#: decay_fit rejects a window whose largest ring energy is below this
+DECAY_ZERO_FLOOR = 1e-25
+
 
 class ExperimentError(VortexlabError, RuntimeError):
     pass
@@ -91,14 +94,14 @@ class DecayFit:
     note: str = ""
 
 
-def decay_fit(f: GaugedField, end: str, window: tuple,
-              zero_floor: float = 1e-25) -> DecayFit:
+def decay_fit(f: GaugedField, end: str, window: tuple) -> DecayFit:
     """Log-linear fit of the ring energy over a radial window toward an end.
 
     The window is given in the piece's radial coordinate.  If the section
     vanishes somewhere inside the window (density not yet in the decay
     regime) the window is shifted toward the end and the shift is noted.
-    Constant fields are rejected with a flag.
+    Constant fields (no ring energy above DECAY_ZERO_FLOOR) are rejected
+    with a flag.
     """
     p = f.piece
     e = ring_energy(f)
@@ -121,7 +124,7 @@ def decay_fit(f: GaugedField, end: str, window: tuple,
     rs = p.r[sel]
     es = e[sel]
     samples = np.column_stack([rs, es])
-    if len(rs) < 3 or np.max(es) < zero_floor:
+    if len(rs) < 3 or np.max(es) < DECAY_ZERO_FLOOR:
         return DecayFit((lo, hi), 0.0, 0.0, 0.0, samples, rejected=True,
                         note=note or "no energy in window")
     slope, intercept, r2 = _loglinear(rs, np.log(np.maximum(es, 1e-300)))
@@ -298,14 +301,14 @@ def bubble_locator(profile: NeckProfile, delta: float):
     return float(grid[i - 1] + t * (grid[i] - grid[i - 1]))
 
 
-def ev_continuity(families, legs=None) -> dict:
-    """Fingerprint distances between consecutive members of a sweep."""
+def ev_continuity(families) -> dict:
+    """Fingerprint distances between consecutive members of a sweep, per
+    marking evaluated on the first member."""
     out = {}
     fams = list(families)
     if not fams:
         return out
-    keys = legs or sorted(fams[0].evaluations)
-    for leg in keys:
+    for leg in sorted(fams[0].evaluations):
         ds = []
         for a, b in zip(fams, fams[1:]):
             ds.append(fingerprint_distance(a.evaluations[leg], b.evaluations[leg]))

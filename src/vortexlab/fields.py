@@ -292,12 +292,6 @@ def holonomy(f: GaugedField, r0: float):
     return lift, frac
 
 
-def end_ring(f: GaugedField, end: str, inset: float = 1.0) -> int:
-    p = f.piece
-    n_in = int(round(inset / p.h_r))
-    return n_in if end == "left" else p.n_r - 1 - n_in
-
-
 def ring_average(f: GaugedField, ring: int, lam) -> np.ndarray:
     """Angular mean of u on one ring after undoing the integer twist lam."""
     p = f.piece
@@ -307,12 +301,18 @@ def ring_average(f: GaugedField, ring: int, lam) -> np.ndarray:
     return (f.u[ring] * untwist).mean(axis=0)
 
 
-def limit_orbit(f: GaugedField, end: str, inset: float = 1.0) -> Fingerprint:
-    """Evaluation at a truncated end: untwist the ring, average, retract to
-    the moment-map zero level, and return the gauge-invariant fingerprint."""
+#: limit_orbit reads the ring this far inside the truncated end
+LIMIT_INSET = 1.0
+
+
+def limit_orbit(f: GaugedField, end: str) -> Fingerprint:
+    """Evaluation at a truncated end: untwist the ring LIMIT_INSET inside it,
+    average, retract to the moment-map zero level, and return the
+    gauge-invariant fingerprint."""
     if end not in ("left", "right"):
         raise FieldError("end must be 'left' or 'right'")
-    i = end_ring(f, end, inset)
+    n_in = int(round(LIMIT_INSET / f.piece.h_r))
+    i = n_in if end == "left" else f.piece.n_r - 1 - n_in
     ring_avg = ring_average(f, i, f.lam_left if end == "left" else f.lam_right)
     scale = max(1.0, float(np.max(np.abs(f.u[i]))))
     if not is_semistable(f.target, ring_avg) or np.max(np.abs(ring_avg)) < 1e-8 * scale:

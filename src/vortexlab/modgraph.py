@@ -26,7 +26,6 @@ __all__ = [
     "stabilize",
     "cyl_chains",
     "canonical_form",
-    "graphs_isomorphic",
     "graph_from_json",
     "graph_to_json",
 ]
@@ -329,10 +328,6 @@ def canonical_form(g: ModularGraph) -> tuple:
         if best is None or enc < best:
             best = enc
     return best
-
-
-def graphs_isomorphic(a: ModularGraph, b: ModularGraph) -> bool:
-    return canonical_form(a) == canonical_form(b)
 
 
 def graph_from_json(text: str) -> ModularGraph:

@@ -48,6 +48,9 @@ __all__ = [
 
 MAX_DEGREE = 4
 
+#: zeros stay at least this far inside a truncated end (seed and stability)
+ZERO_MARGIN = 0.5
+
 
 class QuasimapError(VortexlabError, ValueError):
     """Invalid quasimap data (unstable, out-of-range zeros, bad degrees)."""
@@ -61,7 +64,8 @@ class QuasimapData:
     ``zeros`` maps vertex -> tuple over coordinates of complex zero positions
     in the component's local cylinder coordinate; degrees are the zero counts.
     ``asymptotics`` maps end anchors (("leg", j) or ("node", edge)) to values
-    in C^n; missing anchors default to the all-ones direction.
+    in C^n; missing anchors default to the all-ones direction, and a piece's
+    ("node", edge, side) end reads the ("node", edge) value.
     ``deltas`` maps edge id -> gluing parameter (0 keeps the node).
     """
 
@@ -87,7 +91,7 @@ class QuasimapData:
         key = tuple(anchor)
         if key in self.asymptotics:
             return np.asarray(self.asymptotics[key], dtype=complex)
-        if key[:2] == ("node",) or (key and key[0] == "node"):
+        if key and key[0] == "node":
             short = ("node", key[1])
             if short in self.asymptotics:
                 return np.asarray(self.asymptotics[short], dtype=complex)
@@ -126,26 +130,27 @@ def _ends_of_vertex(q: QuasimapData, v, broken) -> list:
     return ends
 
 
-def is_stable_quasimap(q: QuasimapData, components: Optional[dict] = None,
-                       margin: float = 0.5, pin_marked_cylinders: bool = False,
-                       broken_edges=None) -> bool:
+def is_stable_quasimap(q: QuasimapData, surface: Optional[GluedSurface] = None) -> bool:
     """Stability: the graph is pre-stable, base points stay away from special
     points, and every two-ended genus-zero vertex of the NODAL structure is
     non-constant (positive degree or distinct declared end asymptotics).
 
     Edges with nonzero gluing parameter are smoothed, so they impose no
-    per-vertex constraint (the vertices are charts of one smooth component);
-    ``broken_edges`` overrides which edges count as kept nodes (default: the
-    edges whose delta is 0).  With meshes supplied, zero positions must stay
-    inside the meshed interior (markings live at the truncated ends).
-    ``pin_marked_cylinders`` relaxes the non-constancy rule for a cylinder
-    both of whose special points are markings: its translation automorphism
-    is pinned by the mesh, so constant data is a legitimate desk-scale input.
+    per-vertex constraint (the vertices are charts of one smooth component).
+    Without a surface this is the combinatorial rule: the kept nodes are the
+    edges whose delta is 0.  Given the meshed surface, its broken edges are
+    the kept nodes, zero positions must stay ZERO_MARGIN inside the meshed
+    interior (markings live at the truncated ends), and a cylinder both of
+    whose special points are markings may carry constant data: its
+    translation automorphism is pinned by the mesh.
     """
-    if broken_edges is None:
+    if surface is None:
+        components = {}
         broken_edges = {eid for eid in range(len(q.graph.edges))
                         if q.deltas.get(eid, 0) == 0}
-    broken_edges = set(broken_edges)
+    else:
+        components = surface.components
+        broken_edges = set(surface.broken_edges)
     for v in q.graph.vertex_ids():
         g, s = q.graph.genus[v], q.graph.special_points(v)
         if (g == 0 and s < 2) or (g == 1 and s < 1):
@@ -154,14 +159,14 @@ def is_stable_quasimap(q: QuasimapData, components: Optional[dict] = None,
         degs = q.degrees(v)
         if any(d > MAX_DEGREE for d in degs):
             raise QuasimapError(f"degree cap {MAX_DEGREE} exceeded on vertex {v!r}")
-        if components and v in components:
+        if v in components:
             mesh = components[v]
             for zl in q.zeros.get(v, ()):
                 for z in zl:
                     z = complex(z)
-                    if mesh.left.kind == "truncation" and z.real < mesh.r_min + margin:
+                    if mesh.left.kind == "truncation" and z.real < mesh.r_min + ZERO_MARGIN:
                         return False
-                    if mesh.right.kind == "truncation" and z.real > mesh.r_max - margin:
+                    if mesh.right.kind == "truncation" and z.real > mesh.r_max - ZERO_MARGIN:
                         return False
         glued_incident = any(
             eid not in broken_edges and v in q.graph.edges[eid]
@@ -172,7 +177,7 @@ def is_stable_quasimap(q: QuasimapData, components: Optional[dict] = None,
         if q.graph.genus[v] == 0 and q.graph.special_points(v) == 2:
             if sum(degs) > 0:
                 continue
-            if pin_marked_cylinders and len(q.graph.legs_at(v)) == 2:
+            if surface is not None and len(q.graph.legs_at(v)) == 2:
                 continue
             ends = _ends_of_vertex(q, v, broken_edges)
             vals = [q.asymptotic(e) for e in ends]
@@ -248,16 +253,12 @@ def _twist_ramp(piece, lam_left, lam_right, zeros):
     return profile, integral
 
 
-def build_seed(
-    q: QuasimapData,
-    surface: GluedSurface,
-    piece_index: int = 0,
-    margin: float = 0.5,
-) -> GaugedField:
+def build_seed(q: QuasimapData, surface: GluedSurface,
+               piece_index: int = 0) -> GaugedField:
     """Holomorphic seed on one piece: section from elementary factors with the
     degree-forced end twists, their ramp written into a_theta, and a radial
-    rescale pinning the boundary rings to the moment-map zero level.  The dbar
-    residual is O(h^2)."""
+    rescale pinning the boundary rings to the moment-map zero level.  Every
+    zero must lie ZERO_MARGIN inside the piece.  The dbar residual is O(h^2)."""
     piece = surface.pieces[piece_index]
     t = q.target
     zeros = _piece_zeros_global(q, surface, piece_index)
@@ -265,12 +266,12 @@ def build_seed(
     r_lo, r_hi = piece.r[0], piece.r[-1]
     for zl in zeros:
         for z in zl:
-            if not (r_lo + margin <= z.real <= r_hi - margin):
+            if not (r_lo + ZERO_MARGIN <= z.real <= r_hi - ZERO_MARGIN):
                 raise QuasimapError(f"zero at {z} outside the meshed interior")
 
     lam_left = _left_twist(t, degrees)
     lam_right = np.zeros(t.k)
-    x_right_dir = q.asymptotic(piece.right.anchor)
+    x_right_dir = q.asymptotic(piece.right)
     if not is_semistable(t, x_right_dir):
         raise QuasimapError("right-end asymptotic direction is unstable")
     x_right = kempf_ness(t, x_right_dir).point
@@ -342,9 +343,9 @@ class StableVortexFamily:
 
 def _find_end(surface: GluedSurface, anchor: tuple):
     for pi, piece in enumerate(surface.pieces):
-        if tuple(piece.left.anchor) == tuple(anchor):
+        if piece.left == tuple(anchor):
             return pi, "left"
-        if tuple(piece.right.anchor) == tuple(anchor):
+        if piece.right == tuple(anchor):
             return pi, "right"
     raise SurfaceError(f"no piece end with anchor {anchor}")
 
@@ -368,22 +369,17 @@ def default_tol_connect(surface: GluedSurface, gamma_hat: float) -> float:
     return 10.0 * (h**2 + math.exp(-gamma_hat * surface.break_radius))
 
 
-def correspondence(
-    q: QuasimapData,
-    surface: GluedSurface,
-    cfg: Optional[SolveConfig] = None,
-    tol_connect: Optional[float] = None,
-) -> StableVortexFamily:
+def correspondence(q: QuasimapData, surface: GluedSurface,
+                   cfg: Optional[SolveConfig] = None) -> StableVortexFamily:
     """Solve every meshed piece and verify the kept nodes connect.
 
     Each piece gets its seed from the quasimap data and its own Newton solve;
     for every broken edge the limit orbits computed independently on the two
-    sides must agree within tol_connect (measured gaps are reported either
-    way).  Marking evaluations are collected from the leg-anchored ends.
+    sides must agree within default_tol_connect (measured gaps are reported
+    either way).  Marking evaluations are collected from the leg-anchored ends.
     """
     cfg = cfg or SolveConfig()
-    if not is_stable_quasimap(q, surface.components, pin_marked_cylinders=True,
-                              broken_edges=surface.broken_edges):
+    if not is_stable_quasimap(q, surface):
         raise QuasimapError("quasimap data is not stable")
     fields_out, reports = {}, {}
     for pi in range(len(surface.pieces)):
@@ -396,7 +392,7 @@ def correspondence(
     for pi, fsol in fields_out.items():
         gammas.append(_decay_rate_estimate(fsol, "right"))
     gamma_hat = float(np.median(gammas)) if gammas else 1.0
-    tol = tol_connect if tol_connect is not None else default_tol_connect(surface, gamma_hat)
+    tol = default_tol_connect(surface, gamma_hat)
 
     gaps = {}
     for eid in surface.broken_edges:

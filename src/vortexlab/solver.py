@@ -45,7 +45,7 @@ from .fields import (
     limit_orbit,
     vortex_residual,
 )
-from .surface import CoreSleeve, core_sleeve
+from .surface import core_sleeve
 from .target import TargetError
 
 __all__ = [
@@ -53,7 +53,6 @@ __all__ = [
     "SolveConfig",
     "SolveReport",
     "linearized_apply",
-    "moment_functional",
     "pcg",
     "cg_solve",
     "gauge_step_operator",
@@ -78,7 +77,6 @@ class SolveConfig:
     max_newton: int = 30
     cg_tol: float = 1e-10
     max_cg: int = 20000
-    damping: bool = True
     preconditioner: str = "none"  # "none" | "patched"
 
     def __post_init__(self):
@@ -224,16 +222,6 @@ def linearized_apply(f: GaugedField, xi: np.ndarray) -> np.ndarray:
     theta; twists are absorbed into the grid layout) plus the pointwise Gram
     operator of the torus action at u."""
     return _stencil(f, 1)(xi)
-
-
-def moment_functional(f: GaugedField, xi) -> np.ndarray:
-    """Vortex residual of the complex-gauged field; equals
-    *F(a) + Lap(xi) - Phi(e^{-w xi} u) up to the stencil's O(h^2)."""
-    p = f.piece
-    xi = np.asarray(xi, dtype=float)
-    if xi.shape == (f.target.k,):
-        xi = np.broadcast_to(xi, (p.n_r, p.n_theta, f.target.k)).copy()
-    return vortex_residual(apply_complex_gauge(f, xi))
 
 
 def gauge_update(f: GaugedField, xi: np.ndarray) -> GaugedField:
@@ -446,9 +434,7 @@ def newton_solve(f: GaugedField, cfg: Optional[SolveConfig] = None,
         accepted = None
         for halvings in range(20):
             trial = _trial(cur, alpha * step)
-            if trial is not None and (
-                trial[3] <= (1.0 - 1e-4 * alpha) * l2 or not cfg.damping
-            ):
+            if trial is not None and trial[3] <= (1.0 - 1e-4 * alpha) * l2:
                 accepted = trial
                 break
             alpha *= 0.5
@@ -481,46 +467,38 @@ def newton_solve(f: GaugedField, cfg: Optional[SolveConfig] = None,
 
 # -- local gauge fixing -------------------------------------------------------
 
-def flat_gauge_fix(f: GaugedField, rows: tuple, theta_range: Optional[tuple] = None,
-                   cfg: Optional[SolveConfig] = None):
+def flat_gauge_fix(f: GaugedField, rows: tuple):
     """Complex gauge parameter xi, zero on the patch boundary, flattening the
     curvature on the patch to the stencil's O(h^2).
 
-    The patch is rows [i0, i1] (a finite cylinder), optionally restricted to
-    the angular window [j0, j1] (a rectangle).  Returns (xi, fixed_field).
+    The patch is rows [i0, i1], a finite cylinder; the solve runs to the
+    default SolveConfig's cg_tol.  Returns (xi, fixed_field).
     """
-    cfg = cfg or SolveConfig()
     p = f.piece
     i0, i1 = rows
     if not (0 <= i0 < i1 < p.n_r):
         raise SolverError(f"bad patch rows {rows}")
     curv = curvature(f)
     mask = np.zeros((p.n_r, p.n_theta, 1), dtype=bool)
-    if theta_range is None:
-        mask[i0 + 1 : i1, :] = True
-    else:
-        j0, j1 = theta_range
-        mask[i0 + 1 : i1, j0 + 1 : j1] = True
+    mask[i0 + 1 : i1] = True
     five_point = _stencil(f, 1, gram=False)
 
     def lap(xi):
         return np.where(mask, five_point(np.where(mask, xi, 0.0)), 0.0)
 
     rhs = np.where(mask, -curv, 0.0)
-    xi, _ = pcg(lap, rhs, None, cfg.cg_tol, cfg.max_cg)
+    xi, _ = pcg(lap, rhs, None, SolveConfig.cg_tol, SolveConfig.max_cg)
     return xi, apply_complex_gauge(f, xi)
 
 
-def coulomb_gauge_local(f: GaugedField, rows: tuple, kappa: float = 1.0,
-                        cfg: Optional[SolveConfig] = None):
+def coulomb_gauge_local(f: GaugedField, rows: tuple, kappa: float = 1.0):
     """Local Coulomb gauge diagnostic on rows [i0, i1].
 
     Requires sup|*F| <= kappa on the patch.  Minimizes |a - grad(phi)|^2 over
     the patch with the forward-difference gradient, so the paired divergence
-    of the output vanishes to solver tolerance.  Returns (fixed a_r, fixed
-    a_theta, diagnostics dict).
+    of the output vanishes to the default SolveConfig's cg_tol.  Returns
+    (fixed a_r, fixed a_theta, diagnostics dict).
     """
-    cfg = cfg or SolveConfig()
     p = f.piece
     i0, i1 = rows
     curv = curvature(f)[i0 : i1 + 1]
@@ -552,7 +530,7 @@ def coulomb_gauge_local(f: GaugedField, rows: tuple, kappa: float = 1.0,
         out = -div(gr, gt)
         return out - out.mean(axis=(0, 1), keepdims=True)
 
-    phi, _ = pcg(op, rhs, None, cfg.cg_tol, cfg.max_cg)
+    phi, _ = pcg(op, rhs, None, SolveConfig.cg_tol, SolveConfig.max_cg)
     gr, gt = grad(phi - phi.mean(axis=(0, 1), keepdims=True))
     ar -= gr
     at -= gt
@@ -654,13 +632,12 @@ class PatchedPreconditioner:
     dpbtrs per class block and one scatter-add make an apply.
     """
 
-    def __init__(self, f: GaugedField, decomposition: Optional[CoreSleeve] = None,
-                 flavor: str = "five_point"):
+    def __init__(self, f: GaugedField, flavor: str = "five_point"):
         if flavor not in _STENCIL_STEP:
             raise SolverError(f"unknown operator flavor {flavor!r}")
         step, p, k = _STENCIL_STEP[flavor], f.piece, f.target.k
-        decomposition = decomposition or core_sleeve(f.surface)
-        covers = [c for c in decomposition.covers if c.piece_index == f.piece_index]
+        covers = [c for c in core_sleeve(f.surface).covers
+                  if c.piece_index == f.piece_index]
         gram = gram_field(f)  # one evaluation for every domain
         size = p.n_theta * k  # unknowns per ring
         self.domains, self._blocks, parts, n = [], [], [], 0
@@ -699,9 +676,8 @@ class PatchedPreconditioner:
         return self._apply(eta, self._sqrt_phi, self._sqrt_phi)
 
 
-def patched_preconditioner(f: GaugedField,
-                           decomposition: Optional[CoreSleeve] = None) -> PatchedPreconditioner:
-    return PatchedPreconditioner(f, decomposition)
+def patched_preconditioner(f: GaugedField) -> PatchedPreconditioner:
+    return PatchedPreconditioner(f)
 
 
 def operator_defect(f: GaugedField, pre: PatchedPreconditioner,

@@ -119,16 +119,12 @@ class Neck:
     roll: int
 
 
-@dataclass(frozen=True)
-class PieceEnd:
-    anchor: tuple
-    ring: int  # boundary ring index (0 or n_r - 1)
-    orientation: int  # -1 at the left boundary, +1 at the right
-
-
 @dataclass
 class Piece:
-    """One connected glued chain realized as a single rectangular grid."""
+    """One connected glued chain realized as a single rectangular grid.
+
+    left and right are the anchors of its two truncated ends: ("leg", index)
+    or ("node", edge, "+"|"-")."""
 
     n_r: int
     n_theta: int
@@ -136,8 +132,8 @@ class Piece:
     r0: float  # local radial coordinate of ring 0
     strips: list
     necks: list
-    left: PieceEnd
-    right: PieceEnd
+    left: tuple
+    right: tuple
 
     @property
     def h_theta(self) -> float:
@@ -359,8 +355,6 @@ def _build_pieces(surf: GluedSurface, live: dict) -> list:
         n_ext_right = int(round(surf.break_radius / hr)) if last.right.kind == "socket" else 0
         n_r = i + 1 + n_ext_right
         r0 = first.r_min - n_ext_left * hr
-        left_anchor = _truncation_anchor(surf, chain[0], "left")
-        right_anchor = _truncation_anchor(surf, chain[-1], "right")
         pieces.append(
             Piece(
                 n_r=n_r,
@@ -369,8 +363,8 @@ def _build_pieces(surf: GluedSurface, live: dict) -> list:
                 r0=r0,
                 strips=strips,
                 necks=necks,
-                left=PieceEnd(left_anchor, 0, -1),
-                right=PieceEnd(right_anchor, n_r - 1, +1),
+                left=_truncation_anchor(surf, chain[0], "left"),
+                right=_truncation_anchor(surf, chain[-1], "right"),
             )
         )
     return pieces

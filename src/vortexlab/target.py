@@ -37,6 +37,15 @@ __all__ = [
 
 ZERO_TOL = 1e-9
 
+#: kempf_ness_shifts: relative |Phi| at which a row has converged, and the
+#: Newton step budget
+KN_TOL = 1e-12
+KN_MAX_ITER = 60
+
+#: validate_chamber: sample points drawn, and the seed of their generator
+CHAMBER_SAMPLES = 24
+CHAMBER_SEED = 7
+
 
 class TargetError(VortexlabError, ValueError):
     """Bad target data, unstable input, or chamber misconfiguration."""
@@ -221,17 +230,18 @@ def is_semistable(t: TargetSpace, v) -> bool:
 # a trial step may overflow (its potential is then +inf and rejected); a tau
 # too large for the float range shows as a non-finite Phi and is reported
 @np.errstate(over="ignore", invalid="ignore")
-def kempf_ness_shifts(t: TargetSpace, V, tol: float = 1e-12, max_iter: int = 60):
+def kempf_ness_shifts(t: TargetSpace, V):
     """Newton solve for s_i in R^k with Phi(e^{(w^T s_i)} v_i) = 0, for every
     row v_i of V (m, n) at once.
 
     The rescaled point e^{(w^T s)_j} v_j follows the imaginary-direction flow;
     Phi along it is the gradient of a strictly convex potential, so Newton
     with a backtracking line search per row converges for semistable rows.
-    A row has converged when |Phi| / max(1, |tau|) <= tol, a tolerance the
+    A row has converged when |Phi| / max(1, |tau|) <= KN_TOL, a tolerance the
     float resolution of Phi's two terms can meet (the norm is taken after
     the division, so near the zero level it cannot overflow); converged rows
-    drop out of the iteration.  Returns (S (m, k), iterations (m,)).
+    drop out of the iteration, and KN_MAX_ITER steps bound the rest.
+    Returns (S (m, k), iterations (m,)).
     """
     V = _as_rows(t, V)
     patterns, inverse = _patterns(V)
@@ -261,7 +271,7 @@ def kempf_ness_shifts(t: TargetSpace, V, tol: float = 1e-12, max_iter: int = 60)
     iterations = np.zeros(len(V), dtype=int)
     live = np.arange(len(V))
     s, ml = S, m
-    for it in range(max_iter):
+    for it in range(KN_MAX_ITER):
         scaled = np.exp(2.0 * (s @ w)) * ml
         f = 0.5 * scaled @ w.T - t.tau
         if not np.all(np.isfinite(f)):
@@ -269,7 +279,7 @@ def kempf_ness_shifts(t: TargetSpace, V, tol: float = 1e-12, max_iter: int = 60)
                 f"kempf_ness Newton left the float range: |tau| = {tau_size:.3g} "
                 "is too large to retract onto"
             )
-        done = np.linalg.norm(f / scale, axis=1) <= tol
+        done = np.linalg.norm(f / scale, axis=1) <= KN_TOL
         if done.any():
             S[live] = s
             iterations[live[done]] = it
@@ -296,14 +306,14 @@ def kempf_ness_shifts(t: TargetSpace, V, tol: float = 1e-12, max_iter: int = 60)
             alpha[rows] *= 0.5
         s = s + alpha[:, None] * step
     raise TargetError(
-        f"kempf_ness Newton did not converge in {max_iter} steps at |tau| = "
+        f"kempf_ness Newton did not converge in {KN_MAX_ITER} steps at |tau| = "
         f"{tau_size:.3g}; chamber misconfiguration or tau too large"
     )
 
 
-def kempf_ness_shift(t: TargetSpace, v, tol: float = 1e-12, max_iter: int = 60):
+def kempf_ness_shift(t: TargetSpace, v):
     """kempf_ness_shifts for the single point v.  Returns (s, iterations)."""
-    S, iterations = kempf_ness_shifts(t, _as_point(t, v)[None, :], tol, max_iter)
+    S, iterations = kempf_ness_shifts(t, _as_point(t, v)[None, :])
     return S[0], int(iterations[0])
 
 
@@ -414,12 +424,12 @@ def fingerprint_distance(f1: Fingerprint, f2: Fingerprint) -> float:
     return d
 
 
-def validate_chamber(t: TargetSpace, samples: int = 24, seed: int = 7):
+def validate_chamber(t: TargetSpace):
     """Refuse targets whose shift lies outside the feasible cone or whose
     zero level is visited by points with positive-dimensional stabilizer.
 
-    Draws sample points, retracts the semistable ones, and requires the
-    active weight submatrix to have rank k on the zero level.
+    Draws CHAMBER_SAMPLES seeded sample points, retracts the semistable ones,
+    and requires the active weight submatrix to have rank k on the zero level.
     """
     ok, direction = _tau_in_open_cone(t.weights, t.tau)
     if not ok:
@@ -427,7 +437,7 @@ def validate_chamber(t: TargetSpace, samples: int = 24, seed: int = 7):
             "tau outside the feasible cone; destabilizing direction "
             f"{None if direction is None else direction.tolist()}"
         )
-    draws = np.random.default_rng(seed).normal(size=(samples, 2, t.n))
+    draws = np.random.default_rng(CHAMBER_SEED).normal(size=(CHAMBER_SAMPLES, 2, t.n))
     V = draws[:, 0] + 1j * draws[:, 1]
     V = V[semistable_mask(t, V)]
     if len(V) == 0:

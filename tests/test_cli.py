@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -17,6 +18,7 @@ from vortexlab.cli import (
 )
 from vortexlab.fields import FieldError, energy, load_field
 from vortexlab.modgraph import GraphError
+from vortexlab.solver import SolveConfig
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
@@ -681,6 +683,31 @@ class TestQuasimapZeroValidation:
         assert "quasimap.zeros.u[0][0].r must be finite" in err
         assert error["problems"] == [
             "quasimap.zeros.u[0][0].r must be finite, got nan"]
+
+
+class TestAsymptoticsAnchorValidation:
+    def test_unknown_anchors_exit_with_config_error(self, tmp_path, capsys):
+        anchors = [["leg", 9], ["bogus"], ["node", 1], ["node", "0"], ["leg", 2],
+                   ["node", 0]]
+        edit = _set(("quasimap", "asymptotics"),
+                    [{"anchor": a, "value": [[1.0, 0.0]]} for a in anchors])
+        err, error = _main_config_error(tmp_path, capsys, "graph", edit)
+        expected = [f"quasimap.asymptotics[{i}].anchor: {anchors[i]!r} is not "
+                    "[leg, <marking>] or [node, <edge>] of the graph"
+                    for i in range(4)]
+        assert error["problems"] == expected
+        assert all(f"configuration error: {p}" in err for p in expected)
+
+
+class TestSolveKeys:
+    def test_one_key_per_solve_config_field(self):
+        fields = {f.name for f in dataclasses.fields(SolveConfig)}
+        assert cli._TABLE["solve"][1].keys() == fields
+
+    def test_damping_is_an_unknown_key(self, tmp_path, capsys):
+        err, error = _main_config_error(tmp_path, capsys, "solve",
+                                        _set(("solve", "damping"), False))
+        assert error["problems"] == ["solve: unknown key 'damping'"]
 
 
 def _graph_literal(tmp_path, text):

@@ -73,6 +73,12 @@ class TestStability:
         q = QuasimapData(G1, T1, {})
         assert not is_stable_quasimap(q)
 
+    def test_marked_cylinder_pinned_by_its_mesh(self):
+        # constant data on a cylinder between two markings: unstable as
+        # combinatorial data, stable once the mesh pins the translation
+        q = QuasimapData(G1, T1, {})
+        assert is_stable_quasimap(q, cylinder())
+
     def test_degree_one_stable(self):
         q = QuasimapData(G1, T1, {0: ((0.0j,),)})
         assert is_stable_quasimap(q)
@@ -88,7 +94,7 @@ class TestStability:
         surf = cylinder()
         mesh = surf.components[0]
         q = QuasimapData(G1, T1, {0: ((complex(mesh.r_min),),)})
-        assert not is_stable_quasimap(q, surf.components)
+        assert not is_stable_quasimap(q, surf)
 
     def test_degree_cap(self):
         q = QuasimapData(G1, T1, {0: (tuple(0.1j * k for k in range(5)),)})

@@ -40,7 +40,7 @@ class TestBuildComponent:
     def test_full_cylinder_two_truncations(self):
         surf = single_cylinder(81, 16, 0.25, r_min=-10.0)
         (piece,) = surf.pieces
-        assert piece.left.anchor[0] == "leg" and piece.right.anchor[0] == "leg"
+        assert piece.left[0] == "leg" and piece.right[0] == "leg"
         assert piece.r[0] == pytest.approx(-10.0)
         assert piece.r[-1] == pytest.approx(10.0)
 
@@ -102,8 +102,8 @@ class TestGlue:
         assert len(surf.pieces) == 2
         pu, pv = (next(p for p in surf.pieces if any(s.vertex == v for s in p.strips))
                   for v in ("u", "v"))
-        assert pu.right.anchor == ("node", 0, "+")
-        assert pv.left.anchor == ("node", 0, "-")
+        assert pu.right == ("node", 0, "+")
+        assert pv.left == ("node", 0, "-")
         # truncated extension of 5.0 at the broken socket
         assert pu.n_r == 101 + 50
         assert pv.r[0] == pytest.approx(-5.0)
@@ -251,5 +251,5 @@ class TestUnmeshedNeighbor:
                           End("truncation", ("leg", 1)), End("socket", edge=0))
         surf = glue({"u": A}, graph, {}, sleeve_width=4.0, break_radius=5.0)
         (piece,) = surf.pieces
-        assert piece.right.anchor == ("node", 0, "+")
+        assert piece.right == ("node", 0, "+")
         assert piece.n_r == 41 + 20
