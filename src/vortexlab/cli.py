@@ -43,6 +43,10 @@ __all__ = ["ConfigError", "RunConfig", "parse_config", "run", "emit_report", "ma
 
 SCHEMA_VERSION = 1
 
+#: libyaml's safe loader when PyYAML was built with it: the same objects as
+#: yaml.SafeLoader, parsed in C
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 EXIT_OK = 0
 EXIT_ASSERTION = 1
 EXIT_CONFIG = 2
@@ -369,7 +373,7 @@ def parse_config(path) -> RunConfig:
     problem found."""
     try:
         with open(path) as fh:
-            raw = yaml.safe_load(fh) or {}
+            raw = yaml.load(fh, Loader=_YAML_LOADER) or {}
     except (OSError, yaml.YAMLError) as exc:
         raise ConfigError([f"cannot read config: {exc}"])
     if not isinstance(raw, dict):

@@ -51,6 +51,7 @@ __all__ = [
     "apply_unitary_gauge",
     "apply_complex_gauge",
     "holonomy",
+    "end_average",
     "limit_orbit",
     "ring_average",
     "winding_number",
@@ -301,14 +302,15 @@ def ring_average(f: GaugedField, ring: int, lam) -> np.ndarray:
     return (f.u[ring] * untwist).mean(axis=0)
 
 
-#: limit_orbit reads the ring this far inside the truncated end
+#: end_average reads the ring this far inside the truncated end
 LIMIT_INSET = 1.0
 
 
-def limit_orbit(f: GaugedField, end: str) -> Fingerprint:
-    """Evaluation at a truncated end: untwist the ring LIMIT_INSET inside it,
-    average, retract to the moment-map zero level, and return the
-    gauge-invariant fingerprint."""
+def end_average(f: GaugedField, end: str) -> np.ndarray:
+    """The point a truncated end tends to: the ring LIMIT_INSET inside it,
+    untwisted by the end's holonomy and averaged.  Raises FieldError unless
+    that point is semistable and does not vanish against the ring's scale,
+    the one condition under which the end has a limit orbit."""
     if end not in ("left", "right"):
         raise FieldError("end must be 'left' or 'right'")
     n_in = int(round(LIMIT_INSET / f.piece.h_r))
@@ -320,7 +322,13 @@ def limit_orbit(f: GaugedField, end: str) -> Fingerprint:
             f"{end} end ring is not near a semistable point; "
             "a base point is escaping into the marking"
         )
-    return kempf_ness(f.target, ring_avg).fingerprint
+    return ring_avg
+
+
+def limit_orbit(f: GaugedField, end: str) -> Fingerprint:
+    """Evaluation at a truncated end: retract end_average to the moment-map
+    zero level and return the gauge-invariant fingerprint."""
+    return kempf_ness(f.target, end_average(f, end)).fingerprint
 
 
 def winding_number(f: GaugedField, ring: int, coord: int) -> int:
@@ -371,27 +379,40 @@ def surface_spec_hash(surface: GluedSurface, piece_index: int) -> str:
 SNAPSHOT_SCHEMA = 2
 
 
+#: save_field formats this many rings of the site table per write
+SAVE_RING_BLOCK = 64
+
+
 def save_field(f: GaugedField, csv_path, header_path):
     """Plain-text site table plus a JSON header with the schema version, the
-    end twists and the mesh hash."""
+    end twists and the mesh hash.
+
+    The table is the one np.savetxt writes with fmt "%d" for the site and
+    "%.17g" for every other column, byte for byte; it is formatted
+    SAVE_RING_BLOCK rings at a time, with one % per block."""
     p = f.piece
     k, n = f.target.k, f.target.n
     cols = ["site", "r", "theta"]
     cols += [f"a_r_{a}" for a in range(k)] + [f"a_theta_{a}" for a in range(k)]
     for j in range(n):
         cols += [f"re_u_{j}", f"im_u_{j}"]
-    sites = p.n_r * p.n_theta
-    table = np.column_stack([
-        np.arange(sites),
-        np.repeat(p.r, p.n_theta),
-        np.tile(np.arange(p.n_theta) * p.h_theta, p.n_r),
-        f.a_r.reshape(sites, k),
-        f.a_theta.reshape(sites, k),
-        np.stack([f.u.real, f.u.imag], axis=-1).reshape(sites, 2 * n),
-    ])
+    row = ",".join(["%d"] + ["%.17g"] * (len(cols) - 1)) + "\n"
+    theta = np.arange(p.n_theta) * p.h_theta
     with open(csv_path, "w") as fh:
-        np.savetxt(fh, table, fmt=["%d"] + ["%.17g"] * (len(cols) - 1),
-                   delimiter=",", header=",".join(cols), comments="")
+        fh.write(",".join(cols) + "\n")
+        for i in range(0, p.n_r, SAVE_RING_BLOCK):
+            rings = slice(i, i + SAVE_RING_BLOCK)
+            r = p.r[rings]
+            sites = len(r) * p.n_theta
+            table = np.column_stack([
+                np.arange(i * p.n_theta, i * p.n_theta + sites),
+                np.repeat(r, p.n_theta),
+                np.tile(theta, len(r)),
+                f.a_r[rings].reshape(sites, k),
+                f.a_theta[rings].reshape(sites, k),
+                np.stack([f.u[rings].real, f.u[rings].imag], axis=-1).reshape(sites, 2 * n),
+            ])
+            fh.write(row * sites % tuple(table.ravel().tolist()))
     header = {
         "lam_left": [int(x) for x in np.round(f.lam_left)],
         "lam_right": [int(x) for x in np.round(f.lam_right)],

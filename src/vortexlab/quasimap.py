@@ -337,9 +337,6 @@ class StableVortexFamily:
     def total_energy(self) -> float:
         return sum(rep.final_energy for rep in self.reports.values())
 
-    def connected(self) -> bool:
-        return all(g <= self.tol_connect for g in self.connect_gaps.values())
-
 
 def _find_end(surface: GluedSurface, anchor: tuple):
     for pi, piece in enumerate(surface.pieces):

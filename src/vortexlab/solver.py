@@ -40,9 +40,9 @@ from .fields import (
     curvature,
     d_r,
     d_theta,
+    end_average,
     energy,
     gram_field,
-    limit_orbit,
     vortex_residual,
 )
 from .surface import core_sleeve
@@ -352,11 +352,14 @@ def _trial(f: GaugedField, step: np.ndarray):
 
 
 def _check_seed(f: GaugedField):
+    """Refuse a seed without a limit at one of its ends.  Only the
+    semistability of each end_average is checked: the retraction that
+    limit_orbit adds is left to the evaluations that read it."""
     if float(np.max(np.abs(f.u))) == 0.0 and np.any(f.target.tau != 0):
         raise SolverError("unstable seed: u vanishes identically")
     for end in ("left", "right"):
         try:
-            limit_orbit(f, end)
+            end_average(f, end)
         except (FieldError, TargetError) as exc:
             raise SolverError(
                 f"unstable seed: {end} end has no semistable limit"

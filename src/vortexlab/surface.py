@@ -155,10 +155,6 @@ class Piece:
         w[-1] *= 0.5
         return w
 
-    @property
-    def area(self) -> float:
-        return float(np.sum(self.quad_weights_r)) * 2.0 * math.pi
-
     def strip_for(self, vertex) -> Strip:
         for s in self.strips:
             if s.vertex == vertex:

@@ -77,6 +77,9 @@ class TargetSpace:
         if not np.all(np.isfinite(tau)):
             raise TargetError("tau must be finite")
         object.__setattr__(self, "tau", tau)
+        # per active-coordinate pattern, facts that depend only on weights
+        # and tau (_pattern_fact); a plain attribute, not a field
+        object.__setattr__(self, "_pattern_facts", {})
 
 
 def _as_point(t: TargetSpace, v) -> np.ndarray:
@@ -111,10 +114,6 @@ def _active_mask(V: np.ndarray) -> np.ndarray:
     mod = np.abs(V)
     scale = np.maximum(1.0, np.max(mod, axis=1, initial=0.0))
     return mod > ZERO_TOL * scale[:, None]
-
-
-def _active_columns(t: TargetSpace, v) -> np.ndarray:
-    return np.flatnonzero(_active_mask(_as_point(t, v)[None, :])[0])
 
 
 def _as_rows(t: TargetSpace, V) -> np.ndarray:
@@ -189,7 +188,17 @@ def _tau_in_sector(cols, tau):
     return False, np.array([-ray[1], ray[0]]) if abs(perp) > ZERO_TOL else -ray
 
 
-def _pattern_semistable(t: TargetSpace, active: np.ndarray) -> bool:
+def _pattern_fact(t: TargetSpace, compute, active: np.ndarray):
+    """compute(t, active) for the boolean pattern active, worked out once per
+    target and pattern."""
+    key = (compute, active.tobytes())
+    facts = t._pattern_facts
+    if key not in facts:
+        facts[key] = compute(t, active)
+    return facts[key]
+
+
+def _hilbert_mumford(t: TargetSpace, active: np.ndarray) -> bool:
     act = np.flatnonzero(active)
     if len(act) == 0:
         return False
@@ -213,7 +222,7 @@ def semistable_mask(t: TargetSpace, V) -> np.ndarray:
     """is_semistable for every row of V (m, n); the Hilbert-Mumford test runs
     once per distinct active-coordinate pattern."""
     patterns, inverse = _patterns(_as_rows(t, V))
-    ok = np.array([_pattern_semistable(t, pat) for pat in patterns], dtype=bool)
+    ok = np.array([_pattern_fact(t, _hilbert_mumford, pat) for pat in patterns], dtype=bool)
     return ok[inverse]
 
 
@@ -245,7 +254,7 @@ def kempf_ness_shifts(t: TargetSpace, V):
     """
     V = _as_rows(t, V)
     patterns, inverse = _patterns(V)
-    if not all(_pattern_semistable(t, pat) for pat in patterns):
+    if not all(_pattern_fact(t, _hilbert_mumford, pat) for pat in patterns):
         raise TargetError("kempf_ness requires a semistable point")
     m = np.abs(V) ** 2
     w = t.weights.astype(float)
@@ -386,22 +395,28 @@ class Fingerprint:
         }
 
 
+def _phase_combos(t: TargetSpace, active: np.ndarray):
+    """Integer kernel basis of the active weight columns, each combo paired
+    with its extension by zeros to all n coordinates."""
+    act = np.flatnonzero(active)
+    combos = []
+    for combo in _integer_kernel(t.weights[:, act]):
+        full = [0] * t.n
+        for pos, j in enumerate(act):
+            full[j] = combo[pos]
+        combos.append((combo, tuple(full)))
+    return tuple(combos)
+
+
 def fingerprint(t: TargetSpace, v) -> Fingerprint:
     v = _as_point(t, v)
     moduli = tuple(float(x) for x in np.abs(v))
-    act = _active_columns(t, v)
-    phases = []
-    if len(act) > 0:
-        kernel = _integer_kernel(t.weights[:, act])
-        args = np.angle(v[act])
-        for combo in kernel:
-            ang = float(np.mod(np.dot(combo, args), 2.0 * np.pi))
-            full = tuple(int(x) for x in np.zeros(t.n, dtype=int))
-            full = list(full)
-            for pos, j in enumerate(act):
-                full[j] = combo[pos]
-            phases.append((tuple(full), ang))
-    return Fingerprint(moduli, tuple(phases), tuple(int(j) for j in act))
+    active = _active_mask(v[None, :])[0]
+    act = np.flatnonzero(active)
+    args = np.angle(v[act])
+    phases = tuple((full, float(np.mod(np.dot(combo, args), 2.0 * np.pi)))
+                   for combo, full in _pattern_fact(t, _phase_combos, active))
+    return Fingerprint(moduli, phases, tuple(int(j) for j in act))
 
 
 def _angular_distance(a: float, b: float) -> float:

@@ -1,8 +1,10 @@
 import dataclasses
+import glob
 import json
 import math
 import os
 
+import numpy as np
 import pytest
 import yaml
 
@@ -730,6 +732,64 @@ def _set_leg_index(value):
     def edit(data):
         data["graph"]["legs"][0]["index"] = value
     return edit
+
+
+def _same(a, b):
+    """Equal values of equal types all the way down; arrays compare exactly."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and np.array_equal(a, b)
+    if dataclasses.is_dataclass(a):
+        return all(_same(getattr(a, f.name), getattr(b, f.name))
+                   for f in dataclasses.fields(a))
+    if isinstance(a, dict):
+        return list(a) == list(b) and all(_same(a[key], b[key]) for key in a)
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(map(_same, a, b))
+    return a == b
+
+
+needs_libyaml = pytest.mark.skipif(not yaml.__with_libyaml__,
+                                   reason="PyYAML built without libyaml")
+
+
+class TestYamlLoader:
+    """parse_config reads with libyaml when PyYAML has it; the pure-Python
+    SafeLoader gives the same objects on every shipped config."""
+
+    SHIPPED = sorted(glob.glob(os.path.join(CONFIGS, "*.yaml")))
+
+    @needs_libyaml
+    def test_libyaml_is_the_loader(self):
+        assert cli._YAML_LOADER is yaml.CSafeLoader
+
+    @needs_libyaml
+    @pytest.mark.parametrize("path", SHIPPED, ids=os.path.basename)
+    def test_loaders_give_equal_objects(self, path):
+        with open(path) as fh:
+            text = fh.read()
+        assert _same(yaml.load(text, Loader=yaml.CSafeLoader),
+                     yaml.load(text, Loader=yaml.SafeLoader))
+
+    @needs_libyaml
+    @pytest.mark.parametrize("path", SHIPPED, ids=os.path.basename)
+    def test_loaders_give_equal_run_configs(self, path, monkeypatch):
+        with_libyaml = parse_config(path)
+        monkeypatch.setattr(cli, "_YAML_LOADER", yaml.SafeLoader)
+        assert _same(with_libyaml, parse_config(path))
+
+    @pytest.mark.parametrize("text", ["target: [1, 2\n", "target:\n\tn: 1\n"],
+                             ids=["unclosed-bracket", "tab-indent"])
+    def test_malformed_yaml_exits_with_config_error(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.yaml"
+        path.write_text(text)
+        assert main(["graph", "--config", str(path), "--out", str(tmp_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "configuration error: cannot read config:" in err
+        assert "Traceback" not in err
+        (artifact,) = tmp_path.glob("graph-*-error.json")
+        assert load_json(artifact)["problems"][0].startswith("cannot read config:")
 
 
 class TestEveryBadValueIsAConfigError:

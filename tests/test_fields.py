@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from vortexlab.fields import (
+    SAVE_RING_BLOCK,
     FieldError,
     apply_complex_gauge,
     apply_unitary_gauge,
@@ -340,6 +341,45 @@ class TestSerialization:
                 lines.append(",".join(f"{x:.17g}" if isinstance(x, float) else str(x)
                                       for x in row))
         assert csv.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+    @pytest.mark.parametrize("target, n_r", [
+        (TP1, 16),                                                # rank 1, n = 2
+        (TargetSpace(2, 2, [[1, 0], [0, 1]], [1.0, 1.0]), 16),    # k = 2
+        (T1, 2 * SAVE_RING_BLOCK + 3),                            # a partial last block
+    ])
+    def test_csv_bytes_match_savetxt_and_reload_exactly(self, tmp_path, target, n_r):
+        surf = cyl(n_r=n_r, n_theta=8, h_r=0.5)
+        p = surf.pieces[0]
+        rng = np.random.default_rng(n_r + target.k)
+        f = constant_field(surf, 0, target, np.ones(target.n))
+        f = f.with_fields(
+            a_r=rng.normal(size=f.a_r.shape),
+            a_theta=rng.normal(size=f.a_theta.shape),
+            u=rng.normal(size=f.u.shape) + 1j * rng.normal(size=f.u.shape),
+        )
+        csv, hdr = tmp_path / "f.csv", tmp_path / "f.json"
+        save_field(f, csv, hdr)
+        # reference: the whole table through np.savetxt, one row at a time
+        k, n, sites = target.k, target.n, p.n_r * p.n_theta
+        cols = (["site", "r", "theta"] + [f"a_r_{a}" for a in range(k)]
+                + [f"a_theta_{a}" for a in range(k)]
+                + [f"{part}_u_{j}" for j in range(n) for part in ("re", "im")])
+        table = np.column_stack([
+            np.arange(sites),
+            np.repeat(p.r, p.n_theta),
+            np.tile(np.arange(p.n_theta) * p.h_theta, p.n_r),
+            f.a_r.reshape(sites, k),
+            f.a_theta.reshape(sites, k),
+            np.stack([f.u.real, f.u.imag], axis=-1).reshape(sites, 2 * n),
+        ])
+        ref = tmp_path / "ref.csv"
+        with open(ref, "w") as fh:
+            np.savetxt(fh, table, fmt=["%d"] + ["%.17g"] * (len(cols) - 1),
+                       delimiter=",", header=",".join(cols), comments="")
+        assert csv.read_bytes() == ref.read_bytes()
+        g = load_field(surf, 0, target, csv, hdr)
+        for name in ("a_r", "a_theta", "u", "lam_left", "lam_right"):
+            assert np.array_equal(getattr(g, name), getattr(f, name)), name
 
     @pytest.mark.parametrize("version", [None, 1, 3])
     def test_other_schema_version_rejected(self, tmp_path, version):

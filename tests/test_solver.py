@@ -7,8 +7,9 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from vortexlab import solver
+from vortexlab import solver, target
 from vortexlab.fields import (
+    LIMIT_INSET,
     FieldError,
     apply_complex_gauge,
     apply_unitary_gauge,
@@ -396,6 +397,35 @@ class TestNewtonSolve:
         f = constant_field(cyl(), 0, T1, [0.0])
         with pytest.raises(SolverError, match="unstable seed"):
             newton_solve(f, SolveConfig())
+
+    @pytest.mark.parametrize("end", ["left", "right"])
+    def test_seed_with_a_vanishing_end_ring_refused(self, end):
+        f = constant_field(cyl(), 0, T1, [math.sqrt(2.0)])
+        p = f.piece
+        n_in = int(round(LIMIT_INSET / p.h_r))
+        u = f.u.copy()
+        u[n_in if end == "left" else p.n_r - 1 - n_in] = 0.0
+        with pytest.raises(SolverError,
+                           match=f"^unstable seed: {end} end has no semistable limit$"):
+            newton_solve(f.with_fields(u=u), SolveConfig())
+
+    def test_converged_seed_is_not_retracted(self, monkeypatch):
+        # the end check asks only for semistability: on a field already at
+        # the zero level nothing calls the Kempf-Ness retraction
+        calls = []
+        retract = target.kempf_ness_shifts
+
+        def spy(t, V):
+            calls.append(len(V))
+            return retract(t, V)
+
+        monkeypatch.setattr(target, "kempf_ness_shifts", spy)
+        f = constant_field(cyl(), 0, T1, [math.sqrt(2.0)])
+        out, _, rep = newton_solve(f, SolveConfig())
+        assert rep.converged and rep.newton_iterations == 0
+        assert calls == []
+        limit_orbit(out, "left")  # the spy sees the evaluation's retraction
+        assert calls == [1]
 
     def test_gauge_covariant_solution(self, vortex1):
         seed, field, _, _ = vortex1

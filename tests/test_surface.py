@@ -129,7 +129,8 @@ class TestGlue:
         (piece,) = surf.pieces
         comp_area = sum((m.n_r - 1) * m.h_r * 2 * math.pi for m in comps.values())
         neck_area = 10.0 * 2 * math.pi
-        assert piece.area == pytest.approx(comp_area + neck_area, rel=1e-12)
+        area = float(np.sum(piece.quad_weights_r)) * 2 * math.pi
+        assert area == pytest.approx(comp_area + neck_area, rel=1e-12)
 
     def test_misoriented_chain_rejected(self):
         graph = ModularGraph({"u": 0, "v": 0}, (("u", "v"),), ((1, "u"), (2, "v")))

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -225,6 +226,42 @@ class TestKempfNess:
             g = np.exp((T_K2.weights.T @ eta) + 1j * (T_K2.weights.T @ phi))
             f1 = kempf_ness(T_K2, g * v).fingerprint
             assert fingerprint_distance(f0, f1) < 1e-8
+
+
+class TestPatternFactCache:
+    """semistable_mask and fingerprint work out each active-coordinate
+    pattern's facts once per target; a fresh target has an empty cache."""
+
+    T_RANK1_K2 = TargetSpace(3, 2, [[1, 2, 3], [2, 4, 6]], [1.0, 2.0])  # rank 1 < k
+
+    @pytest.mark.parametrize("t", [T_STD, T_P1, T_W12, T_K2, T_RANK1_K2],
+                             ids=["std", "p1", "w12", "k2", "rank1-k2"])
+    def test_cached_mask_equals_uncached_decision(self, t):
+        rng = np.random.default_rng(t.n + 10 * t.k)
+        V = rng.normal(size=(60, t.n)) + 1j * rng.normal(size=(60, t.n))
+        V *= rng.integers(0, 2, size=V.shape)  # zero coordinates, zero rows among them
+        V[:3] = 0.0
+        cached = TargetSpace(t.n, t.k, t.weights, t.tau)
+        first = semistable_mask(cached, V)
+        again = semistable_mask(cached, V[::-1])[::-1]
+        uncached = [is_semistable(TargetSpace(t.n, t.k, t.weights, t.tau), v) for v in V]
+        assert first.tolist() == again.tolist() == uncached
+        assert not first[:3].any()
+
+    def test_cached_fingerprint_equals_uncached(self):
+        rng = np.random.default_rng(12)
+        cached = TargetSpace(T_K2.n, T_K2.k, T_K2.weights, T_K2.tau)
+        for _ in range(20):
+            v = rng.normal(size=3) + 1j * rng.normal(size=3)
+            v[rng.integers(0, 3)] *= rng.integers(0, 2)
+            fresh = TargetSpace(T_K2.n, T_K2.k, T_K2.weights, T_K2.tau)
+            assert fingerprint(cached, v) == fingerprint(fresh, v)
+
+    def test_cache_is_not_a_field(self):
+        assert [f.name for f in dataclasses.fields(TargetSpace)] == ["n", "k", "weights", "tau"]
+        assert is_semistable(T_P1, [1.0, 1.0])
+        # a target built from another does not inherit its facts
+        assert not is_semistable(dataclasses.replace(T_P1, tau=[-1.0]), [1.0, 1.0])
 
 
 class TestFingerprint:
