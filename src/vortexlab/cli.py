@@ -34,7 +34,7 @@ from . import experiments as xp
 from .fields import constant_field, save_field
 from .modgraph import (GraphError, ModularGraph, cyl_chains, graph_from_json,
                        is_stable, stabilize, total_genus)
-from .quasimap import QuasimapData, build_seed, correspondence
+from .quasimap import QuasimapData, build_seed, correspondence, correspondences
 from .solver import SolveConfig, SolverError, newton_solve
 from .surface import ComponentMesh, End, GluedSurface, SurfaceError, glue
 from .target import TargetError, TargetSpace, kempf_ness, validate_chamber
@@ -571,20 +571,21 @@ def _run_ev(cfg: RunConfig, out, name):
     offsets = cfg.experiments["ev"]["offsets"]
     coord = cfg.experiments["ev"]["coordinate"]
     surf = cfg.surface()
-    fams = []
     base = cfg.quasimap
     vertex = next(iter(cfg.components))
-    for off in offsets:
-        zeros = dict(base.zeros)
-        zls = list(zeros.get(vertex, tuple(() for _ in range(cfg.target.n))))
-        while len(zls) <= coord:
-            zls.append(())
-        zls[coord] = tuple(z + off for z in zls[coord]) or (complex(off, 0.0),)
-        zeros[vertex] = tuple(zls)
-        q = QuasimapData(base.graph, base.target, zeros, base.asymptotics,
-                         base.deltas)
-        fams.append(correspondence(q, surf, cfg.solve))
-    dists = xp.ev_continuity(fams)
+
+    def members():
+        for off in offsets:
+            zeros = dict(base.zeros)
+            zls = list(zeros.get(vertex, tuple(() for _ in range(cfg.target.n))))
+            while len(zls) <= coord:
+                zls.append(())
+            zls[coord] = tuple(z + off for z in zls[coord]) or (complex(off, 0.0),)
+            zeros[vertex] = tuple(zls)
+            yield QuasimapData(base.graph, base.target, zeros, base.asymptotics,
+                               base.deltas), surf
+
+    dists = xp.ev_continuity(correspondences(members(), cfg.solve))
     summary = {"offsets": offsets,
                "distances": {str(k): v for k, v in dists.items()}}
     rows = [(leg, float(offsets[i]), float(offsets[i + 1]), float(d))

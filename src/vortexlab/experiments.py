@@ -18,8 +18,8 @@ import numpy as np
 
 from . import VortexlabError
 from .fields import GaugedField, energy, holonomy, ring_average, ring_energy
-from .quasimap import correspondence
-from .solver import SolveConfig, newton_solve
+from .quasimap import correspondences
+from .solver import SolveConfig, solve_all
 from .surface import glue
 from .target import (
     L_operator,
@@ -182,13 +182,11 @@ def annulus_check(f: GaugedField, t_values) -> dict:
 
 def quantization_scan(seeds, cfg: Optional[SolveConfig] = None) -> dict:
     """Solve every seed; report the energies, the spectral gap above the
-    constant sector, and the emptiness of the band (floor, gap/2)."""
-    cfg = cfg or SolveConfig()
-    energies = []
-    for seed in seeds:
-        _, _, rep = newton_solve(seed, cfg)
-        energies.append(rep.final_energy)
-    energies = np.array(energies)
+    constant sector, and the emptiness of the band (floor, gap/2).
+
+    The seeds are independent solves, run by one solve_all call (forked
+    processes when they are large enough, with the serial loop's results)."""
+    energies = np.array([rep.final_energy for _, _, rep in solve_all(seeds, cfg)])
     nonzero = energies[energies > QUANT_FLOOR]
     gap = float(np.min(nonzero)) if len(nonzero) else float("inf")
     band = (QUANT_FLOOR, gap / 2.0)
@@ -262,21 +260,30 @@ def neck_family(
 
     ``components_factory(L) -> (graph, components, edge)`` and
     ``q_factory(L) -> QuasimapData`` supply the per-length setup; each length
-    produces one NeckProfile plus the family of evaluations.
+    produces one NeckProfile plus the family of evaluations.  The lengths
+    are independent solves: correspondences builds every length's seeds and
+    solves them in one solve_all call (forked processes when they are large
+    enough), with the results and errors of a loop over the lengths.
     """
-    cfg = cfg or SolveConfig()
-    profiles = {}
-    families = {}
-    for L in lengths:
-        graph, comps, edge = components_factory(L)
-        surf = glue(comps, graph, {edge: math.exp(-float(L))}, sleeve_width)
-        fam = correspondence(q_factory(L), surf, cfg)
+    pending = []  # (L, edge) of each member built, until finished
+
+    def members():
+        for L in lengths:
+            graph, comps, edge = components_factory(L)
+            surf = glue(comps, graph, {edge: math.exp(-float(L))}, sleeve_width)
+            pending.append((float(L), edge))
+            yield q_factory(L), surf
+
+    def finish(fam):
         if len(fam.fields) != 1:
             raise ExperimentError("neck sweep expects one glued piece per length")
         (pi,) = fam.fields
-        profiles[float(L)] = neck_profile(fam.fields[pi], edge)
-        families[float(L)] = fam
-    return {"profiles": profiles, "families": families}
+        L, edge = pending.pop(0)
+        return L, neck_profile(fam.fields[pi], edge), fam
+
+    done = correspondences(members(), cfg, finish)
+    return {"profiles": {L: profile for L, profile, _ in done},
+            "families": {L: fam for L, _, fam in done}}
 
 
 def bubble_locator(profile: NeckProfile, delta: float):

@@ -17,14 +17,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from . import VortexlabError
 from .fields import GaugedField, d_r, limit_orbit, ring_energy
 from .modgraph import ModularGraph
-from .solver import SolveConfig, newton_solve
+from .solver import SolveConfig, solve_all
 from .surface import GluedSurface, SurfaceError
 from .target import (
     TargetSpace,
@@ -43,6 +43,7 @@ __all__ = [
     "is_stable_quasimap",
     "build_seed",
     "correspondence",
+    "correspondences",
     "MAX_DEGREE",
 ]
 
@@ -370,21 +371,62 @@ def correspondence(q: QuasimapData, surface: GluedSurface,
                    cfg: Optional[SolveConfig] = None) -> StableVortexFamily:
     """Solve every meshed piece and verify the kept nodes connect.
 
-    Each piece gets its seed from the quasimap data and its own Newton solve;
-    for every broken edge the limit orbits computed independently on the two
-    sides must agree within default_tol_connect (measured gaps are reported
-    either way).  Marking evaluations are collected from the leg-anchored ends.
+    Each piece gets its seed from the quasimap data and its own Newton
+    solve; the pieces are independent, so solve_all may run them in forked
+    processes (with the serial loop's results).  For every broken edge the
+    limit orbits computed independently on the two sides must agree within
+    default_tol_connect (measured gaps are reported either way).  Marking
+    evaluations are collected from the leg-anchored ends.
+    """
+    (fam,) = correspondences([(q, surface)], cfg)
+    return fam
+
+
+def correspondences(members, cfg: Optional[SolveConfig] = None,
+                    finish: Optional[Callable] = None) -> list:
+    """Batch form of correspondence over an iterable of (q, surface) members:
+    [finish(family)] in member order (finish defaults to the identity).
+
+    Every member's seeds are built first and all of them solved in one
+    solve_all call; then each family is finished as correspondence does and
+    passed to finish.  An error surfaces where the serial loop over members
+    would have raised it: an exception from the members iterable, a stability
+    check or a seed is held back until every earlier member's solves and
+    finish have run.
     """
     cfg = cfg or SolveConfig()
-    if not is_stable_quasimap(q, surface):
-        raise QuasimapError("quasimap data is not stable")
-    fields_out, reports = {}, {}
-    for pi in range(len(surface.pieces)):
-        seed = build_seed(q, surface, pi)
-        solved, _, report = newton_solve(seed, cfg)
-        fields_out[pi] = solved
-        reports[pi] = report
+    built, seeds, held = [], [], None  # built: (q, surface, first seed)
+    try:
+        for q, surface in members:
+            if not is_stable_quasimap(q, surface):
+                raise QuasimapError("quasimap data is not stable")
+            built.append((q, surface, len(seeds)))
+            for pi in range(len(surface.pieces)):
+                seeds.append(build_seed(q, surface, pi))
+    except Exception as exc:
+        held = exc
+    solved = solve_all(seeds, cfg, return_errors=True)
+    out = []
+    for q, surface, first in built:
+        fields_out, reports = {}, {}
+        for pi in range(len(surface.pieces)):
+            if first + pi == len(seeds):  # this member's seed failed
+                raise held
+            result = solved[first + pi]
+            if isinstance(result, Exception):
+                raise result
+            fields_out[pi], _, reports[pi] = result
+        fam = _connected_family(q, surface, fields_out, reports)
+        out.append(fam if finish is None else finish(fam))
+    if held is not None:
+        raise held
+    return out
 
+
+def _connected_family(q: QuasimapData, surface: GluedSurface, fields_out: dict,
+                      reports: dict) -> StableVortexFamily:
+    """The family of solved pieces, its node gaps and marking evaluations;
+    raises when a kept node does not connect."""
     gammas = []
     for pi, fsol in fields_out.items():
         gammas.append(_decay_rate_estimate(fsol, "right"))

@@ -16,13 +16,19 @@ inner tolerance of each step is an Eisenstat-Walker forcing term (choice 2)
 floored at cg_tol, and a backtracking line search guards the large-residual
 regime.  The five-point operator (linearized_apply) is the default system of
 cg_solve; the local gauge-fixing diagnostics (flat complex gauge on a patch,
-Coulomb gauge) run pcg on their own operators.
+Coulomb gauge) run pcg on their own operators.  solve_all runs a list of
+independent Newton solves, in forked worker processes when the seeds are
+large enough to pay for a fork, with the results of the serial loop.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import os
+import pickle
+import signal
+import threading
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Callable, Optional
@@ -59,6 +65,7 @@ __all__ = [
     "gauge_step_jacobian_apply",
     "gauge_update",
     "newton_solve",
+    "solve_all",
     "flat_gauge_fix",
     "coulomb_gauge_local",
     "PatchedPreconditioner",
@@ -466,6 +473,183 @@ def newton_solve(f: GaugedField, cfg: Optional[SolveConfig] = None,
             f"Newton did not reach tol {cfg.newton_tol}: sup residual {sup:.3e}"
         )
     return cur, xi_total, report
+
+
+# -- independent solves -------------------------------------------------------
+
+#: solve_all forks only when its second-largest seed has at least this many
+#: sites (n_r * n_theta), so that no worker gets a solve too small to pay for
+#: its fork.  Measured on a 2-core x86_64 VM (Python 3.11, numpy 2.4, one
+#: BLAS thread): a fork of the 70 MB benchmark process takes about 7.5 ms and
+#: a 25.6k-site (400x64) degree-one solve 50-65 ms, so at this size the fork
+#: is about a fifth of the solve it moves to another core.
+PARALLEL_MIN_SITES = 16384
+
+
+def _sites(f: GaugedField) -> int:
+    return f.piece.n_r * f.piece.n_theta
+
+
+def _live_threads() -> int:
+    """Threads of this process: the kernel's count where /proc lists them
+    (a BLAS thread pool included), else the Python threads."""
+    try:
+        return len(os.listdir("/proc/self/task"))
+    except OSError:
+        return threading.active_count()
+
+
+def _worker_count(seeds) -> int:
+    """Processes solve_all uses: one (the serial loop) unless the second
+    largest seed has PARALLEL_MIN_SITES sites, the platform has os.fork and
+    os.sched_getaffinity, and the process runs one thread; then one per
+    usable core, at most one per seed.  A fork copies only the calling
+    thread, and workers beside a multi-threaded BLAS pool (OpenBLAS's
+    default on a multi-core machine) would fight it for the cores."""
+    if len(seeds) < 2 or sorted(map(_sites, seeds))[-2] < PARALLEL_MIN_SITES:
+        return 1
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    if _live_threads() > 1:
+        return 1
+    return min(len(seeds), len(os.sched_getaffinity(0)))
+
+
+def _bins(seeds, n: int) -> list:
+    """Seed indices in n bins: largest seed first, each into the bin with
+    the fewest sites so far, so bin 0 holds the largest seed.  Each bin lists
+    its indices in serial order."""
+    bins, loads = [[] for _ in range(n)], [0] * n
+    for i in sorted(range(len(seeds)), key=lambda i: -_sites(seeds[i])):
+        b = loads.index(min(loads))
+        bins[b].append(i)
+        loads[b] += _sites(seeds[i])
+    return [sorted(b) for b in bins]
+
+
+def _solve_in_order(seeds, indices, cfg) -> dict:
+    """{index: newton_solve's result, or the exception it raised} over
+    indices in order, stopping at the first exception."""
+    out = {}
+    for i in indices:
+        try:
+            out[i] = newton_solve(seeds[i], cfg)
+        except Exception as exc:
+            out[i] = exc
+            break
+    return out
+
+
+def _worker(seeds, indices, cfg, pipe: tuple):
+    """Body of a forked worker: solve indices and write the pickled
+    {index: (u, a_r, a_theta, xi, report) or exception} to the pipe's write
+    end.  The surface stays in the parent.  Never returns: the exit status
+    is 0 once everything is written, else 1."""
+    status = 1
+    try:
+        read_fd, write_fd = pipe
+        os.close(read_fd)
+        out = {i: r if isinstance(r, Exception)
+               else (r[0].u, r[0].a_r, r[0].a_theta, r[1], r[2])
+               for i, r in _solve_in_order(seeds, indices, cfg).items()}
+        payload = pickle.dumps(out, pickle.HIGHEST_PROTOCOL)
+        with os.fdopen(write_fd, "wb") as fh:
+            fh.write(payload)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _spawn(seeds, indices, cfg):
+    """(pid, read end of its pipe as a file) of a forked worker solving
+    indices, or None when the system has no pipe or process to spare."""
+    try:
+        read_fd, write_fd = os.pipe()
+    except OSError:
+        return None
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        return None
+    if pid == 0:
+        _worker(seeds, indices, cfg, (read_fd, write_fd))
+    os.close(write_fd)
+    return pid, os.fdopen(read_fd, "rb")
+
+
+def _received(seeds, indices, payload: bytes, status: int) -> dict:
+    """A worker's outcomes with each field re-attached to its seed's
+    surface; a worker that died or sent no readable result fails its first
+    seed with a SolverError naming its exit status."""
+    code = os.waitstatus_to_exitcode(status)
+    got = None
+    if code == 0:
+        try:
+            got = pickle.loads(payload)
+        except Exception:
+            pass
+    if got is None:
+        how = (f"was killed by signal {-code}" if code < 0 else
+               f"exited with status {code}" if code else "sent no readable result")
+        return {indices[0]: SolverError(f"worker process for seeds {indices} {how}")}
+    return {i: r if isinstance(r, Exception)
+            else (seeds[i].with_fields(u=r[0], a_r=r[1], a_theta=r[2]), r[3], r[4])
+            for i, r in got.items()}
+
+
+def solve_all(seeds, cfg: Optional[SolveConfig] = None,
+              return_errors: bool = False) -> list:
+    """newton_solve on every seed, [(field, xi, report)] in seed order.
+
+    The solves are independent, so when _worker_count allows, the seeds are
+    packed into one bin per process by _bins: the calling process solves bin
+    0 and one os.fork child per other bin solves the rest, sending its arrays
+    and reports (or exception) back through a pipe.  Every child is waited
+    for before this returns or raises.  The results are bitwise those of the
+    serial loop, and so is the error raised: the first in seed order, of the
+    same type and message (a child's traceback stays in the child).  With
+    return_errors the list instead runs up to and including the first
+    failure, which is its exception instance.
+    """
+    n = _worker_count(seeds)
+    if n == 1:
+        out = _solve_in_order(seeds, range(len(seeds)), cfg)
+    else:
+        bins = _bins(seeds, n)
+        local, children = list(bins[0]), []  # children: (pid, pipe, indices)
+        try:
+            for indices in bins[1:]:
+                child = _spawn(seeds, indices, cfg)
+                if child is None:  # no pipe or process to spare: solve it here
+                    local += indices
+                else:
+                    children.append((*child, indices))
+            out = _solve_in_order(seeds, sorted(local), cfg)
+            while children:
+                pid, pipe, indices = children[0]
+                with pipe:
+                    payload = pipe.read()
+                _, status = os.waitpid(pid, 0)
+                children.pop(0)
+                out.update(_received(seeds, indices, payload, status))
+        finally:
+            for pid, pipe, _ in children:  # only left when this call failed
+                pipe.close()
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+                os.waitpid(pid, 0)
+    results = []
+    for i in range(len(seeds)):
+        results.append(out[i])
+        if isinstance(out[i], Exception):
+            if return_errors:
+                break
+            raise out[i]
+    return results
 
 
 # -- local gauge fixing -------------------------------------------------------

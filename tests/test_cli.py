@@ -3,12 +3,13 @@ import glob
 import json
 import math
 import os
+import threading
 
 import numpy as np
 import pytest
 import yaml
 
-from vortexlab import cli
+from vortexlab import cli, solver
 from vortexlab.cli import (
     ConfigError,
     EXIT_CONFIG,
@@ -346,6 +347,60 @@ class TestPatchedThroughMain:
         assert totals.keys() == reference.keys() == {"L10", "L20", "L40"}
         for key, value in reference.items():
             assert totals[key] == pytest.approx(value, rel=1e-10)
+
+
+def _neck_above_the_threshold(data):
+    # perfbench's neck: two 10-long components, h_r 0.05, n_theta 64
+    data["surface"].update({"h_r": 0.05, "n_theta": 64})
+    data["surface"]["components"]["u"].update({"r_min": -10.0, "length": 10.0})
+    data["surface"]["components"]["v"].update({"r_min": 0.0, "length": 10.0})
+    data["quasimap"]["zeros"]["u"] = [[{"r": -3.5, "theta": 0.3}]]
+    data["solve"]["preconditioner"] = "patched"
+
+
+def _ev_above_the_threshold(data):
+    data["surface"].update({"h_r": 0.1, "n_theta": 64})  # 401x64 per offset
+
+
+class TestWorkerProcessesThroughMain:
+    # above the size threshold the independent solves run in forked
+    # processes, one per usable core; one usable core runs them all in this
+    # process, and every run exits, prints and writes the same bytes
+    def _run(self, tmp_path, monkeypatch, capsys, name, subcommand, cores):
+        run_dir = tmp_path / f"{cores}-cores"
+        run_dir.mkdir()
+        monkeypatch.chdir(run_dir)  # the config's relative out keeps stdout alike
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+        # a BLAS thread pool would keep the serial loop: count Python threads
+        monkeypatch.setattr(solver, "_live_threads", threading.active_count)
+        forks, real_fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+        code = main([subcommand, "--config", str(tmp_path / name)])
+        printed = capsys.readouterr()
+        artifacts = {p.name: p.read_bytes() for p in (run_dir / "out").iterdir()}
+        return (code, printed.out, printed.err, artifacts), len(forks)
+
+    @pytest.mark.parametrize("subcommand, shipped, edit", [
+        ("neck", "neck_family.yaml", _neck_above_the_threshold),
+        ("ev", "ev_sweep.yaml", _ev_above_the_threshold),
+    ])
+    def test_one_core_and_every_core_write_the_same_bytes(
+            self, tmp_path, monkeypatch, capsys, subcommand, shipped, edit):
+        with open(os.path.join(CONFIGS, shipped)) as fh:
+            data = yaml.safe_load(fh)
+        edit(data)
+        assert data["out"] == "out"
+        write_config(tmp_path, data)
+        one, forks = self._run(tmp_path, monkeypatch, capsys, "run.yaml",
+                               subcommand, 1)
+        assert forks == 0 and one[0] == EXIT_OK
+        cores = max(len(os.sched_getaffinity(0)), 2)  # every core, at least two
+        many, forks = self._run(tmp_path, monkeypatch, capsys, "run.yaml",
+                                subcommand, cores)
+        assert forks == min(cores, 3) - 1  # three independent solves
+        assert many == one
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestNumericValidation:

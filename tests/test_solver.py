@@ -1,5 +1,7 @@
 import cmath
 import math
+import os
+import threading
 import warnings
 
 import numpy as np
@@ -23,7 +25,7 @@ from vortexlab.fields import (
     vortex_residual,
 )
 from vortexlab.modgraph import ModularGraph
-from vortexlab.quasimap import QuasimapData, build_seed
+from vortexlab.quasimap import QuasimapData, build_seed, correspondence, correspondences
 from vortexlab.solver import (
     PatchedPreconditioner,
     SolveConfig,
@@ -39,6 +41,7 @@ from vortexlab.solver import (
     operator_defect,
     patched_preconditioner,
     pcg,
+    solve_all,
 )
 from vortexlab.surface import ComponentMesh, End, core_sleeve, glue, single_cylinder
 from vortexlab.target import TargetSpace, fingerprint_distance
@@ -1122,3 +1125,170 @@ class TestSolveConfigTolerances:
     def test_iteration_caps_are_positive_integers(self, name, bad):
         with pytest.raises(SolverError, match=f"{name} must be an integer"):
             SolveConfig(**{name: bad})
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """solve_all forks at any size on three usable cores, whatever threads
+    the BLAS library keeps (only Python threads count); the list records
+    every os.fork call of this process.  After the test no child is left."""
+    calls, real_fork = [], os.fork
+    monkeypatch.setattr(solver, "PARALLEL_MIN_SITES", 0)
+    monkeypatch.setattr(solver, "_live_threads", threading.active_count)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    monkeypatch.setattr(os, "fork", lambda: calls.append(1) or real_fork())
+    yield calls
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _zero_level_field(n_r):
+    return constant_field(cyl(n_r=n_r), 0, T1, [math.sqrt(2.0)])
+
+
+def _same_results(got, expected):
+    assert len(got) == len(expected)
+    for (f, xi, rep), (f0, xi0, rep0) in zip(got, expected):
+        for name in ("u", "a_r", "a_theta"):
+            a, b = getattr(f, name), getattr(f0, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert xi.tobytes() == xi0.tobytes()
+        assert rep.as_dict() == rep0.as_dict()
+
+
+def _serial_error(seeds, cfg):
+    with pytest.raises(Exception) as info:
+        for seed in seeds:
+            newton_solve(seed, cfg)
+    return info.value
+
+
+class TestSolveAll:
+    def test_forked_results_are_the_serial_loops_in_seed_order(self, forks):
+        # sizes out of order, so the bins do not follow the seed order
+        seeds = [degree_one_seed(n_r=n, n_theta=16, h_r=0.25, zero=z)
+                 for n, z in ((81, 0.2j), (161, 0.3 + 0.1j), (101, -0.4 + 2j),
+                              (121, 0.1 + 1j))]
+        cfg = SolveConfig()
+        forked = solve_all(seeds, cfg)
+        assert len(forks) == 2
+        _same_results(forked, [newton_solve(s, cfg) for s in seeds])
+        assert all(f.surface is s.surface for (f, _, _), s in zip(forked, seeds))
+
+    def test_bins_put_the_largest_seed_in_the_caller(self):
+        seeds = [_zero_level_field(n) for n in (41, 201, 81, 121, 61)]
+        bins = solver._bins(seeds, 2)
+        assert bins == [[1, 4], [0, 2, 3]]
+        assert sorted(i for b in solver._bins(seeds, 3) for i in b) == list(range(5))
+
+    def test_failing_middle_seed_raises_the_serial_error(self, forks):
+        # the degree-one seed needs about five Newton steps; the zero-level
+        # fields around it converge at once and are larger, so it runs in a child
+        seeds = [_zero_level_field(161), degree_one_seed(n_r=61, n_theta=16),
+                 _zero_level_field(141)]
+        cfg = SolveConfig(max_newton=1)
+        expected = _serial_error(seeds, cfg)
+        with pytest.raises(type(expected)) as info:
+            solve_all(seeds, cfg)
+        assert len(forks) == 2
+        assert str(info.value) == str(expected)
+        assert "Newton did not reach tol" in str(expected)
+
+    @pytest.mark.parametrize("cores", [3, 2])
+    def test_the_first_failure_in_seed_order_wins(self, forks, monkeypatch, cores):
+        # three cores: the later, larger failure is the caller's own and the
+        # earlier one a child's; two cores: one child gets both failures
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+        seeds = [degree_one_seed(n_r=61, n_theta=16),
+                 degree_one_seed(n_r=81, n_theta=16, zero=-0.5 + 2j),
+                 _zero_level_field(201)]
+        if cores == 3:
+            seeds[1:] = [_zero_level_field(81),
+                         degree_one_seed(n_r=161, n_theta=16, zero=0.5 + 1j)]
+        cfg = SolveConfig(max_newton=1)
+        expected = _serial_error(seeds, cfg)
+        with pytest.raises(type(expected)) as info:
+            solve_all(seeds, cfg)
+        assert str(info.value) == str(expected)
+        outcomes = solve_all(seeds, cfg, return_errors=True)
+        assert len(outcomes) == 1 and str(outcomes[0]) == str(expected)
+
+    def test_a_dead_child_is_a_solver_error_naming_its_status(self, forks, monkeypatch):
+        parent, real = os.getpid(), solver.newton_solve
+
+        def dies_in_a_child(f, cfg=None):
+            if os.getpid() != parent:
+                os._exit(9)
+            return real(f, cfg)
+
+        monkeypatch.setattr(solver, "newton_solve", dies_in_a_child)
+        seeds = [_zero_level_field(101), _zero_level_field(61)]
+        with pytest.raises(SolverError, match="exited with status 9"):
+            solve_all(seeds, SolveConfig())
+        assert len(forks) == 1
+
+    @pytest.mark.parametrize("members", ["solve_then_seed", "seed_only"])
+    def test_batch_correspondence_reports_the_serial_error(self, forks, members):
+        surf = cyl(n_r=61)
+        flat = QuasimapData(GRAPH1, T1, {})  # converges at once
+        vortex = QuasimapData(GRAPH1, T1, {0: ((0.1 + 0.1j,),)})  # needs 5 steps
+        no_seed = QuasimapData(GRAPH1, T1, {0: ((0.1 + 0.1j,),)},
+                               {("leg", 2): [0.0]})  # unstable right end
+        qs = ([flat, vortex, no_seed] if members == "solve_then_seed"
+              else [flat, flat, no_seed])
+        cfg = SolveConfig(max_newton=2)
+        with pytest.raises(Exception) as serial:
+            for q in qs:
+                correspondence(q, surf, cfg)
+        with pytest.raises(type(serial.value)) as batch:
+            correspondences([(q, surf) for q in qs], cfg)
+        assert str(batch.value) == str(serial.value)
+        assert len(forks) == 1
+        expected = ("Newton did not reach tol" if members == "solve_then_seed"
+                    else "right-end asymptotic direction is unstable")
+        assert expected in str(batch.value)
+
+    def test_batch_correspondence_matches_the_serial_families(self, forks):
+        surf = cyl(n_r=81)
+        qs = [QuasimapData(GRAPH1, T1, {0: ((complex(x, 0.2),),)})
+              for x in (-0.5, 0.0, 0.5)]
+        cfg = SolveConfig()
+        batch = correspondences([(q, surf) for q in qs], cfg)
+        serial = [correspondence(q, surf, cfg) for q in qs]
+        assert len(forks) == 2
+        for fam, ref in zip(batch, serial):
+            assert fam.total_energy == ref.total_energy
+            assert fam.evaluations.keys() == ref.evaluations.keys()
+            for leg, fp in fam.evaluations.items():
+                assert fingerprint_distance(fp, ref.evaluations[leg]) == 0.0
+
+    def test_no_fork_on_one_usable_core(self, forks, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        seeds = [_zero_level_field(61), _zero_level_field(81)]
+        _same_results(solve_all(seeds), [newton_solve(s) for s in seeds])
+        assert forks == []
+
+    def test_live_threads_counts_this_thread(self):
+        assert solver._live_threads() >= threading.active_count() == 1
+
+    def test_no_fork_with_a_second_live_thread(self, forks):
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            seeds = [_zero_level_field(61), _zero_level_field(81)]
+            _same_results(solve_all(seeds), [newton_solve(s) for s in seeds])
+        finally:
+            release.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
+        assert forks == []
+
+    def test_no_fork_below_the_size_threshold(self, forks, monkeypatch):
+        seeds = [_zero_level_field(61), _zero_level_field(81), _zero_level_field(201)]
+        monkeypatch.setattr(solver, "PARALLEL_MIN_SITES", 81 * 16 + 1)
+        solve_all(seeds)
+        assert forks == []
+        monkeypatch.setattr(solver, "PARALLEL_MIN_SITES", 81 * 16)
+        solve_all(seeds)
+        assert len(forks) == 2
