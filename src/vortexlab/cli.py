@@ -573,19 +573,17 @@ def _run_ev(cfg: RunConfig, out, name):
     surf = cfg.surface()
     base = cfg.quasimap
     vertex = next(iter(cfg.components))
-
-    def members():
-        for off in offsets:
-            zeros = dict(base.zeros)
-            zls = list(zeros.get(vertex, tuple(() for _ in range(cfg.target.n))))
-            while len(zls) <= coord:
-                zls.append(())
-            zls[coord] = tuple(z + off for z in zls[coord]) or (complex(off, 0.0),)
-            zeros[vertex] = tuple(zls)
-            yield QuasimapData(base.graph, base.target, zeros, base.asymptotics,
-                               base.deltas), surf
-
-    dists = xp.ev_continuity(correspondences(members(), cfg.solve))
+    members = []
+    for off in offsets:
+        zeros = dict(base.zeros)
+        zls = list(zeros.get(vertex, tuple(() for _ in range(cfg.target.n))))
+        while len(zls) <= coord:
+            zls.append(())
+        zls[coord] = tuple(z + off for z in zls[coord]) or (complex(off, 0.0),)
+        zeros[vertex] = tuple(zls)
+        members.append((QuasimapData(base.graph, base.target, zeros,
+                                     base.asymptotics, base.deltas), surf))
+    dists = xp.ev_continuity(correspondences(members, cfg.solve))
     summary = {"offsets": offsets,
                "distances": {str(k): v for k, v in dists.items()}}
     rows = [(leg, float(offsets[i]), float(offsets[i + 1]), float(d))
@@ -637,20 +635,9 @@ def run(cfg: RunConfig, subcommand: str, snapshots: bool = False):
             return _run_solve(cfg, out, name, snapshots=snapshots)
         return SUBCOMMANDS[subcommand](cfg, out, name)
     except VortexlabError as exc:
-        _write_error(out, name, {"error": str(exc)})
+        emit_report(out, f"{name}-error", {"error": str(exc)}, {})
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL, {}
-
-
-def _write_error(out_dir, name, content: dict) -> str:
-    """<out_dir>/<name>-error.json holding content; returns its path."""
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, f"{name}-error.json")
-    with open(path, "w") as fh:
-        json.dump({**content, "schema_version": SCHEMA_VERSION},
-                  fh, sort_keys=True, indent=1)
-        fh.write("\n")
-    return path
 
 
 def _failure(code: int, lines: list, content: dict, subcommand: str, raw, out_dir):
@@ -664,7 +651,7 @@ def _failure(code: int, lines: list, content: dict, subcommand: str, raw, out_di
     if out_dir is not None:
         name = f"{subcommand}-{_content_hash(raw) if raw is not None else 'config'}"
         try:
-            _write_error(out_dir, name, content)
+            emit_report(out_dir, f"{name}-error", content, {})
         except OSError as err:
             print(f"cannot write the error artifact: {err}", file=sys.stderr)
     return code
@@ -685,10 +672,14 @@ def main(argv=None) -> int:
     parser.add_argument("--out", help="output directory override")
     parser.add_argument("--seed", type=int, help="seed override")
     parser.add_argument("--snapshots", action="store_true",
-                        help="write per-piece field snapshots (solve)")
+                        help="write per-piece field snapshots (solve only)")
     args = parser.parse_args(argv)
     if args.seed is not None and args.seed < 0:
         parser.error("--seed must be an integer >= 0")
+    if args.snapshots and args.subcommand != "solve":
+        parser.error("--snapshots applies only to the solve subcommand")
+    if args.graph_json is not None and args.subcommand != "graph":
+        parser.error("--graph-json applies only to the graph subcommand")
 
     cfg = None
     try:

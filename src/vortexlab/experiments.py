@@ -260,30 +260,24 @@ def neck_family(
 
     ``components_factory(L) -> (graph, components, edge)`` and
     ``q_factory(L) -> QuasimapData`` supply the per-length setup; each length
-    produces one NeckProfile plus the family of evaluations.  The lengths
-    are independent solves: correspondences builds every length's seeds and
-    solves them in one solve_all call (forked processes when they are large
-    enough), with the results and errors of a loop over the lengths.
+    produces one NeckProfile plus the family of evaluations.  Every length is
+    glued and checked first, so a bad length fails before any solve; the
+    lengths are independent solves, which correspondences seeds and solves in
+    one solve_all call (forked processes when they are large enough).
     """
-    pending = []  # (L, edge) of each member built, until finished
-
-    def members():
-        for L in lengths:
-            graph, comps, edge = components_factory(L)
-            surf = glue(comps, graph, {edge: math.exp(-float(L))}, sleeve_width)
-            pending.append((float(L), edge))
-            yield q_factory(L), surf
-
-    def finish(fam):
-        if len(fam.fields) != 1:
+    members, necks = [], []  # necks: (L, edge) of each member
+    for L in lengths:
+        graph, comps, edge = components_factory(L)
+        surf = glue(comps, graph, {edge: math.exp(-float(L))}, sleeve_width)
+        if len(surf.pieces) != 1:
             raise ExperimentError("neck sweep expects one glued piece per length")
-        (pi,) = fam.fields
-        L, edge = pending.pop(0)
-        return L, neck_profile(fam.fields[pi], edge), fam
-
-    done = correspondences(members(), cfg, finish)
-    return {"profiles": {L: profile for L, profile, _ in done},
-            "families": {L: fam for L, _, fam in done}}
+        members.append((q_factory(L), surf))
+        necks.append((float(L), edge))
+    out = {"profiles": {}, "families": {}}
+    for (L, edge), fam in zip(necks, correspondences(members, cfg)):
+        out["profiles"][L] = neck_profile(fam.fields[0], edge)
+        out["families"][L] = fam
+    return out
 
 
 def bubble_locator(profile: NeckProfile, delta: float):

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -382,44 +382,28 @@ def correspondence(q: QuasimapData, surface: GluedSurface,
     return fam
 
 
-def correspondences(members, cfg: Optional[SolveConfig] = None,
-                    finish: Optional[Callable] = None) -> list:
-    """Batch form of correspondence over an iterable of (q, surface) members:
-    [finish(family)] in member order (finish defaults to the identity).
+def correspondences(members: list, cfg: Optional[SolveConfig] = None) -> list:
+    """Batch form of correspondence over a list of (q, surface) members:
+    their families in member order.
 
-    Every member's seeds are built first and all of them solved in one
-    solve_all call; then each family is finished as correspondence does and
-    passed to finish.  An error surfaces where the serial loop over members
-    would have raised it: an exception from the members iterable, a stability
-    check or a seed is held back until every earlier member's solves and
-    finish have run.
+    Every member is stability-checked and seeded before any solve, and all
+    the seeds are solved in one solve_all call; then each family is finished
+    as correspondence does, in member order.  So the error raised is the
+    first check or seed error in member order, else the first solve failure
+    in seed order, else the first connectedness error in member order.
     """
-    cfg = cfg or SolveConfig()
-    built, seeds, held = [], [], None  # built: (q, surface, first seed)
-    try:
-        for q, surface in members:
-            if not is_stable_quasimap(q, surface):
-                raise QuasimapError("quasimap data is not stable")
-            built.append((q, surface, len(seeds)))
-            for pi in range(len(surface.pieces)):
-                seeds.append(build_seed(q, surface, pi))
-    except Exception as exc:
-        held = exc
-    solved = solve_all(seeds, cfg, return_errors=True)
+    seeds = []
+    for q, surface in members:
+        if not is_stable_quasimap(q, surface):
+            raise QuasimapError("quasimap data is not stable")
+        seeds += [build_seed(q, surface, pi) for pi in range(len(surface.pieces))]
+    solved = iter(solve_all(seeds, cfg))
     out = []
-    for q, surface, first in built:
+    for q, surface in members:
         fields_out, reports = {}, {}
         for pi in range(len(surface.pieces)):
-            if first + pi == len(seeds):  # this member's seed failed
-                raise held
-            result = solved[first + pi]
-            if isinstance(result, Exception):
-                raise result
-            fields_out[pi], _, reports[pi] = result
-        fam = _connected_family(q, surface, fields_out, reports)
-        out.append(fam if finish is None else finish(fam))
-    if held is not None:
-        raise held
+            fields_out[pi], _, reports[pi] = next(solved)
+        out.append(_connected_family(q, surface, fields_out, reports))
     return out
 
 

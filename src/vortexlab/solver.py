@@ -18,7 +18,7 @@ regime.  The five-point operator (linearized_apply) is the default system of
 cg_solve; the local gauge-fixing diagnostics (flat complex gauge on a patch,
 Coulomb gauge) run pcg on their own operators.  solve_all runs a list of
 independent Newton solves, in forked worker processes when the seeds are
-large enough to pay for a fork, with the results of the serial loop.
+large enough to pay for a fork, with the serial loop's results and error.
 """
 
 from __future__ import annotations
@@ -599,57 +599,48 @@ def _received(seeds, indices, payload: bytes, status: int) -> dict:
             for i, r in got.items()}
 
 
-def solve_all(seeds, cfg: Optional[SolveConfig] = None,
-              return_errors: bool = False) -> list:
+def solve_all(seeds, cfg: Optional[SolveConfig] = None) -> list:
     """newton_solve on every seed, [(field, xi, report)] in seed order.
 
-    The solves are independent, so when _worker_count allows, the seeds are
-    packed into one bin per process by _bins: the calling process solves bin
-    0 and one os.fork child per other bin solves the rest, sending its arrays
-    and reports (or exception) back through a pipe.  Every child is waited
-    for before this returns or raises.  The results are bitwise those of the
-    serial loop, and so is the error raised: the first in seed order, of the
-    same type and message (a child's traceback stays in the child).  With
-    return_errors the list instead runs up to and including the first
-    failure, which is its exception instance.
+    The seeds are packed into _worker_count's number of bins by _bins: the
+    calling process solves bin 0 and one os.fork child per other bin solves
+    the rest, sending its arrays and reports (or exception) back through a
+    pipe.  One bin is the serial loop.  Every child is waited for before this
+    returns or raises.  The results are bitwise those of the serial loop, and
+    so is the error raised: the first in seed order, of the same type and
+    message (a child's traceback stays in the child).
     """
-    n = _worker_count(seeds)
-    if n == 1:
-        out = _solve_in_order(seeds, range(len(seeds)), cfg)
-    else:
-        bins = _bins(seeds, n)
-        local, children = list(bins[0]), []  # children: (pid, pipe, indices)
-        try:
-            for indices in bins[1:]:
-                child = _spawn(seeds, indices, cfg)
-                if child is None:  # no pipe or process to spare: solve it here
-                    local += indices
-                else:
-                    children.append((*child, indices))
-            out = _solve_in_order(seeds, sorted(local), cfg)
-            while children:
-                pid, pipe, indices = children[0]
-                with pipe:
-                    payload = pipe.read()
-                _, status = os.waitpid(pid, 0)
-                children.pop(0)
-                out.update(_received(seeds, indices, payload, status))
-        finally:
-            for pid, pipe, _ in children:  # only left when this call failed
-                pipe.close()
-                try:
-                    os.kill(pid, signal.SIGKILL)
-                except ProcessLookupError:
-                    pass
-                os.waitpid(pid, 0)
-    results = []
+    bins = _bins(seeds, _worker_count(seeds))
+    local, children = list(bins[0]), []  # children: (pid, pipe, indices)
+    try:
+        for indices in bins[1:]:
+            child = _spawn(seeds, indices, cfg)
+            if child is None:  # no pipe or process to spare: solve it here
+                local += indices
+            else:
+                children.append((*child, indices))
+        out = _solve_in_order(seeds, sorted(local), cfg)
+        while children:
+            pid, pipe, indices = children[0]
+            with pipe:
+                payload = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            children.pop(0)
+            out.update(_received(seeds, indices, payload, status))
+    finally:
+        for pid, pipe, _ in children:  # only left when this call failed
+            pipe.close()
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            os.waitpid(pid, 0)
+    # a bin stops at its first failure, so every index missing from out comes
+    # after a failure in seed order
     for i in range(len(seeds)):
-        results.append(out[i])
         if isinstance(out[i], Exception):
-            if return_errors:
-                break
             raise out[i]
-    return results
+    return [out[i] for i in range(len(seeds))]
 
 
 # -- local gauge fixing -------------------------------------------------------

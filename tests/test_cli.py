@@ -545,8 +545,11 @@ class TestConfigErrorArtifact:
         override = tmp_path / "override"
         assert main(["neck", "--config", path, "--out", str(override)]) == EXIT_CONFIG
         (error_file,) = override.glob("neck-*-error.json")
-        assert load_json(error_file)["problems"] == [
-            "surface.h_r must be finite and positive, got 0"]
+        error = load_json(error_file)
+        assert error["problems"] == ["surface.h_r must be finite and positive, got 0"]
+        # the summary format: sorted keys, indent 1, a trailing newline
+        assert error_file.read_text() == json.dumps(error, sort_keys=True, indent=1) + "\n"
+        assert error["schema_version"] == cli.SCHEMA_VERSION
         assert not (tmp_path / "out").exists()
 
     def test_nothing_written_without_a_named_out(self, tmp_path, monkeypatch, capsys):
@@ -922,6 +925,28 @@ class TestInternalError:
         assert main(["neck", "--config", path]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "configuration error: neck experiment needs exactly one glued edge" in err
+
+
+@pytest.mark.parametrize("subcommand", ["decay", "neck", "ev", "graph"])
+def test_snapshots_outside_solve_is_a_usage_error(tmp_path, capsys, subcommand):
+    path = write_config(tmp_path, MINIMAL)
+    with pytest.raises(SystemExit) as exit_:
+        main([subcommand, "--config", path, "--snapshots"])
+    assert exit_.value.code == EXIT_CONFIG
+    assert "--snapshots applies only to the solve subcommand" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("subcommand", ["solve", "quantize", "energy"])
+def test_graph_json_outside_graph_is_a_usage_error(tmp_path, capsys, subcommand):
+    path = write_config(tmp_path, MINIMAL)
+    lit = tmp_path / "g.json"
+    lit.write_text('{"vertices": [{"id": "a", "genus": 0}], "edges": [], "legs": []}')
+    with pytest.raises(SystemExit) as exit_:
+        main([subcommand, "--config", path, "--graph-json", str(lit)])
+    assert exit_.value.code == EXIT_CONFIG
+    assert "--graph-json applies only to the graph subcommand" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_negative_seed_override_is_a_usage_error(tmp_path, capsys):

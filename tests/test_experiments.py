@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from vortexlab import experiments
+from vortexlab import experiments, solver
 from vortexlab.experiments import (
     ExperimentError,
     NeckProfile,
@@ -21,7 +21,7 @@ from vortexlab.fields import constant_field
 from vortexlab.modgraph import ModularGraph
 from vortexlab.quasimap import QuasimapData, build_seed, correspondence
 from vortexlab.solver import SolveConfig, newton_solve
-from vortexlab.surface import ComponentMesh, End, single_cylinder
+from vortexlab.surface import ComponentMesh, End, SurfaceError, single_cylinder
 from vortexlab.target import TargetError, TargetSpace, kempf_ness
 
 T1 = TargetSpace(1, 1, [[1]], [1.0])
@@ -203,6 +203,15 @@ class TestNeckFamily:
         m0s = [out["profiles"][L].m0 for L in (12.0, 16.0)]
         assert all(m > 1.0 for m in m0s)
         assert abs(m0s[0] - m0s[1]) / m0s[1] < 0.05
+
+    def test_a_short_last_length_fails_before_any_solve(self, monkeypatch):
+        calls, real = [], solver.newton_solve
+        monkeypatch.setattr(solver, "newton_solve",
+                            lambda f, cfg=None: calls.append(1) or real(f, cfg))
+        comps, qdata = neck_factories(T1, zero_in_neck=False)
+        with pytest.raises(SurfaceError, match="shorter than twice"):
+            neck_family(comps, qdata, [8.0, 12.0, 6.0])
+        assert calls == []
 
     def test_ev_stable_across_neck_sweep(self):
         comps, qdata = neck_factories(T1, zero_in_neck=False)

@@ -25,7 +25,8 @@ from vortexlab.fields import (
     vortex_residual,
 )
 from vortexlab.modgraph import ModularGraph
-from vortexlab.quasimap import QuasimapData, build_seed, correspondence, correspondences
+from vortexlab.quasimap import (QuasimapData, QuasimapError, build_seed, correspondence,
+                                correspondences)
 from vortexlab.solver import (
     PatchedPreconditioner,
     SolveConfig,
@@ -1210,8 +1211,6 @@ class TestSolveAll:
         with pytest.raises(type(expected)) as info:
             solve_all(seeds, cfg)
         assert str(info.value) == str(expected)
-        outcomes = solve_all(seeds, cfg, return_errors=True)
-        assert len(outcomes) == 1 and str(outcomes[0]) == str(expected)
 
     def test_a_dead_child_is_a_solver_error_naming_its_status(self, forks, monkeypatch):
         parent, real = os.getpid(), solver.newton_solve
@@ -1228,7 +1227,9 @@ class TestSolveAll:
         assert len(forks) == 1
 
     @pytest.mark.parametrize("members", ["solve_then_seed", "seed_only"])
-    def test_batch_correspondence_reports_the_serial_error(self, forks, members):
+    def test_batch_correspondence_seed_errors_come_first(self, forks, members):
+        # a serial loop over solve_then_seed would raise the vortex member's
+        # Newton failure; the batch checks and seeds every member first
         surf = cyl(n_r=61)
         flat = QuasimapData(GRAPH1, T1, {})  # converges at once
         vortex = QuasimapData(GRAPH1, T1, {0: ((0.1 + 0.1j,),)})  # needs 5 steps
@@ -1236,17 +1237,38 @@ class TestSolveAll:
                                {("leg", 2): [0.0]})  # unstable right end
         qs = ([flat, vortex, no_seed] if members == "solve_then_seed"
               else [flat, flat, no_seed])
+        with pytest.raises(QuasimapError,
+                           match="right-end asymptotic direction is unstable"):
+            correspondences([(q, surf) for q in qs], SolveConfig(max_newton=2))
+        assert forks == []
+
+    def test_batch_correspondence_seeds_every_member_before_solving(self, monkeypatch):
+        calls, real = [], solver.newton_solve
+        monkeypatch.setattr(solver, "newton_solve",
+                            lambda f, cfg=None: calls.append(1) or real(f, cfg))
+        surf = cyl(n_r=61)
+        good = QuasimapData(GRAPH1, T1, {0: ((0.1 + 0.1j,),)})
+        no_seed = QuasimapData(GRAPH1, T1, {0: ((0.1 + 0.1j,),)},
+                               {("leg", 2): [0.0]})
+        with pytest.raises(QuasimapError,
+                           match="right-end asymptotic direction is unstable"):
+            correspondences([(good, surf), (good, surf), (no_seed, surf)])
+        assert calls == []
+        correspondences([(good, surf)])
+        assert calls == [1]
+
+    def test_batch_correspondence_first_solve_failure_wins(self, forks):
+        surf = cyl(n_r=61)
+        qs = [QuasimapData(GRAPH1, T1, {}),
+              QuasimapData(GRAPH1, T1, {0: ((0.1 + 0.1j,),)}),
+              QuasimapData(GRAPH1, T1, {0: ((-0.3 + 1j,),)})]
         cfg = SolveConfig(max_newton=2)
-        with pytest.raises(Exception) as serial:
-            for q in qs:
-                correspondence(q, surf, cfg)
-        with pytest.raises(type(serial.value)) as batch:
+        expected = _serial_error([build_seed(q, surf, 0) for q in qs], cfg)
+        with pytest.raises(type(expected)) as batch:
             correspondences([(q, surf) for q in qs], cfg)
-        assert str(batch.value) == str(serial.value)
-        assert len(forks) == 1
-        expected = ("Newton did not reach tol" if members == "solve_then_seed"
-                    else "right-end asymptotic direction is unstable")
-        assert expected in str(batch.value)
+        assert str(batch.value) == str(expected)
+        assert "Newton did not reach tol" in str(expected)
+        assert len(forks) == 2
 
     def test_batch_correspondence_matches_the_serial_families(self, forks):
         surf = cyl(n_r=81)
