@@ -26,6 +26,14 @@ import traceback
 from dataclasses import dataclass
 from functools import partial
 
+# One BLAS/OpenMP thread unless the caller chose otherwise, set before numpy
+# loads its BLAS: a thread pool sums long dot products in pieces sized by the
+# usable cores, which changes the last digits of the results from machine to
+# machine, and keeps solve_all from forking (a library caller that imported
+# numpy first keeps whatever pool numpy started).
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import numpy as np
 import yaml
 
@@ -132,6 +140,21 @@ def _numbers(value, name: str, problems: list, positive: bool = True):
         problems.append(f"{name}: expected a non-empty list")
         return None
     return _check(value, [partial(_finite, positive=positive)], name, problems)
+
+
+def _lengths(value, name: str, problems: list):
+    """value checked by _numbers, no two lengths sharing the L<length:g>
+    key that names their profile artifact and summary entries."""
+    lengths = _numbers(value, name, problems)
+    keys = set()
+    for i, length in enumerate(lengths or ()):
+        key = f"L{length:g}"
+        if key in keys:
+            problems.append(f"{name}[{i}]: length {value[i]!r} repeats an earlier "
+                            f"one (both are {key})")
+            return None
+        keys.add(key)
+    return lengths
 
 
 def _integer(value, name: str, problems: list, lo=0, hi=None, positive=False):
@@ -292,7 +315,7 @@ def _experiment_table(n_coordinates) -> dict:
         "energy": ({}, {"tolerance": (0.02, _finite)}),
         "quantize": ({}, {"n_constant": (5, _integer),
                           "zero_positions": ([{"r": 0.0, "theta": 0.0}], _zero_positions)}),
-        "neck": ({}, {"lengths": ((10.0, 20.0, 40.0), _numbers)}),
+        "neck": ({}, {"lengths": ((10.0, 20.0, 40.0), _lengths)}),
         "ev": ({}, {"offsets": ((0.0, 0.2, 0.4), partial(_numbers, positive=False)),
                     "coordinate": (0, partial(_integer, hi=n_coordinates))}),
     }

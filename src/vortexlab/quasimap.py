@@ -278,18 +278,22 @@ def build_seed(q: QuasimapData, surface: GluedSurface,
     x_right = kempf_ness(t, x_right_dir).point
     w = t.weights.astype(float)
 
-    # section assembled in log space: log c_j + sum_m Log(e^{-z} - e^{-z_m})
-    r = piece.r[:, None]
-    theta = piece.h_theta * np.arange(piece.n_theta)[None, :]
-    z = r + 1j * theta
-    log_u = np.zeros((piece.n_r, piece.n_theta, t.n), dtype=complex)
+    # section assembled in log space, modulus and phase apart:
+    # log c_j + sum_m Log(e^{-z} - e^{-z_m}), with Log v = log|v| + i arg v
+    theta = piece.h_theta * np.arange(piece.n_theta)
+    e_z = np.exp(-piece.r)[:, None] * np.exp(-1j * theta)[None, :]  # e^{-z}
+    log_mod = np.zeros((piece.n_r, piece.n_theta, t.n))
+    phase = np.zeros((piece.n_r, piece.n_theta, t.n))
     dead = np.zeros(t.n, dtype=bool)
     with np.errstate(divide="ignore"):  # a zero may land exactly on a site
         for j in range(t.n):
             tail = complex(0)
             for zm in zeros[j]:
-                log_u[:, :, j] += np.log(np.exp(-z) - np.exp(-complex(zm)))
-                tail += np.log(-np.exp(-complex(zm)))
+                e_zm = np.exp(-complex(zm))
+                factor = e_z - e_zm
+                log_mod[:, :, j] += np.log(np.abs(factor))
+                phase[:, :, j] += np.angle(factor)
+                tail += np.log(-e_zm)
             if abs(x_right[j]) == 0.0:
                 if degrees[j] > 0:
                     raise QuasimapError(
@@ -297,22 +301,26 @@ def build_seed(q: QuasimapData, surface: GluedSurface,
                     )
                 dead[j] = True
                 continue
-            log_u[:, :, j] += np.log(x_right[j]) - tail
+            c = np.log(x_right[j]) - tail
+            log_mod[:, :, j] += c.real
+            phase[:, :, j] += c.imag
 
     profile, integral = _twist_ramp(piece, lam_left, lam_right, zeros)
-    log_u += np.einsum("aj,xa->xj", w, integral)[:, None, :]
+    log_mod += np.einsum("aj,xa->xj", w, integral)[:, None, :]
 
     # per-ring real rescale onto the moment-map zero level: a radial complex
     # gauge guess that keeps holomorphy and localizes the residual
-    vals = np.where(dead[None, None, :], 0.0, np.exp(log_u.real))
+    vals = np.where(dead[None, None, :], 0.0, np.exp(log_mod))
     moduli = np.sqrt(np.mean(vals**2, axis=1))  # (n_r, n)
     stable = semistable_mask(t, moduli)
     if not np.all(stable):
         raise QuasimapError(f"ring {int(np.argmin(stable))} is not semistable")
     s_prof = -kempf_ness_shifts(t, moduli)[0]  # u e^{-(w xi)}, xi = -s: zero level
-    log_u -= np.einsum("aj,xa->xj", w, s_prof)[:, None, :]
+    vals *= np.exp(-np.einsum("aj,xa->xj", w, s_prof))[:, None, :]
 
-    u = np.where(dead[None, None, :], 0.0, np.exp(log_u))
+    u = np.empty(vals.shape, dtype=complex)  # vals (cos + i sin) of the phase
+    np.multiply(vals, np.cos(phase), out=u.real)
+    np.multiply(vals, np.sin(phase), out=u.imag)
     a_theta = (-d_r(s_prof, piece.h_r) + profile)[:, None, :]
     return GaugedField(
         surface, piece_index, t,

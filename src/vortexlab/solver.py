@@ -12,8 +12,10 @@ one CSR matvec per iteration, optionally preconditioned by the core/sleeve
 patched inverse.  Its domain solves write every parity class's band straight
 from the same operator's coefficients, factor it once, and solve at each
 apply only the trailing block under the cutoff.  The Newton is inexact: the
-inner tolerance of each step is an Eisenstat-Walker forcing term (choice 2)
-floored at cg_tol, and a backtracking line search guards the large-residual
+inner tolerance of each step is an Eisenstat-Walker forcing term (choice 2,
+relative, Euclidean) floored at cg_tol, each inner solve also stops once its
+linear residual is at most newton_tol / 2 in the sup norm, the norm of the
+outer stop, and a backtracking line search guards the large-residual
 regime.  The five-point operator (linearized_apply) is the default system of
 cg_solve; the local gauge-fixing diagnostics (flat complex gauge on a patch,
 Coulomb gauge) run pcg on their own operators.  solve_all runs a list of
@@ -106,7 +108,7 @@ class SolveReport:
     residual_sup: list = field(default_factory=list)
     residual_l2: list = field(default_factory=list)
     cg_iterations: list = field(default_factory=list)
-    cg_tolerances: list = field(default_factory=list)  # inner tol of each step
+    cg_tolerances: list = field(default_factory=list)  # forcing term of each step
     step_sizes: list = field(default_factory=list)
     backtracks: list = field(default_factory=list)  # halvings of each step
     final_energy: float = float("nan")
@@ -265,11 +267,14 @@ def gauge_step_jacobian_apply(f: GaugedField, xi: np.ndarray) -> np.ndarray:
 
 
 def pcg(op: Callable, rhs: np.ndarray, M: Optional[Callable], tol: float,
-        maxit: int):
+        maxit: int, sup_tol: Optional[float] = None):
     """Preconditioned conjugate gradients for op x = rhs from x = 0.
 
     op must be symmetric positive and M (None: identity) a symmetric positive
-    approximate inverse.  Stops at relative residual tol; raises on
+    approximate inverse.  Stops at relative Euclidean residual tol, or, when
+    sup_tol is given, as soon as the residual's largest entry is at most
+    sup_tol; that entry is only looked for once the Euclidean norm is at
+    most sqrt(n) sup_tol, which every such residual satisfies.  Raises on
     loss of positivity (a misconfigured operator) or when maxit is exceeded.
     Returns (x, iterations).  x and the residual are updated in place by
     BLAS daxpy on flat views.
@@ -281,6 +286,8 @@ def pcg(op: Callable, rhs: np.ndarray, M: Optional[Callable], tol: float,
     rhs_norm = math.sqrt(rr)
     if rhs_norm == 0.0:
         return x, 0
+    stop = tol * rhs_norm
+    sup_gate = -1.0 if sup_tol is None else math.sqrt(rv.size) * sup_tol
     z = r if M is None else M(r)
     rz = rr if M is None else ddot(rv, z.reshape(-1))
     d = np.array(z, dtype=float)
@@ -294,7 +301,8 @@ def pcg(op: Callable, rhs: np.ndarray, M: Optional[Callable], tol: float,
         daxpy(dv, xv, a=alpha)
         daxpy(Ad, rv, a=-alpha)
         rr = ddot(rv, rv)
-        if math.sqrt(rr) <= tol * rhs_norm:
+        norm = math.sqrt(rr)
+        if norm <= stop or (norm <= sup_gate and max(rv.max(), -rv.min()) <= sup_tol):
             return x, it
         if M is None:
             z, rz_new = r, rr
@@ -313,14 +321,15 @@ def cg_solve(
     cfg: SolveConfig,
     preconditioner: Optional[Callable] = None,
     operator: Optional[Callable] = None,
+    sup_tol: Optional[float] = None,
 ):
     """Conjugate gradients for (Laplacian + Gram) xi = rhs on interior sites.
 
     operator replaces the default five-point operator of linearized_apply
     (Gram(u) frozen for the solve) and must come from _stencil, such as
     gauge_step_operator(f): the solve runs on flat interior vectors with its
-    CSR matrix.  A plain callable operator goes to pcg directly.
-    cfg.cg_tol and cfg.max_cg bound the solve (see pcg).  Returns (xi,
+    CSR matrix.  cfg.cg_tol, cfg.max_cg and sup_tol (None: no sup stop; Newton
+    passes half its newton_tol) bound the solve (see pcg).  Returns (xi,
     iterations).
     """
     A = (operator if operator is not None else _stencil(f, 1)).matrix
@@ -331,7 +340,8 @@ def cg_solve(
         def M(v):
             inner[...] = v.reshape(inner.shape)
             return preconditioner(xi)[1:-1].reshape(-1)
-    x, iterations = pcg(A.dot, rhs[1:-1].reshape(-1), M, cfg.cg_tol, cfg.max_cg)
+    x, iterations = pcg(A.dot, rhs[1:-1].reshape(-1), M, cfg.cg_tol, cfg.max_cg,
+                        sup_tol)
     inner[...] = x.reshape(inner.shape)
     return xi, iterations
 
@@ -381,13 +391,11 @@ EW_SAFEGUARD = 0.1  # keep eta from dropping fast when gamma*eta_prev^2 > this
 
 
 def _forcing_term(norm: float, prev_norm: Optional[float],
-                  prev_eta: Optional[float], newton_tol: float,
-                  floor: float) -> float:
-    """Relative inner tolerance of a Newton step at residual 2-norm norm.
-
-    EW choice 2 with its safeguard, capped at EW_ETA_MAX, never tighter than
-    0.5 * newton_tol / norm (the linear residual then stays below newton_tol
-    / 2 in the sup norm, which the 2-norm bounds) and floored at floor."""
+                  prev_eta: Optional[float], floor: float) -> float:
+    """Relative Euclidean inner tolerance of a Newton step at residual
+    2-norm norm: EW choice 2 with its safeguard, capped at EW_ETA_MAX and
+    floored at floor.  Near the end the inner solve stops earlier, at its
+    sup-norm bound (newton_solve)."""
     if prev_norm is None:
         eta = EW_ETA_0
     else:
@@ -395,7 +403,6 @@ def _forcing_term(norm: float, prev_norm: Optional[float],
         kept = EW_GAMMA * prev_eta**2
         if kept > EW_SAFEGUARD:
             eta = max(eta, kept)
-    eta = max(eta, 0.5 * newton_tol / norm)
     return max(floor, min(EW_ETA_MAX, eta))
 
 
@@ -404,9 +411,11 @@ def newton_solve(f: GaugedField, cfg: Optional[SolveConfig] = None,
     """Drive the vortex residual to cfg.newton_tol within the complex gauge
     orbit of f.  Returns (field, xi_total, SolveReport).
 
-    Each step solves its Jacobian system to the forcing term of
-    _forcing_term (at least cfg.cg_tol relative) and records it in
-    report.cg_tolerances.  cfg.preconditioner, the one selector of the inner
+    Each step solves its Jacobian system until the linear residual is
+    within the forcing term of _forcing_term (at least cfg.cg_tol, relative
+    in the Euclidean norm), recorded in report.cg_tolerances, or at most
+    cfg.newton_tol / 2 in the sup norm the outer stop measures, whichever
+    comes first.  cfg.preconditioner, the one selector of the inner
     preconditioner, is "none" or "patched": the latter assembles the
     core/sleeve approximate inverse (gauge_step flavor) from the seed and
     applies its symmetric form inside every inner solve.
@@ -437,9 +446,10 @@ def newton_solve(f: GaugedField, cfg: Optional[SolveConfig] = None,
         rhs[0] = 0.0
         rhs[-1] = 0.0
         norm = l2 * to_norm2
-        eta = _forcing_term(norm, prev_norm, prev_eta, cfg.newton_tol, cfg.cg_tol)
+        eta = _forcing_term(norm, prev_norm, prev_eta, cfg.cg_tol)
         step, cg_iters = cg_solve(cur, rhs, replace(cfg, cg_tol=eta), preconditioner,
-                                  operator=gauge_step_operator(cur))
+                                  operator=gauge_step_operator(cur),
+                                  sup_tol=0.5 * cfg.newton_tol)
         alpha = 1.0
         accepted = None
         for halvings in range(20):

@@ -3,6 +3,8 @@ import glob
 import json
 import math
 import os
+import subprocess
+import sys
 import threading
 
 import numpy as np
@@ -403,6 +405,38 @@ class TestWorkerProcessesThroughMain:
             os.waitpid(-1, os.WNOHANG)
 
 
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                    "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+
+
+class TestOneBlasThreadByDefault:
+    # the console script fixes one BLAS thread before numpy loads, so a run
+    # in the default environment writes the one-thread bytes
+    def _run(self, tmp_path, name, threads):
+        env = {k: v for k, v in os.environ.items() if k not in THREAD_VARIABLES}
+        env.update(threads)
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [os.path.abspath(src), env.get("PYTHONPATH")]))
+        run_dir = tmp_path / name
+        run_dir.mkdir()
+        done = subprocess.run(
+            [sys.executable, "-m", "vortexlab.cli", "neck",
+             "--config", str(tmp_path / "run.yaml"), "--out", "out"],
+            cwd=run_dir, env=env, capture_output=True, text=True, timeout=300)
+        artifacts = {p.name: p.read_bytes() for p in (run_dir / "out").iterdir()}
+        return done.returncode, done.stdout, done.stderr, artifacts
+
+    def test_no_thread_variable_writes_the_one_thread_bytes(self, tmp_path):
+        with open(os.path.join(CONFIGS, "neck_family.yaml")) as fh:
+            data = yaml.safe_load(fh)
+        _neck_above_the_threshold(data)
+        write_config(tmp_path, data)
+        default = self._run(tmp_path, "default", {})
+        assert default[0] == EXIT_OK, default[2]
+        assert default == self._run(tmp_path, "one", {"OPENBLAS_NUM_THREADS": "1"})
+
+
 class TestNumericValidation:
     POSITIVE = [
         (("surface", "h_r"), "surface.h_r"),
@@ -520,6 +554,23 @@ class TestNeckLengthValidation:
         assert "experiments.neck.lengths[0] must be finite and positive" in err
         assert error["problems"] == [
             "experiments.neck.lengths[0] must be finite and positive, got nan"]
+
+
+class TestRepeatedNeckLength:
+    # each length names its own profile-L<length> artifact, so a repeated
+    # one would be solved and then dropped
+    @pytest.mark.parametrize("lengths, i, value, key", [
+        ([10.0, 10.0, 20.0], 1, "10.0", "L10"),
+        ([20.0, 10, 10.0000001], 2, "10.0000001", "L10"),
+    ])
+    def test_repeated_length_exits_with_config_error(self, tmp_path, capsys,
+                                                     lengths, i, value, key):
+        err, error = _main_config_error(
+            tmp_path, capsys, "neck", _set(("experiments", "neck", "lengths"), lengths))
+        problem = (f"experiments.neck.lengths[{i}]: length {value} repeats an earlier "
+                   f"one (both are {key})")
+        assert f"configuration error: {problem}" in err
+        assert error["problems"] == [problem]
 
 
 class TestNThetaInteger:

@@ -1,9 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from vortexlab.fields import (
+    d_r,
     dbar_residual,
     holonomy,
     vortex_residual,
@@ -21,7 +23,12 @@ from vortexlab.quasimap import (
 )
 from vortexlab.solver import SolveConfig
 from vortexlab.surface import ComponentMesh, End, glue, single_cylinder
-from vortexlab.target import TargetSpace, fingerprint_distance, kempf_ness
+from vortexlab.target import (
+    TargetSpace,
+    fingerprint_distance,
+    kempf_ness,
+    kempf_ness_shifts,
+)
 
 T1 = TargetSpace(1, 1, [[1]], [1.0])
 TP1 = TargetSpace(2, 1, [[1, 1]], [1.0])
@@ -162,6 +169,85 @@ class TestBuildSeed:
         phi = moment_map_field(seed)
         assert np.max(np.abs(phi[0].mean(axis=0))) < 1e-9
         assert np.max(np.abs(phi[-1].mean(axis=0))) < 1e-9
+
+
+def _complex_log_seed(q, surface, piece_index=0):
+    """(u, a_theta) of build_seed with its section assembled in complex
+    arithmetic, one complex log per elementary factor: the reference the
+    real-arithmetic assembly must reproduce."""
+    piece = surface.pieces[piece_index]
+    t = q.target
+    zeros = quasimap._piece_zeros_global(q, surface, piece_index)
+    lam_left = quasimap._left_twist(t, [len(z) for z in zeros])
+    x_right = kempf_ness(t, q.asymptotic(piece.right)).point
+    dead = np.array([abs(x) == 0.0 for x in x_right])
+    w = t.weights.astype(float)
+    z = piece.r[:, None] + 1j * piece.h_theta * np.arange(piece.n_theta)[None, :]
+    log_u = np.zeros((piece.n_r, piece.n_theta, t.n), dtype=complex)
+    with np.errstate(divide="ignore"):
+        for j in range(t.n):
+            tail = complex(0)
+            for zm in zeros[j]:
+                log_u[:, :, j] += np.log(np.exp(-z) - np.exp(-complex(zm)))
+                tail += np.log(-np.exp(-complex(zm)))
+            if not dead[j]:
+                log_u[:, :, j] += np.log(x_right[j]) - tail
+    profile, integral = quasimap._twist_ramp(piece, lam_left, np.zeros(t.k), zeros)
+    log_u += np.einsum("aj,xa->xj", w, integral)[:, None, :]
+    vals = np.where(dead[None, None, :], 0.0, np.exp(log_u.real))
+    s_prof = -kempf_ness_shifts(t, np.sqrt(np.mean(vals**2, axis=1)))[0]
+    log_u -= np.einsum("aj,xa->xj", w, s_prof)[:, None, :]
+    u = np.where(dead[None, None, :], 0.0, np.exp(log_u))
+    return u, -d_r(s_prof, piece.h_r) + profile
+
+
+def _glued_pair(zeros_u):
+    g = ModularGraph({"u": 0, "v": 0}, (("u", "v"),), ((1, "u"), (2, "v")))
+    mk = lambda rmin, l, r: ComponentMesh(101, 32, 0.1, rmin, l, r)
+    comps = {
+        "u": mk(-10.0, End("truncation", ("leg", 1)), End("socket", edge=0)),
+        "v": mk(0.0, End("socket", edge=0), End("truncation", ("leg", 2))),
+    }
+    surf = glue(comps, g, {0: math.exp(-40.0)}, sleeve_width=8.0)
+    return QuasimapData(g, T1, {"u": zeros_u}), surf
+
+
+class TestSeedMatchesComplexLog:
+    """build_seed splits each factor's log into log|.| and arg and forms u
+    from the real exponential and cos + i sin; it must give the complex-log
+    seed to 1e-13 relative (sup norm)."""
+
+    @staticmethod
+    def _check(q, surf):
+        seed = build_seed(q, surf, 0)
+        u, a_theta = _complex_log_seed(q, surf, 0)
+        assert np.all(np.isfinite(seed.u)) and np.all(np.isfinite(seed.a_theta))
+        assert np.max(np.abs(seed.u - u)) <= 1e-13 * np.max(np.abs(u))
+        a_ref = np.broadcast_to(a_theta[:, None, :], seed.a_theta.shape)
+        assert np.max(np.abs(seed.a_theta - a_ref)) <= 1e-13 * np.max(np.abs(a_ref))
+        return seed
+
+    def test_degree_one_cylinder(self):
+        surf = single_cylinder(400, 64, 40.0 / 399, r_min=-20.0, graph=G1, vertex=0)
+        self._check(QuasimapData(G1, T1, {0: ((0.05 + 0.1j,),)}), surf)
+
+    def test_degree_two_cylinder(self):
+        q = QuasimapData(G1, T1, {0: ((-2.0 + 0.4j, 1.5 + 3.0j),)})
+        seed = self._check(q, cylinder())
+        assert seed.lam_left[0] == 2
+
+    def test_glued_pair(self):
+        self._check(*_glued_pair(((-5.0 + 0.3j,),)))
+
+    def test_zero_on_a_site(self):
+        surf = cylinder()
+        i = 120
+        q = QuasimapData(G1, T1, {0: ((complex(surf.pieces[0].r[i]),),)})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            seed = self._check(q, surf)
+        assert seed.u[i, 0, 0] == 0.0
+        assert np.count_nonzero(seed.u == 0.0) == 1
 
 
 class TestCorrespondence:
