@@ -54,6 +54,10 @@ QUANT_FLOOR = 1e-6
 #: decay_fit rejects a window whose largest ring energy is below this
 DECAY_ZERO_FLOOR = 1e-25
 
+#: decay_fit rejects a fit whose R^2 is below this: the window's ring energy
+#: does not fall along one exponential
+DECAY_MIN_R2 = 0.9
+
 
 class ExperimentError(VortexlabError, RuntimeError):
     pass
@@ -100,8 +104,8 @@ def decay_fit(f: GaugedField, end: str, window: tuple) -> DecayFit:
     The window is given in the piece's radial coordinate.  If the section
     vanishes somewhere inside the window (density not yet in the decay
     regime) the window is shifted toward the end and the shift is noted.
-    Constant fields (no ring energy above DECAY_ZERO_FLOOR) are rejected
-    with a flag.
+    Constant fields (no ring energy above DECAY_ZERO_FLOOR) and fits with
+    R^2 below DECAY_MIN_R2 are rejected with a flag.
     """
     p = f.piece
     e = ring_energy(f)
@@ -129,8 +133,11 @@ def decay_fit(f: GaugedField, end: str, window: tuple) -> DecayFit:
                         note=note or "no energy in window")
     slope, intercept, r2 = _loglinear(rs, np.log(np.maximum(es, 1e-300)))
     gamma = -slope * sign
+    rejected = bool(r2 < DECAY_MIN_R2)
+    if rejected:
+        note = "; ".join(filter(None, [note, f"R^2 {r2:.4f} below {DECAY_MIN_R2}"]))
     return DecayFit((lo, hi), float(gamma), float(math.exp(intercept)),
-                    float(r2), samples, note=note)
+                    float(r2), samples, rejected=rejected, note=note)
 
 
 def _ring_orbit(f: GaugedField, ring: int):

@@ -55,7 +55,6 @@ __all__ = [
     "limit_orbit",
     "ring_average",
     "winding_number",
-    "boundary_contract",
     "d_r",
     "d_theta",
     "surface_spec_hash",
@@ -73,7 +72,7 @@ class GaugedField:
     """Field data on one piece of a glued surface.
 
     lam_left/lam_right are the integer holonomies of the two boundary rings;
-    a_theta already carries them (boundary_contract measures how closely).
+    a_theta already carries them (holonomy reads them back as ring averages).
     """
 
     surface: GluedSurface
@@ -340,21 +339,6 @@ def winding_number(f: GaugedField, ring: int, coord: int) -> int:
     steps = np.diff(np.concatenate([args, args[:1]]))
     steps = (steps + np.pi) % (2.0 * np.pi) - np.pi
     return int(round(steps.sum() / (2.0 * np.pi)))
-
-
-def boundary_contract(f: GaugedField) -> dict:
-    """Measured deviations of the truncated-end rings from flat twisted data:
-    sup |a_theta - lambda| and |Phi(u)| on each boundary ring."""
-    p = f.piece
-    phi = moment_map_field(f)
-    out = {}
-    for name, ring, lam in (
-        ("left", 0, f.lam_left),
-        ("right", p.n_r - 1, f.lam_right),
-    ):
-        out[f"{name}_flatness"] = float(np.max(np.abs(f.a_theta[ring] - lam)))
-        out[f"{name}_moment"] = float(np.max(np.abs(phi[ring])))
-    return out
 
 
 # -- serialization ------------------------------------------------------------

@@ -27,7 +27,6 @@ __all__ = [
     "cyl_chains",
     "canonical_form",
     "graph_from_json",
-    "graph_to_json",
 ]
 
 
@@ -347,12 +346,3 @@ def graph_from_json(text: str) -> ModularGraph:
     except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise GraphError(f"malformed graph literal: {exc}") from exc
     return ModularGraph(genus, edges, legs)
-
-
-def graph_to_json(g: ModularGraph) -> str:
-    data = {
-        "vertices": [{"id": v, "genus": g.genus[v]} for v in g.vertex_ids()],
-        "edges": [list(e) for e in g.edges],
-        "legs": [{"index": idx, "vertex": v} for idx, v in sorted(g.legs)],
-    }
-    return json.dumps(data, sort_keys=True)

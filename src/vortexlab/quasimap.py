@@ -39,7 +39,6 @@ __all__ = [
     "QuasimapError",
     "QuasimapData",
     "StableVortexFamily",
-    "base_points",
     "is_stable_quasimap",
     "build_seed",
     "correspondence",
@@ -99,27 +98,6 @@ class QuasimapData:
         return np.ones(self.target.n, dtype=complex)
 
 
-def base_points(q: QuasimapData) -> dict:
-    """Common zeros of all coordinates per vertex (the common-vanishing locus
-    of the seed section), within a grid-scale tolerance."""
-    out = {}
-    for v in q.graph.vertex_ids():
-        zs = q.zeros.get(v)
-        if not zs or len(zs) < q.target.n:
-            out[v] = ()
-            continue
-        lists = [list(map(complex, z)) for z in zs]
-        if any(len(z) == 0 for z in lists):
-            out[v] = ()
-            continue
-        common = []
-        for z0 in lists[0]:
-            if all(any(abs(z0 - z) < 1e-9 for z in zl) for zl in lists[1:]):
-                common.append(z0)
-        out[v] = tuple(sorted(common, key=lambda z: (z.real, z.imag)))
-    return out
-
-
 def _ends_of_vertex(q: QuasimapData, v, broken) -> list:
     ends = [("leg", idx) for idx in q.graph.legs_at(v)]
     for eid, (a, b) in enumerate(q.graph.edges):
@@ -132,9 +110,10 @@ def _ends_of_vertex(q: QuasimapData, v, broken) -> list:
 
 
 def is_stable_quasimap(q: QuasimapData, surface: Optional[GluedSurface] = None) -> bool:
-    """Stability: the graph is pre-stable, base points stay away from special
-    points, and every two-ended genus-zero vertex of the NODAL structure is
-    non-constant (positive degree or distinct declared end asymptotics).
+    """Stability: the graph is pre-stable, on a meshed surface every zero
+    stays ZERO_MARGIN inside a truncated end, and every two-ended genus-zero
+    vertex of the NODAL structure is non-constant (positive degree or
+    distinct declared end asymptotics).
 
     Edges with nonzero gluing parameter are smoothed, so they impose no
     per-vertex constraint (the vertices are charts of one smooth component).

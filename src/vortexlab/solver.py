@@ -17,10 +17,9 @@ relative, Euclidean) floored at cg_tol, each inner solve also stops once its
 linear residual is at most newton_tol / 2 in the sup norm, the norm of the
 outer stop, and a backtracking line search guards the large-residual
 regime.  The five-point operator (linearized_apply) is the default system of
-cg_solve; the local gauge-fixing diagnostics (flat complex gauge on a patch,
-Coulomb gauge) run pcg on their own operators.  solve_all runs a list of
-independent Newton solves, in forked worker processes when the seeds are
-large enough to pay for a fork, with the serial loop's results and error.
+cg_solve.  solve_all runs a list of independent Newton solves, in forked
+worker processes when the seeds are large enough to pay for a fork, with the
+serial loop's results and error.
 """
 
 from __future__ import annotations
@@ -44,8 +43,6 @@ from . import VortexlabError
 from .fields import (
     FieldError,
     GaugedField,
-    apply_complex_gauge,
-    curvature,
     d_r,
     d_theta,
     end_average,
@@ -68,8 +65,6 @@ __all__ = [
     "gauge_update",
     "newton_solve",
     "solve_all",
-    "flat_gauge_fix",
-    "coulomb_gauge_local",
     "PatchedPreconditioner",
     "patched_preconditioner",
     "operator_defect",
@@ -172,9 +167,9 @@ def _pattern(inner: int, nth: int, k: int, step: int):
 
 
 def _operator(f: GaugedField, rows: tuple, step: int,
-              gram: Optional[np.ndarray]) -> sp.csr_matrix:
+              gram: np.ndarray) -> sp.csr_matrix:
     """Positive Laplacian of the step stencil plus the pointwise gram
-    (gram_field(f) of f's whole piece, or None) on rows [a, b] of the piece,
+    (gram_field(f) of f's whole piece) on rows [a, b] of the piece,
     Dirichlet at rings a and b, periodic in theta, as a CSR matrix over the
     interior unknowns in (ring, theta, component) order.
 
@@ -200,7 +195,7 @@ def _operator(f: GaugedField, rows: tuple, step: int,
     data[..., 0] = np.where(ring >= s, -w_r, 0.0)
     data[..., 1] = data[..., 2 + k] = -w_t
     data[..., 3 + k] = np.where(ring < inner - s, -w_r, 0.0)
-    data[..., 2 : 2 + k] = 0.0 if gram is None else gram[a + 1 : b]
+    data[..., 2 : 2 + k] = gram[a + 1 : b]
     pairs = (ring >= s - 1).astype(float) + (ring <= inner - s)  # D^T D diagonal
     c = np.arange(k)
     data[:, :, c, 2 + c] += pairs * w_r + 2.0 * w_t
@@ -209,13 +204,12 @@ def _operator(f: GaugedField, rows: tuple, step: int,
     return sp.csr_matrix((data.reshape(-1), indices, indptr), shape=(n, n))
 
 
-def _stencil(f: GaugedField, step: int,
-             gram: bool = True) -> Callable[[np.ndarray], np.ndarray]:
+def _stencil(f: GaugedField, step: int) -> Callable[[np.ndarray], np.ndarray]:
     """The _operator of f's whole piece (Gram(u) frozen here) as an apply on
     full-piece parameters: it reads only the interior rows of its argument
     and returns a new array whose boundary rows are zero."""
     n_r, nth, k = f.piece.n_r, f.piece.n_theta, f.target.k
-    A = _operator(f, (0, n_r - 1), step, gram_field(f) if gram else None)
+    A = _operator(f, (0, n_r - 1), step, gram_field(f))
 
     def apply(xi: np.ndarray) -> np.ndarray:
         out = np.zeros((n_r, nth, k))
@@ -651,82 +645,6 @@ def solve_all(seeds, cfg: Optional[SolveConfig] = None) -> list:
         if isinstance(out[i], Exception):
             raise out[i]
     return [out[i] for i in range(len(seeds))]
-
-
-# -- local gauge fixing -------------------------------------------------------
-
-def flat_gauge_fix(f: GaugedField, rows: tuple):
-    """Complex gauge parameter xi, zero on the patch boundary, flattening the
-    curvature on the patch to the stencil's O(h^2).
-
-    The patch is rows [i0, i1], a finite cylinder; the solve runs to the
-    default SolveConfig's cg_tol.  Returns (xi, fixed_field).
-    """
-    p = f.piece
-    i0, i1 = rows
-    if not (0 <= i0 < i1 < p.n_r):
-        raise SolverError(f"bad patch rows {rows}")
-    curv = curvature(f)
-    mask = np.zeros((p.n_r, p.n_theta, 1), dtype=bool)
-    mask[i0 + 1 : i1] = True
-    five_point = _stencil(f, 1, gram=False)
-
-    def lap(xi):
-        return np.where(mask, five_point(np.where(mask, xi, 0.0)), 0.0)
-
-    rhs = np.where(mask, -curv, 0.0)
-    xi, _ = pcg(lap, rhs, None, SolveConfig.cg_tol, SolveConfig.max_cg)
-    return xi, apply_complex_gauge(f, xi)
-
-
-def coulomb_gauge_local(f: GaugedField, rows: tuple, kappa: float = 1.0):
-    """Local Coulomb gauge diagnostic on rows [i0, i1].
-
-    Requires sup|*F| <= kappa on the patch.  Minimizes |a - grad(phi)|^2 over
-    the patch with the forward-difference gradient, so the paired divergence
-    of the output vanishes to the default SolveConfig's cg_tol.  Returns
-    (fixed a_r, fixed a_theta, diagnostics dict).
-    """
-    p = f.piece
-    i0, i1 = rows
-    curv = curvature(f)[i0 : i1 + 1]
-    if float(np.max(np.abs(curv))) > kappa:
-        raise SolverError(f"curvature above threshold {kappa} on patch")
-    m = i1 - i0 + 1
-    ar = f.a_r[i0 : i1 + 1].copy()
-    at = f.a_theta[i0 : i1 + 1].copy()
-
-    def grad(phi):
-        gr = np.zeros_like(phi)
-        gr[:-1] = (phi[1:] - phi[:-1]) / p.h_r  # zero-flux ghost at the far ring
-        gt = (np.roll(phi, -1, axis=1) - phi) / p.h_theta
-        return gr, gt
-
-    def div(br, bt):
-        out = np.zeros_like(br)
-        out[1:] -= br[:-1] / p.h_r
-        out[:-1] += br[:-1] / p.h_r
-        out += (bt - np.roll(bt, 1, axis=1)) / p.h_theta
-        return out
-
-    rhs = -div(ar, at)
-    rhs -= rhs.mean(axis=(0, 1), keepdims=True)  # Neumann compatibility
-
-    def op(phi):  # -div(grad(.)) is the positive Neumann Laplacian here
-        phi = phi - phi.mean(axis=(0, 1), keepdims=True)
-        gr, gt = grad(phi)
-        out = -div(gr, gt)
-        return out - out.mean(axis=(0, 1), keepdims=True)
-
-    phi, _ = pcg(op, rhs, None, SolveConfig.cg_tol, SolveConfig.max_cg)
-    gr, gt = grad(phi - phi.mean(axis=(0, 1), keepdims=True))
-    ar -= gr
-    at -= gt
-    residual_div = float(np.max(np.abs(div(ar, at))))
-    norm_ratio = float(
-        np.sqrt(np.sum(ar**2 + at**2)) / max(np.sqrt(np.sum(curv**2)), 1e-300)
-    )
-    return ar, at, {"div_sup": residual_div, "norm_ratio": norm_ratio}
 
 
 # -- patched approximate inverse ---------------------------------------------

@@ -1,11 +1,11 @@
 """Linear Hamiltonian torus actions on C^n.
 
 A rank-k torus acts on C^n through an integer weight matrix; the moment map
-carries a constant shift tau.  This module provides the moment map, the
-infinitesimal action, the Gram operator entering the linearized vortex
-equation, the Hilbert-Mumford semistability test (k <= 2), and the projection
-of a semistable point onto the zero level of the moment map along the
-imaginary-direction flow (Newton on a convex potential).
+carries a constant shift tau.  This module provides the moment map, the Gram
+operator entering the linearized vortex equation, the Hilbert-Mumford
+semistability test (k <= 2), and the projection of a semistable point onto
+the zero level of the moment map along the imaginary-direction flow (Newton
+on a convex potential).
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ __all__ = [
     "TargetError",
     "KPoint",
     "moment_map",
-    "infinitesimal_action",
     "L_operator",
     "is_semistable",
     "kempf_ness",
@@ -93,13 +92,6 @@ def moment_map(t: TargetSpace, v) -> np.ndarray:
     """Phi(v)_a = 1/2 sum_j w_aj |v_j|^2 - tau_a."""
     v = _as_point(t, v)
     return 0.5 * t.weights @ np.abs(v) ** 2 - t.tau
-
-
-def infinitesimal_action(t: TargetSpace, xi, v) -> np.ndarray:
-    """Tangent vector with component j equal to i (w^T xi)_j v_j."""
-    v = _as_point(t, v)
-    xi = np.asarray(xi, dtype=float).reshape(t.k)
-    return 1j * (t.weights.T @ xi) * v
 
 
 def L_operator(t: TargetSpace, v) -> np.ndarray:

@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 import yaml
 
-from vortexlab import cli, solver
+from vortexlab import cli, experiments, solver
 from vortexlab.cli import (
     ConfigError,
+    EXIT_ASSERTION,
     EXIT_CONFIG,
     EXIT_NUMERICAL,
     EXIT_OK,
@@ -571,6 +572,27 @@ class TestRepeatedNeckLength:
                    f"one (both are {key})")
         assert f"configuration error: {problem}" in err
         assert error["problems"] == [problem]
+
+
+class TestDecayExitCodes:
+    # connectedness's window [5, 15] runs through the ring-energy minimum and
+    # back up toward the neck: the fit is no exponential and must not pass
+    @pytest.mark.parametrize("shipped, code, rejected", [
+        ("connectedness.yaml", EXIT_ASSERTION, True),
+        ("degree_one.yaml", EXIT_OK, False),
+    ])
+    def test_shipped_config(self, tmp_path, shipped, code, rejected):
+        out = tmp_path / "decay"
+        config = os.path.join(CONFIGS, shipped)
+        assert main(["decay", "--config", config, "--out", str(out)]) == code
+        (summary,) = out.glob("decay-*.json")
+        summary = load_json(summary)
+        assert summary["rejected"] is rejected
+        if rejected:
+            assert summary["r_squared"] < experiments.DECAY_MIN_R2
+            assert f"R^2 {summary['r_squared']:.4f} below" in summary["note"]
+        else:
+            assert summary["r_squared"] >= experiments.DECAY_MIN_R2
 
 
 class TestNThetaInteger:

@@ -8,7 +8,6 @@ from vortexlab.fields import (
     FieldError,
     apply_complex_gauge,
     apply_unitary_gauge,
-    boundary_contract,
     constant_field,
     curvature,
     dbar_residual,
@@ -275,12 +274,6 @@ class TestHolonomyAndEnds:
         f = constant_field(surf, 0, T1, [1.0])
         f = f.with_fields(u=np.exp(-2j * theta)[None, :, None] * np.ones((p.n_r, 1, 1)))
         assert winding_number(f, 3, 0) == -2
-
-    def test_boundary_contract_flags_flatness(self):
-        f = constant_field(cyl(), 0, THALF, [1.0])
-        out = boundary_contract(f)
-        assert out["left_moment"] < 1e-14
-        assert out["left_flatness"] < 1e-14
 
 
 class TestLambdaProfile:

@@ -16,7 +16,6 @@ from vortexlab.modgraph import ModularGraph
 from vortexlab.quasimap import (
     QuasimapData,
     QuasimapError,
-    base_points,
     build_seed,
     correspondence,
     is_stable_quasimap,
@@ -55,24 +54,6 @@ def broken_pair(target, zeros_u=(), zeros_v=(), asympt=None, n_theta=32):
         zeros["v"] = zeros_v
     q = QuasimapData(g, target, zeros, asymptotics=asympt or {}, deltas={0: 0})
     return q, surf
-
-
-class TestBasePoints:
-    def test_single_coordinate_zero_is_base_point(self):
-        q = QuasimapData(G1, T1, {0: ((0.5 + 1j,),)})
-        assert base_points(q)[0] == (0.5 + 1j,)
-
-    def test_disjoint_zeros_no_common_vanishing(self):
-        q = QuasimapData(G1, TP1, {0: ((0.5j,), (1.0 + 0.5j,))})
-        assert base_points(q)[0] == ()
-
-    def test_constant_section_no_base_points(self):
-        q = QuasimapData(G1, TP1, {})
-        assert base_points(q)[0] == ()
-
-    def test_shared_zero_detected(self):
-        q = QuasimapData(G1, TP1, {0: ((0.5j, 1.0), (0.5j,))})
-        assert base_points(q)[0] == (0.5j,)
 
 
 class TestStability:

@@ -16,7 +16,6 @@ from vortexlab.fields import (
     apply_complex_gauge,
     apply_unitary_gauge,
     constant_field,
-    curvature,
     dbar_residual,
     energy,
     gram_field,
@@ -32,8 +31,6 @@ from vortexlab.solver import (
     SolveConfig,
     SolverError,
     cg_solve,
-    coulomb_gauge_local,
-    flat_gauge_fix,
     gauge_step_jacobian_apply,
     gauge_step_operator,
     gauge_update,
@@ -459,117 +456,6 @@ class TestNewtonSolve:
             d = fingerprint_distance(limit_orbit(out, "right"),
                                      limit_orbit(field, "right"))
             assert d < 1e-8
-
-
-class TestFlatGaugeFix:
-    def test_flat_input_gives_zero(self):
-        f = constant_field(cyl(), 0, T1, [1.0])
-        xi, fixed = flat_gauge_fix(f, (10, 50))
-        assert np.max(np.abs(xi)) < 1e-12
-
-    def test_constant_curvature_annulus_against_dense_oracle(self):
-        surf = cyl(n_r=33, n_theta=8, h_r=0.25)
-        f = constant_field(surf, 0, T1, [1.0])
-        p = f.piece
-        f = f.with_fields(a_theta=0.3 * p.r[:, None, None] * np.ones((1, p.n_theta, 1)))
-        rows = (4, 28)
-        xi, fixed = flat_gauge_fix(f, rows)
-        # interior curvature flattened to the stencil scale
-        after = curvature(fixed)[rows[0] + 2 : rows[1] - 1]
-        assert np.max(np.abs(after)) < 1e-6
-        # dense direct solve oracle on the same masked system
-        import numpy.linalg as la
-
-        mask = np.zeros((p.n_r, p.n_theta), dtype=bool)
-        mask[rows[0] + 1 : rows[1], :] = True
-        idx = np.argwhere(mask)
-        N = len(idx)
-        pos = {tuple(ij): a for a, ij in enumerate(idx)}
-        A = np.zeros((N, N))
-        h2r, h2t = p.h_r**2, p.h_theta**2
-        for a, (i, j) in enumerate(idx):
-            A[a, a] = 2 / h2r + 2 / h2t
-            for di, dj, h2 in ((1, 0, h2r), (-1, 0, h2r), (0, 1, h2t), (0, -1, h2t)):
-                nb = (i + di, (j + dj) % p.n_theta)
-                if nb in pos:
-                    A[a, pos[nb]] -= 1 / h2
-        rhs = -curvature(f)[mask.nonzero()][:, 0]
-        dense = la.solve(A, rhs)
-        assert np.max(np.abs(dense - xi[mask.nonzero()][:, 0])) < 1e-8
-
-    def test_norm_bound_statistics(self):
-        # |xi|_2 / |F|_2 bounded across random smooth connections on a patch
-        surf = cyl(n_r=41, n_theta=16, h_r=0.25)
-        p = surf.pieces[0]
-        rng = np.random.default_rng(5)
-        ratios = []
-        for _ in range(20):
-            f = constant_field(surf, 0, T1, [1.0])
-            modes = rng.normal(size=3)
-            a_theta = sum(
-                m * np.sin((k + 1) * np.pi * (p.r - p.r[0]) / (p.r[-1] - p.r[0]))
-                for k, m in enumerate(modes)
-            )
-            f = f.with_fields(a_theta=0.2 * a_theta[:, None, None]
-                              * np.ones((1, p.n_theta, 1)))
-            xi, _ = flat_gauge_fix(f, (5, 35))
-            Fn = np.linalg.norm(curvature(f)[6:35])
-            ratios.append(np.linalg.norm(xi) / max(Fn, 1e-30))
-        assert max(ratios) < 20.0  # recorded bound constant for this patch
-
-
-class TestCoulombGauge:
-    def test_already_coulomb_unchanged(self):
-        f = constant_field(cyl(), 0, T1, [1.0])
-        p = f.piece
-        # theta-independent a_theta with zero a_r is already divergence free
-        f = f.with_fields(a_theta=0.2 * np.sin(p.r)[:, None, None]
-                          * np.ones((1, p.n_theta, 1)))
-        ar, at, diag = coulomb_gauge_local(f, (5, 60))
-        assert diag["div_sup"] < 1e-9
-        assert np.allclose(at, f.a_theta[5:61], atol=1e-9)
-
-    def test_pure_gauge_removed(self):
-        surf = cyl(n_r=41, n_theta=16, h_r=0.25)
-        f = constant_field(surf, 0, T1, [1.0])
-        p = f.piece
-        rng = np.random.default_rng(6)
-        phi = rng.normal(size=(p.n_r, p.n_theta, 1)) * 0.0
-        theta = p.h_theta * np.arange(p.n_theta)
-        phi[:, :, 0] = np.sin(theta)[None, :] * np.cos(p.r)[:, None]
-        # forward-difference pure gauge matches the diagnostic's pairing
-        gr = np.zeros_like(phi)
-        gr[:-1] = (phi[1:] - phi[:-1]) / p.h_r
-        gt = (np.roll(phi, -1, axis=1) - phi) / p.h_theta
-        f = f.with_fields(a_r=gr, a_theta=gt)
-        rows = (0, p.n_r - 1)
-        ar, at, diag = coulomb_gauge_local(f, rows)
-        assert diag["div_sup"] < 1e-9
-        assert np.max(np.abs(ar)) < 1e-8
-        assert np.max(np.abs(at - at.mean(axis=(0, 1)))) < 1e-8
-
-    def test_random_small_divergence_killed(self):
-        surf = cyl(n_r=41, n_theta=16, h_r=0.25)
-        f = constant_field(surf, 0, T1, [1.0])
-        p = f.piece
-        rng = np.random.default_rng(7)
-        smooth = lambda: (
-            np.sin(p.h_theta * np.arange(p.n_theta))[None, :]
-            * rng.normal() * np.cos(0.5 * p.r)[:, None]
-            + rng.normal() * np.sin(0.7 * p.r)[:, None]
-        )[:, :, None]
-        f = f.with_fields(a_r=0.1 * smooth(), a_theta=0.1 * smooth())
-        ar, at, diag = coulomb_gauge_local(f, (0, p.n_r - 1))
-        assert diag["div_sup"] <= 1e-8
-
-    def test_curvature_threshold(self):
-        surf = cyl(n_r=41, n_theta=16, h_r=0.25)
-        f = constant_field(surf, 0, T1, [1.0])
-        p = f.piece
-        f = f.with_fields(a_theta=5.0 * np.sin(p.r)[:, None, None]
-                          * np.ones((1, p.n_theta, 1)))
-        with pytest.raises(SolverError, match="threshold"):
-            coulomb_gauge_local(f, (5, 35), kappa=0.5)
 
 
 @pytest.fixture(scope="module")

@@ -10,7 +10,6 @@ from vortexlab.target import (
     TargetSpace,
     fingerprint,
     fingerprint_distance,
-    infinitesimal_action,
     is_semistable,
     kempf_ness,
     kempf_ness_shift,
@@ -66,27 +65,12 @@ class TestMomentMap:
 
 
 class TestInfinitesimalAction:
-    def test_zero(self):
-        assert np.all(infinitesimal_action(T_P1, [0.0], [1.0, 2.0]) == 0)
-
-    def test_unit_rotation_generator(self):
-        assert infinitesimal_action(T_STD, [1.0], [1.0]) == pytest.approx([1j])
-
-    def test_matches_flow_derivative(self):
-        rng = np.random.default_rng(1)
-        v = rng.normal(size=3) + 1j * rng.normal(size=3)
-        xi = rng.normal(size=2)
-        s = 1e-6
-        flow = np.exp(1j * (T_K2.weights.T @ (s * xi))) * v
-        fd = (flow - v) / s
-        assert np.allclose(fd, infinitesimal_action(T_K2, xi, v), atol=1e-5)
-
     def test_moment_map_constant_on_orbits(self):
         rng = np.random.default_rng(2)
         v = rng.normal(size=3) + 1j * rng.normal(size=3)
         xi = rng.normal(size=2)
         s = 1e-6
-        moved = v + s * infinitesimal_action(T_K2, xi, v)
+        moved = v + s * (1j * (T_K2.weights.T @ xi) * v)
         delta = moment_map(T_K2, moved) - moment_map(T_K2, v)
         assert np.linalg.norm(delta) < 1e-5 * max(1, np.linalg.norm(xi))
 
@@ -118,7 +102,7 @@ class TestLOperator:
             v = rng.normal(size=3) + 1j * rng.normal(size=3)
             xi = rng.normal(size=2)
             lhs = xi @ L_operator(T_K2, v) @ xi
-            rhs = np.linalg.norm(infinitesimal_action(T_K2, xi, v)) ** 2
+            rhs = np.linalg.norm(1j * (T_K2.weights.T @ xi) * v) ** 2
             assert lhs == pytest.approx(rhs, abs=1e-12, rel=1e-12)
 
 
