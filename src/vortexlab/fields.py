@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import VortexlabError
-from .surface import GluedSurface, Piece, sleeve_band
+from .surface import GluedSurface, Piece
 from .target import (
     Fingerprint,
     TargetSpace,
@@ -188,7 +188,6 @@ def vortex_residual(f: GaugedField) -> np.ndarray:
 @dataclass(frozen=True)
 class EnergyReport:
     total: float
-    partials: dict
 
 
 def energy_density(f: GaugedField) -> np.ndarray:
@@ -209,29 +208,8 @@ def ring_energy(f: GaugedField) -> np.ndarray:
 
 def energy(f: GaugedField) -> EnergyReport:
     """Quadrature of |*F|^2 + |d_A u|^2 + |Phi(u)|^2 over the flat area element."""
-    p = f.piece
-    ring = ring_energy(f) * p.quad_weights_r
-    total = float(ring.sum())
-    partials = {}
-    covered = np.zeros(p.n_r, dtype=bool)
-    for strip in p.strips:
-        sl = slice(strip.i0, strip.i0 + strip.n_r)
-        partials[f"component:{strip.vertex}"] = float(ring[sl].sum())
-        covered[sl] = True
-    for nk in p.necks:
-        sl = slice(nk.i_plus + 1, nk.i_minus)
-        partials[f"neck:{nk.edge}"] = float(ring[sl].sum())
-        covered[sl] = True
-    if not np.all(covered):  # broken-end extensions
-        partials["extensions"] = float(ring[~covered].sum())
-    if p.necks:
-        band = np.zeros(p.n_r, dtype=bool)
-        for nk in p.necks:
-            lo, hi = sleeve_band(p, nk, f.surface.sleeve_width)
-            band[lo : hi + 1] = True
-        partials["sleeves"] = float(ring[band].sum())
-        partials["core"] = float(ring[~band].sum())
-    return EnergyReport(total, partials)
+    ring = ring_energy(f) * f.piece.quad_weights_r
+    return EnergyReport(float(ring.sum()))
 
 
 # -- gauge actions ------------------------------------------------------------

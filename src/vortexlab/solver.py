@@ -17,18 +17,18 @@ relative, Euclidean) floored at cg_tol, each inner solve also stops once its
 linear residual is at most newton_tol / 2 in the sup norm, the norm of the
 outer stop, and a backtracking line search guards the large-residual
 regime.  The five-point operator (linearized_apply) is the default system of
-cg_solve.  solve_all runs a list of independent Newton solves, in forked
-worker processes when the seeds are large enough to pay for a fork, with the
-serial loop's results and error.
+cg_solve.  solve_all runs a list of independent Newton solves, in worker
+processes started by multiprocessing's fork start method when the seeds are
+large enough to pay for a fork, with the serial loop's results and error.
 """
 
 from __future__ import annotations
 
 import math
+import multiprocessing
 import numbers
 import os
-import pickle
-import signal
+import sys
 import threading
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
@@ -107,7 +107,6 @@ class SolveReport:
     step_sizes: list = field(default_factory=list)
     backtracks: list = field(default_factory=list)  # halvings of each step
     final_energy: float = float("nan")
-    xi_norm: float = 0.0
     converged: bool = False
 
     @property
@@ -123,7 +122,6 @@ class SolveReport:
             "step_sizes": self.step_sizes,
             "backtracks": self.backtracks,
             "final_energy": self.final_energy,
-            "xi_norm": self.xi_norm,
             "converged": self.converged,
             "newton_iterations": self.newton_iterations,
         }
@@ -400,8 +398,7 @@ def _forcing_term(norm: float, prev_norm: Optional[float],
     return max(floor, min(EW_ETA_MAX, eta))
 
 
-def newton_solve(f: GaugedField, cfg: Optional[SolveConfig] = None,
-                 snapshot_callback: Optional[Callable] = None):
+def newton_solve(f: GaugedField, cfg: Optional[SolveConfig] = None):
     """Drive the vortex residual to cfg.newton_tol within the complex gauge
     orbit of f.  Returns (field, xi_total, SolveReport).
 
@@ -412,9 +409,7 @@ def newton_solve(f: GaugedField, cfg: Optional[SolveConfig] = None,
     comes first.  cfg.preconditioner, the one selector of the inner
     preconditioner, is "none" or "patched": the latter assembles the
     core/sleeve approximate inverse (gauge_step flavor) from the seed and
-    applies its symmetric form inside every inner solve.
-    ``snapshot_callback(iteration, field)`` is invoked on the seed and after
-    every accepted step."""
+    applies its symmetric form inside every inner solve."""
     cfg = cfg or SolveConfig()
     _check_seed(f)
     preconditioner = None
@@ -429,10 +424,8 @@ def newton_solve(f: GaugedField, cfg: Optional[SolveConfig] = None,
     sup, l2 = _interior_norms(p, res)
     report.residual_sup.append(sup)
     report.residual_l2.append(l2)
-    if snapshot_callback is not None:
-        snapshot_callback(0, cur)
     prev_norm = prev_eta = None
-    for it in range(cfg.max_newton):
+    for _ in range(cfg.max_newton):
         if sup <= cfg.newton_tol:
             report.converged = True
             break
@@ -466,12 +459,9 @@ def newton_solve(f: GaugedField, cfg: Optional[SolveConfig] = None,
         report.cg_tolerances.append(eta)
         report.step_sizes.append(alpha)
         report.backtracks.append(halvings)
-        if snapshot_callback is not None:
-            snapshot_callback(it + 1, cur)
     else:
         report.converged = sup <= cfg.newton_tol
     report.final_energy = energy(cur).total
-    report.xi_norm = float(np.sqrt(np.sum(xi_total**2) * p.h_r * p.h_theta))
     if not report.converged:
         raise SolverError(
             f"Newton did not reach tol {cfg.newton_tol}: sup residual {sup:.3e}"
@@ -506,13 +496,16 @@ def _live_threads() -> int:
 def _worker_count(seeds) -> int:
     """Processes solve_all uses: one (the serial loop) unless the second
     largest seed has PARALLEL_MIN_SITES sites, the platform has os.fork and
-    os.sched_getaffinity, and the process runs one thread; then one per
+    os.sched_getaffinity, the process is no daemonic multiprocessing worker
+    (which may not start processes) and it runs one thread; then one per
     usable core, at most one per seed.  A fork copies only the calling
     thread, and workers beside a multi-threaded BLAS pool (OpenBLAS's
     default on a multi-core machine) would fight it for the cores."""
     if len(seeds) < 2 or sorted(map(_sites, seeds))[-2] < PARALLEL_MIN_SITES:
         return 1
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    if multiprocessing.current_process().daemon:
         return 1
     if _live_threads() > 1:
         return 1
@@ -544,59 +537,43 @@ def _solve_in_order(seeds, indices, cfg) -> dict:
     return out
 
 
-def _worker(seeds, indices, cfg, pipe: tuple):
-    """Body of a forked worker: solve indices and write the pickled
-    {index: (u, a_r, a_theta, xi, report) or exception} to the pipe's write
-    end.  The surface stays in the parent.  Never returns: the exit status
-    is 0 once everything is written, else 1."""
-    status = 1
+def _worker(seeds, indices, cfg, conn):
+    """Body of a forked worker: solve indices and send {index: (u, a_r,
+    a_theta, xi, report) or exception} through conn.  The surface stays in
+    the parent.  A worker that cannot send its outcomes (one that does not
+    pickle, say) exits with status 1 and prints nothing."""
     try:
-        read_fd, write_fd = pipe
-        os.close(read_fd)
-        out = {i: r if isinstance(r, Exception)
-               else (r[0].u, r[0].a_r, r[0].a_theta, r[1], r[2])
-               for i, r in _solve_in_order(seeds, indices, cfg).items()}
-        payload = pickle.dumps(out, pickle.HIGHEST_PROTOCOL)
-        with os.fdopen(write_fd, "wb") as fh:
-            fh.write(payload)
-        status = 0
-    finally:
-        os._exit(status)
+        conn.send({i: r if isinstance(r, Exception)
+                   else (r[0].u, r[0].a_r, r[0].a_theta, r[1], r[2])
+                   for i, r in _solve_in_order(seeds, indices, cfg).items()})
+    except BaseException:
+        sys.exit(1)
 
 
 def _spawn(seeds, indices, cfg):
-    """(pid, read end of its pipe as a file) of a forked worker solving
+    """(process, receiving end of its pipe) of a forked worker solving
     indices, or None when the system has no pipe or process to spare."""
+    ctx = multiprocessing.get_context("fork")
     try:
-        read_fd, write_fd = os.pipe()
+        conn, child_end = ctx.Pipe(duplex=False)
     except OSError:
         return None
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        return None
-    if pid == 0:
-        _worker(seeds, indices, cfg, (read_fd, write_fd))
-    os.close(write_fd)
-    return pid, os.fdopen(read_fd, "rb")
-
-
-def _received(seeds, indices, payload: bytes, status: int) -> dict:
-    """A worker's outcomes with each field re-attached to its seed's
-    surface; a worker that died or sent no readable result fails its first
-    seed with a SolverError naming its exit status."""
-    code = os.waitstatus_to_exitcode(status)
-    got = None
-    if code == 0:
+    with child_end:  # closed here once forked, so a dead worker reads as EOF
+        proc = ctx.Process(target=_worker, args=(seeds, indices, cfg, child_end))
         try:
-            got = pickle.loads(payload)
-        except Exception:
-            pass
-    if got is None:
-        how = (f"was killed by signal {-code}" if code < 0 else
-               f"exited with status {code}" if code else "sent no readable result")
+            proc.start()
+        except OSError:
+            conn.close()
+            return None
+    return proc, conn
+
+
+def _received(seeds, indices, got, code: int) -> dict:
+    """A worker's outcomes with each field re-attached to its seed's
+    surface; a worker that did not exit 0 fails its first seed with a
+    SolverError naming its exit status."""
+    if code != 0:
+        how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
         return {indices[0]: SolverError(f"worker process for seeds {indices} {how}")}
     return {i: r if isinstance(r, Exception)
             else (seeds[i].with_fields(u=r[0], a_r=r[1], a_theta=r[2]), r[3], r[4])
@@ -607,15 +584,16 @@ def solve_all(seeds, cfg: Optional[SolveConfig] = None) -> list:
     """newton_solve on every seed, [(field, xi, report)] in seed order.
 
     The seeds are packed into _worker_count's number of bins by _bins: the
-    calling process solves bin 0 and one os.fork child per other bin solves
-    the rest, sending its arrays and reports (or exception) back through a
-    pipe.  One bin is the serial loop.  Every child is waited for before this
-    returns or raises.  The results are bitwise those of the serial loop, and
-    so is the error raised: the first in seed order, of the same type and
-    message (a child's traceback stays in the child).
+    calling process solves bin 0 and one child process per other bin, forked
+    by multiprocessing's fork start method, solves the rest, sending its
+    arrays and reports (or exception) back through a pipe.  One bin is the
+    serial loop.  Every child is waited for before this returns or raises.
+    The results are bitwise those of the serial loop, and so is the error
+    raised: the first in seed order, of the same type and message (a child's
+    traceback stays in the child).
     """
     bins = _bins(seeds, _worker_count(seeds))
-    local, children = list(bins[0]), []  # children: (pid, pipe, indices)
+    local, children = list(bins[0]), []  # children: (process, pipe, indices)
     try:
         for indices in bins[1:]:
             child = _spawn(seeds, indices, cfg)
@@ -625,20 +603,20 @@ def solve_all(seeds, cfg: Optional[SolveConfig] = None) -> list:
                 children.append((*child, indices))
         out = _solve_in_order(seeds, sorted(local), cfg)
         while children:
-            pid, pipe, indices = children[0]
+            proc, pipe, indices = children[0]
             with pipe:
-                payload = pipe.read()
-            _, status = os.waitpid(pid, 0)
+                try:
+                    got = pipe.recv()
+                except EOFError:  # the worker died before it sent everything
+                    got = None
+            proc.join()
             children.pop(0)
-            out.update(_received(seeds, indices, payload, status))
+            out.update(_received(seeds, indices, got, proc.exitcode))
     finally:
-        for pid, pipe, _ in children:  # only left when this call failed
+        for proc, pipe, _ in children:  # only left when this call failed
             pipe.close()
-            try:
-                os.kill(pid, signal.SIGKILL)
-            except ProcessLookupError:
-                pass
-            os.waitpid(pid, 0)
+            proc.kill()
+            proc.join()
     # a bin stops at its first failure, so every index missing from out comes
     # after a failure in seed order
     for i in range(len(seeds)):

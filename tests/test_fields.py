@@ -171,15 +171,6 @@ class TestEnergy:
             es.append(abs(e1 - e0) / e0)
         assert refinement_slope(es[0], es[1]) > 1.5
 
-    def test_partials_sum_to_total(self):
-        surf = cyl()
-        p = surf.pieces[0]
-        f = constant_field(surf, 0, T1, [0.5])
-        f = f.with_fields(u=f.u * (1 + 0.2 * np.exp(-grid_z(p)))[:, :, None])
-        rep = energy(f)
-        comp = sum(v for k, v in rep.partials.items() if k.startswith("component:"))
-        assert comp == pytest.approx(rep.total, rel=1e-12)
-
 
 class TestComplexGauge:
     def test_zero_is_identity(self):

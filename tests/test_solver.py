@@ -1,6 +1,8 @@
 import cmath
 import math
+import multiprocessing
 import os
+import signal
 import threading
 import warnings
 
@@ -20,7 +22,6 @@ from vortexlab.fields import (
     energy,
     gram_field,
     limit_orbit,
-    ring_energy,
     vortex_residual,
 )
 from vortexlab.modgraph import ModularGraph
@@ -41,7 +42,7 @@ from vortexlab.solver import (
     pcg,
     solve_all,
 )
-from vortexlab.surface import ComponentMesh, End, core_sleeve, glue, single_cylinder
+from vortexlab.surface import ComponentMesh, End, glue, single_cylinder
 from vortexlab.target import TargetSpace, fingerprint_distance
 
 T1 = TargetSpace(1, 1, [[1]], [1.0])
@@ -541,41 +542,6 @@ class TestPatchedInsideNewton:
                                                      rel=1e-8)
 
 
-class TestEnergyPartials:
-    def test_core_and_sleeves_partition_total(self):
-        seed = glued_pair(L=40.0, n_theta=16, h_r=0.2)
-        field, _, _ = newton_solve(seed, SolveConfig())
-        rep = energy(field)
-        assert rep.partials["core"] + rep.partials["sleeves"] == pytest.approx(
-            rep.total, rel=1e-12)
-        comp_and_neck = sum(v for k, v in rep.partials.items()
-                            if k.startswith(("component:", "neck:")))
-        assert comp_and_neck == pytest.approx(rep.total, rel=1e-12)
-
-    def test_sleeves_sum_ring_energy_over_the_cover_bands(self):
-        # two necks: the sleeve partial is the trapezoid-weighted ring
-        # energy on the union of the core/sleeve cover's neck bands
-        f = two_neck_seed()
-        p = f.piece
-        band = np.zeros(p.n_r, dtype=bool)
-        necks = core_sleeve(f.surface).necks
-        assert len(necks) == 2
-        for nc in necks:
-            band[nc.j_lo : nc.j_hi + 1] = True
-        ring = ring_energy(f) * p.quad_weights_r
-        assert energy(f).partials["sleeves"] == pytest.approx(ring[band].sum(),
-                                                              rel=1e-12)
-
-
-class TestSnapshots:
-    def test_callback_sees_every_accepted_iterate(self):
-        seed = degree_one_seed(n_r=101, n_theta=16, h_r=0.4)
-        seen = []
-        field, _, rep = newton_solve(
-            seed, SolveConfig(), snapshot_callback=lambda i, f: seen.append(i))
-        assert seen == list(range(rep.newton_iterations + 1))
-
-
 class TestRankTwoTorus:
     def test_newton_on_rank_two_target(self):
         # vector-valued gauge parameter: constant seed off the zero level
@@ -961,9 +927,15 @@ class TestInexactNewton:
             return x, it
 
         monkeypatch.setattr(solver, "pcg", recording_pcg)
-        seen = []
-        _, _, rep = newton_solve(seed, SolveConfig(newton_tol=1e-8),
-                                 snapshot_callback=lambda i, f: seen.append(f))
+        seen = []  # the iterate of each step, cg_solve's first argument
+        real_cg_solve = solver.cg_solve
+
+        def recording_cg_solve(f, *args, **kwargs):
+            seen.append(f)
+            return real_cg_solve(f, *args, **kwargs)
+
+        monkeypatch.setattr(solver, "cg_solve", recording_cg_solve)
+        _, _, rep = newton_solve(seed, SolveConfig(newton_tol=1e-8))
         assert len(calls) == rep.newton_iterations == len(rep.cg_tolerances)
         by_sup = []
         for k, (op, rhs, tol, sup_tol, step) in enumerate(calls):
@@ -1077,6 +1049,11 @@ def _serial_error(seeds, cfg):
     return info.value
 
 
+class _Unpicklable(Exception):
+    def __reduce__(self):
+        raise TypeError("this exception cannot be pickled")
+
+
 class TestSolveAll:
     def test_forked_results_are_the_serial_loops_in_seed_order(self, forks):
         # sizes out of order, so the bins do not follow the seed order
@@ -1139,6 +1116,39 @@ class TestSolveAll:
             solve_all(seeds, SolveConfig())
         assert len(forks) == 1
 
+    def test_a_child_killed_by_a_signal_is_a_solver_error(self, forks, monkeypatch,
+                                                          capfd):
+        parent, real = os.getpid(), solver.newton_solve
+
+        def killed_in_a_child(f, cfg=None):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(f, cfg)
+
+        monkeypatch.setattr(solver, "newton_solve", killed_in_a_child)
+        seeds = [_zero_level_field(101), _zero_level_field(61)]
+        with pytest.raises(SolverError, match="was killed by signal 9"):
+            solve_all(seeds, SolveConfig())
+        assert len(forks) == 1
+        assert capfd.readouterr().err == ""
+
+    def test_an_unpicklable_outcome_exits_with_status_1(self, forks, monkeypatch,
+                                                        capfd):
+        # the child cannot send its exception back: it exits 1, silently
+        parent, real = os.getpid(), solver.newton_solve
+
+        def unpicklable_in_a_child(f, cfg=None):
+            if os.getpid() != parent:
+                raise _Unpicklable("solve failed")
+            return real(f, cfg)
+
+        monkeypatch.setattr(solver, "newton_solve", unpicklable_in_a_child)
+        seeds = [_zero_level_field(101), _zero_level_field(61)]
+        with pytest.raises(SolverError, match="exited with status 1"):
+            solve_all(seeds, SolveConfig())
+        assert len(forks) == 1
+        assert capfd.readouterr().err == ""
+
     @pytest.mark.parametrize("members", ["solve_then_seed", "seed_only"])
     def test_batch_correspondence_seed_errors_come_first(self, forks, members):
         # a serial loop over solve_then_seed would raise the vortex member's
@@ -1199,6 +1209,13 @@ class TestSolveAll:
 
     def test_no_fork_on_one_usable_core(self, forks, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        seeds = [_zero_level_field(61), _zero_level_field(81)]
+        _same_results(solve_all(seeds), [newton_solve(s) for s in seeds])
+        assert forks == []
+
+    def test_no_fork_in_a_daemonic_process(self, forks, monkeypatch):
+        # multiprocessing lets no daemonic process start one
+        monkeypatch.setattr(multiprocessing.current_process(), "daemon", True)
         seeds = [_zero_level_field(61), _zero_level_field(81)]
         _same_results(solve_all(seeds), [newton_solve(s) for s in seeds])
         assert forks == []
