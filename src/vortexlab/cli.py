@@ -575,7 +575,8 @@ def _run_neck(cfg: RunConfig, out, name):
     lengths = cfg.experiments["neck"]["lengths"]
     (eid,) = cfg.gluings  # run() checks there is exactly one
     fam = xp.neck_family(lambda L: (cfg.graph, cfg.components, eid),
-                         lambda L: cfg.quasimap, lengths, cfg.solve, cfg.sleeve_width)
+                         lambda L: cfg.quasimap, lengths, cfg.solve, cfg.sleeve_width,
+                         cfg.break_radius)
     summary = {"lengths": lengths, "m0": {}, "totals": {}, "bubble": {}}
     tables = {}
     for L, prof in fam["profiles"].items():
@@ -615,8 +616,8 @@ def _run_ev(cfg: RunConfig, out, name):
                                 {"distances": (["leg", "from", "to", "distance"], rows)})
 
 
-def _run_graph(cfg: RunConfig, out, name):
-    g = cfg.graph
+def _graph_summary(g) -> dict:
+    """The graph report, from a config's graph block or a --graph-json literal."""
     summary = {"total_genus": total_genus(g), "n_markings": g.n_markings,
                "stable": is_stable(g)}
     try:
@@ -625,7 +626,11 @@ def _run_graph(cfg: RunConfig, out, name):
                                       for c in cyl_chains(g).chains]
     except GraphError as exc:
         summary["stabilization_error"] = str(exc)
-    return EXIT_OK, emit_report(out, name, summary, {})
+    return summary
+
+
+def _run_graph(cfg: RunConfig, out, name):
+    return EXIT_OK, emit_report(out, name, _graph_summary(cfg.graph), {})
 
 
 def _run_energy(cfg: RunConfig, out, name):
@@ -712,9 +717,8 @@ def main(argv=None) -> int:
                     g = graph_from_json(fh.read())
             except (OSError, GraphError) as exc:
                 raise ConfigError([str(exc)]) from exc
-            print(json.dumps({"total_genus": total_genus(g), "stable": is_stable(g),
-                              "n_markings": g.n_markings,
-                              "schema_version": SCHEMA_VERSION}, sort_keys=True))
+            print(json.dumps({**_graph_summary(g), "schema_version": SCHEMA_VERSION},
+                             sort_keys=True))
             return EXIT_OK
         if not args.config:
             raise ConfigError(["--config is required"])

@@ -262,6 +262,7 @@ def neck_family(
     lengths,
     cfg: Optional[SolveConfig] = None,
     sleeve_width: float = 4.0,
+    break_radius: float = 12.0,
 ) -> dict:
     """Solve the glued problem over a sweep of neck lengths.
 
@@ -275,7 +276,8 @@ def neck_family(
     members, necks = [], []  # necks: (L, edge) of each member
     for L in lengths:
         graph, comps, edge = components_factory(L)
-        surf = glue(comps, graph, {edge: math.exp(-float(L))}, sleeve_width)
+        surf = glue(comps, graph, {edge: math.exp(-float(L))}, sleeve_width,
+                    break_radius)
         if len(surf.pieces) != 1:
             raise ExperimentError("neck sweep expects one glued piece per length")
         members.append((q_factory(L), surf))

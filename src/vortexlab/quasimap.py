@@ -159,18 +159,15 @@ def is_stable_quasimap(q: QuasimapData, surface: Optional[GluedSurface] = None) 
                 continue
             if surface is not None and len(q.graph.legs_at(v)) == 2:
                 continue
-            ends = _ends_of_vertex(q, v, broken_edges)
-            vals = [q.asymptotic(e) for e in ends]
-            if len(vals) >= 2:
-                fps = []
-                for val in vals:
-                    if not is_semistable(q.target, val):
-                        return False
-                    fps.append(kempf_ness(q.target, val).fingerprint)
-                if all(fingerprint_distance(fps[0], fp) < 1e-9 for fp in fps[1:]):
-                    return False  # constant on a two-pointed sphere
-            else:
-                return False
+            # every edge at v is broken here, so these are its two special points
+            fps = []
+            for e in _ends_of_vertex(q, v, broken_edges):
+                val = q.asymptotic(e)
+                if not is_semistable(q.target, val):
+                    return False
+                fps.append(kempf_ness(q.target, val).fingerprint)
+            if fingerprint_distance(fps[0], fps[1]) < 1e-9:
+                return False  # constant on a two-pointed sphere
     return True
 
 

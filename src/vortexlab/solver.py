@@ -667,77 +667,53 @@ def _class_bands(data: np.ndarray, step: int, descending: bool) -> list:
     return bands
 
 
-class _Domain:
-    """Exact inverse of the _operator data (rings, n_theta, k, 4 + k) of
-    piece rows [a, b], with the domain's cover rows [ca, cb] and cutoff phi.
-
-    Each class band is factored once in place (dpbtrf), its rings descending
-    when the cover lies nearer the domain's low end so that the cover's
-    rings come last.  classes holds (indices, start, factor) per class: its
-    flat domain-local unknowns in band order, the position of its first
-    cover ring and the upper Cholesky band.
-    """
-
-    def __init__(self, data: np.ndarray, rows: tuple, cover: tuple,
-                 phi: np.ndarray, step: int):
-        self.rows, self.cover, self.phi = rows, cover, phi
-        inner, nth, k = data.shape[:3]
-        c0 = max(cover[0] - rows[0] - 1, 0)  # cover as interior ring indices
-        c1 = min(cover[1] - rows[0] - 1, inner - 1)
-        descending = c1 + 1 < inner - c0
-        self.classes = []
-        for cls, band in _class_bands(data, step, descending):
-            factor, info = dpbtrf(band, overwrite_ab=1)
-            if info > 0:
-                raise SolverError("preconditioner domain matrix is not positive "
-                                  f"definite: leading minor {info} of a parity class")
-            ring = cls[:, 0, 0] // (nth * k)
-            lead = np.count_nonzero(ring > c1 if descending else ring < c0)
-            self.classes.append((cls.reshape(-1), lead * cls[0].size, factor))
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Whole-domain solve through the full factors; rhs (rings, n_theta, k)."""
-        flat, out = rhs.reshape(-1), np.empty(rhs.size)
-        for cls, _, factor in self.classes:
-            out[cls] = dpbtrs(factor, flat[cls])[0]
-        return out.reshape(rhs.shape)
-
-
 class PatchedPreconditioner:
     """Approximate inverse glued from per-component reference solves.
 
     The literal pipeline lifts a section to the core/sleeve cover, applies the
-    exact broken-surface inverse per component (_Domain), multiplies by the
-    cutoff weights and pushes forward (apply).  apply_symmetric splits the
-    cutoff as sqrt(phi) on both sides, which keeps the map positive for use
-    inside CG.  A domain's right-hand side vanishes off its cover, which is
-    all that is read back, so each class solves exactly with the trailing
-    block of its factor from its first cover ring on: one gather of eta, one
-    dpbtrs per class block and one scatter-add make an apply.
+    exact broken-surface inverse per component, multiplies by the cutoff
+    weights and pushes forward (apply).  apply_symmetric splits the cutoff as
+    sqrt(phi) on both sides, which keeps the map positive for use inside CG.
+
+    Component ci's domain is the piece rows between its neighbouring necks'
+    far socket rings; each parity class band of its _operator is factored
+    once in place (dpbtrf), its rings descending when the cover lies nearer
+    the domain's low end, so that the cover's rings come last.  A domain's
+    right-hand side vanishes off its cover, which is all that is read back,
+    so each class solves exactly with the trailing block of its factor from
+    its first cover ring on: one gather of eta, one dpbtrs per class block
+    and one scatter-add make an apply.
     """
 
     def __init__(self, f: GaugedField, flavor: str = "five_point"):
         if flavor not in _STENCIL_STEP:
             raise SolverError(f"unknown operator flavor {flavor!r}")
         step, p, k = _STENCIL_STEP[flavor], f.piece, f.target.k
-        covers = [c for c in core_sleeve(f.surface).covers
-                  if c.piece_index == f.piece_index]
+        covers = core_sleeve(p, f.surface.sleeve_width)
         gram = gram_field(f)  # one evaluation for every domain
         size = p.n_theta * k  # unknowns per ring
-        self.domains, self._blocks, parts, n = [], [], [], 0
+        self._blocks, parts, n = [], [], 0
         for ci, cover in enumerate(covers):
             left = 0 if ci == 0 else p.necks[ci - 1].i_plus
             right = p.n_r - 1 if ci == len(covers) - 1 else p.necks[ci].i_minus
+            inner = right - left - 1
             data = _operator(f, (left, right), step, gram).data
-            dom = _Domain(data.reshape(right - left - 1, p.n_theta, k, 4 + k),
-                          (left, right), (cover.a, cover.b), cover.phi.copy(), step)
-            self.domains.append(dom)
+            c0 = max(cover.a - left - 1, 0)  # cover as interior ring indices
+            c1 = min(cover.b - left - 1, inner - 1)
+            descending = c1 + 1 < inner - c0
             pad = (cover.a, p.n_r - 1 - cover.b)  # cover indicator, cutoff by ring
             on = np.pad(np.ones_like(cover.phi), pad)
             phi = np.pad(cover.phi, pad)
-            for cls, start, factor in dom.classes:
-                src = cls[start:] + (left + 1) * size
-                self._blocks.append((n, n + src.size, factor[:, start:]))
+            for cls, band in _class_bands(data.reshape(inner, p.n_theta, k, 4 + k),
+                                          step, descending):
+                factor, info = dpbtrf(band, overwrite_ab=1)
+                if info > 0:
+                    raise SolverError("preconditioner domain matrix is not positive "
+                                      f"definite: leading minor {info} of a parity class")
+                ring = cls[:, 0, 0] // size
+                start = np.count_nonzero(ring > c1 if descending else ring < c0)
+                src = cls[start:].reshape(-1) + (left + 1) * size
+                self._blocks.append((n, n + src.size, factor[:, start * cls[0].size:]))
                 n += src.size
                 parts.append((src, on[src // size], phi[src // size]))
         self._src, self._inside, self._phi = (np.concatenate(x) for x in zip(*parts))

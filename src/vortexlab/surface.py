@@ -8,10 +8,11 @@ index.  A connected glued chain becomes a single rectangular grid (a Piece);
 delta = 0 leaves the node in place and splits the chain into broken pieces
 whose former sockets become truncated cylindrical ends.
 
-The core/sleeve cover of a piece puts a band of width sleeve_width on the
-middle of every neck (sleeve_band, the one place that rounds it to rings)
-and splits the piece into one cover chunk per component, whose weights
-ramp across each band by cutoff_profile and sum to one.
+The core/sleeve cover of a piece (core_sleeve) puts a band of width
+sleeve_width on the middle of every neck (sleeve_band, the one place that
+rounds it to rings) and splits the piece into one CoverPiece per component,
+in strip order, whose weights ramp across each band by cutoff_profile and
+sum to one.
 """
 
 from __future__ import annotations
@@ -36,8 +37,6 @@ __all__ = [
     "GluedSurface",
     "glue",
     "single_cylinder",
-    "CoreSleeve",
-    "NeckCover",
     "CoverPiece",
     "core_sleeve",
     "sleeve_band",
@@ -315,6 +314,15 @@ def _truncation_anchor(surf: GluedSurface, vertex, side: str) -> tuple:
     return ("node", eid, sign)
 
 
+def _end_rings(break_radius: float, h_r: float) -> int:
+    """Rings of the truncated end that extends a dangling socket."""
+    n = break_radius / h_r
+    if not math.isfinite(n):
+        raise SurfaceError(f"break radius {break_radius} is not a finite "
+                           f"number of rings of width {h_r}")
+    return int(round(n))
+
+
 def _build_pieces(surf: GluedSurface, live: dict) -> list:
     pieces = []
     for chain in _chain_order(surf, live):
@@ -334,7 +342,7 @@ def _build_pieces(surf: GluedSurface, live: dict) -> list:
         n_ext_left = 0
         # left extension when the chain starts at a dangling socket
         if first.left.kind == "socket":
-            n_ext_left = int(round(surf.break_radius / hr))
+            n_ext_left = _end_rings(surf.break_radius, hr)
             i = n_ext_left
         for pos, v in enumerate(chain):
             mesh = surf.components[v]
@@ -348,7 +356,7 @@ def _build_pieces(surf: GluedSurface, live: dict) -> list:
                 i += n_neck
                 shift = (shift + roll) % nth
         last = surf.components[chain[-1]]
-        n_ext_right = int(round(surf.break_radius / hr)) if last.right.kind == "socket" else 0
+        n_ext_right = _end_rings(surf.break_radius, hr) if last.right.kind == "socket" else 0
         n_r = i + 1 + n_ext_right
         r0 = first.r_min - n_ext_left * hr
         pieces.append(
@@ -415,68 +423,43 @@ def sleeve_band(piece: Piece, neck: Neck, width: float) -> tuple:
 
 
 @dataclass(frozen=True)
-class NeckCover:
-    """Sleeve band of one neck: global rings [j_lo, j_hi] carry two cover
-    copies with weights phi_plus and 1 - phi_plus."""
-
-    edge: object
-    piece_index: int
-    j_lo: int
-    j_hi: int
-    phi_plus: np.ndarray
-
-
-@dataclass(frozen=True)
 class CoverPiece:
-    """One component-side chunk of the cover: rings [a, b] of its piece with
+    """One component-side chunk of a piece's cover: rings [a, b] with
     partition-of-unity weights (1 on the core, ramping on sleeve bands)."""
 
-    piece_index: int
-    vertex: object
     a: int
     b: int
     phi: np.ndarray
 
 
-@dataclass(frozen=True)
-class CoreSleeve:
-    surface: GluedSurface
-    necks: tuple
-    covers: tuple
+def core_sleeve(piece: Piece, width: float) -> tuple:
+    """The core/sleeve cover of a piece: one CoverPiece per strip, in strip
+    order, over the width-wide middle band of every neck.
 
-
-def core_sleeve(surf: GluedSurface) -> CoreSleeve:
-    """Core/sleeve decomposition of every glued neck (Delta-wide middle bands).
-
-    Requires each neck at least twice the sleeve width; the cutoff weights sum
-    to one across the two copies of every band ring, exactly.
+    Requires each neck at least twice the width; the cutoff weights sum to
+    one across the two copies of every band ring, exactly.
     """
-    delta = surf.sleeve_width
-    necks, covers = [], []
-    for pi, piece in enumerate(surf.pieces):
-        phi = cutoff_profile(delta)
-        bands = []
-        for nk in piece.necks:
-            if nk.length < 2.0 * delta:
-                raise SurfaceError(
-                    f"neck {nk.edge}: length {nk.length} below twice the sleeve width"
-                )
-            j_lo, j_hi = sleeve_band(piece, nk, delta)
-            mid = 0.5 * (nk.i_plus + nk.i_minus)
-            rho = (np.arange(j_lo, j_hi + 1) - mid) * piece.h_r
-            phi_plus = 1.0 - phi(rho)
-            necks.append(NeckCover(nk.edge, pi, j_lo, j_hi, phi_plus))
-            bands.append((j_lo, j_hi, phi_plus))
-        # per-component cover chunks spanning into adjacent bands
-        for si, strip in enumerate(piece.strips):
-            a = 0 if si == 0 else bands[si - 1][0]
-            b = piece.n_r - 1 if si == len(piece.strips) - 1 else bands[si][1]
-            w = np.ones(b - a + 1)
-            if si > 0:
-                j_lo, j_hi, phip = bands[si - 1]
-                w[: j_hi - j_lo + 1] *= 1.0 - phip  # minus side of the previous neck
-            if si < len(piece.strips) - 1:
-                j_lo, j_hi, phip = bands[si]
-                w[j_lo - a :] *= phip  # plus side of the next neck
-            covers.append(CoverPiece(pi, strip.vertex, a, b, w))
-    return CoreSleeve(surf, tuple(necks), tuple(covers))
+    phi = cutoff_profile(width)
+    bands = []
+    for nk in piece.necks:
+        if nk.length < 2.0 * width:
+            raise SurfaceError(
+                f"neck {nk.edge}: length {nk.length} below twice the sleeve width"
+            )
+        j_lo, j_hi = sleeve_band(piece, nk, width)
+        mid = 0.5 * (nk.i_plus + nk.i_minus)
+        rho = (np.arange(j_lo, j_hi + 1) - mid) * piece.h_r
+        bands.append((j_lo, j_hi, 1.0 - phi(rho)))
+    covers = []
+    for si in range(len(piece.strips)):
+        a = 0 if si == 0 else bands[si - 1][0]
+        b = piece.n_r - 1 if si == len(piece.strips) - 1 else bands[si][1]
+        w = np.ones(b - a + 1)
+        if si > 0:
+            j_lo, j_hi, phip = bands[si - 1]
+            w[: j_hi - j_lo + 1] *= 1.0 - phip  # minus side of the previous neck
+        if si < len(piece.strips) - 1:
+            j_lo, j_hi, phip = bands[si]
+            w[j_lo - a :] *= phip  # plus side of the next neck
+        covers.append(CoverPiece(a, b, w))
+    return tuple(covers)

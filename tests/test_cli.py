@@ -219,6 +219,20 @@ class TestRun:
         out = capsys.readouterr().out
         assert json.loads(out)["total_genus"] == 1
 
+    def test_graph_literal_prints_the_config_report(self, tmp_path, capsys):
+        # --graph-json and --config build the graph report in one place
+        with open(NECK_CONFIG) as fh:
+            block = yaml.safe_load(fh)["graph"]
+        lit = tmp_path / "g.json"
+        lit.write_text(json.dumps(block))
+        assert main(["graph", "--graph-json", str(lit)]) == EXIT_OK
+        printed = json.loads(capsys.readouterr().out)
+        out = tmp_path / "out"
+        assert main(["graph", "--config", NECK_CONFIG, "--out", str(out)]) == EXIT_OK
+        (summary,) = out.glob("graph-*.json")
+        assert printed == load_json(summary)
+        assert "stabilization_error" in printed  # the old literal path lacked it
+
     def test_main_missing_config(self, capsys):
         assert main(["solve"]) == EXIT_CONFIG
 
@@ -572,6 +586,59 @@ class TestRepeatedNeckLength:
                    f"one (both are {key})")
         assert f"configuration error: {problem}" in err
         assert error["problems"] == [problem]
+
+
+def _dangling_chain(data):
+    """The neck family with v's right socket toward an unmeshed vertex x: the
+    chain's right end is a truncated end break_radius long, and the zero sits
+    3 from it, so the energy depends on break_radius."""
+    data["graph"] = {
+        "vertices": [{"id": "u", "genus": 0}, {"id": "v", "genus": 0},
+                     {"id": "x", "genus": 0}],
+        "edges": [["u", "v"], ["v", "x"]],
+        "legs": [{"index": 1, "vertex": "u"}, {"index": 2, "vertex": "x"}],
+    }
+    s = data["surface"]
+    s.update(n_theta=16, h_r=0.25, break_radius=2.0)
+    s["components"]["v"]["right"] = {"edge": 1}
+    data["quasimap"]["zeros"] = {"v": [[{"r": 6.0, "theta": 0.1}]]}
+    data["experiments"]["neck"]["lengths"] = [10.0, 20.0]
+
+
+class TestNeckUsesBreakRadius:
+    # neck glues each length as solve glues the config's one length, with
+    # the config's break_radius (not glue's default of 12)
+    def test_totals_equal_solve_energies(self, tmp_path):
+        run_dir = tmp_path / "neck"
+        run_dir.mkdir()
+        assert main(["neck", "--config", neck_config(run_dir, _dangling_chain)]) == EXIT_OK
+        (summary,) = (run_dir / "out").glob("neck-*.json")
+        totals = load_json(summary)["totals"]
+        for L in (10.0, 20.0):
+            run_dir = tmp_path / f"solve-{L:g}"
+            run_dir.mkdir()
+
+            def edit(data):
+                _dangling_chain(data)
+                data["surface"]["gluings"]["0"]["length"] = L
+
+            assert main(["solve", "--config", neck_config(run_dir, edit)]) == EXIT_OK
+            (summary,) = (run_dir / "out").glob("solve-*.json")
+            assert totals[f"L{L:g}"] == load_json(summary)["total_energy"]
+
+
+class TestBreakRadiusRingCount:
+    def test_infinite_ring_count_is_a_numerical_failure(self, tmp_path, capsys):
+        # 1e308 / h_r overflows to inf: a glue error, not an internal one
+        with open(os.path.join(CONFIGS, "connectedness.yaml")) as fh:
+            data = yaml.safe_load(fh)
+        data["surface"]["break_radius"] = 1e308
+        data["out"] = str(tmp_path / "out")
+        assert main(["solve", "--config", write_config(tmp_path, data)]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert "numerical failure: break radius 1e+308 is not a finite number" in err
+        (error,) = (tmp_path / "out").glob("solve-*-error.json")
+        assert "traceback" not in load_json(error)
 
 
 class TestDecayExitCodes:

@@ -42,7 +42,7 @@ from vortexlab.solver import (
     pcg,
     solve_all,
 )
-from vortexlab.surface import ComponentMesh, End, glue, single_cylinder
+from vortexlab.surface import ComponentMesh, End, core_sleeve, glue, single_cylinder
 from vortexlab.target import TargetSpace, fingerprint_distance
 
 T1 = TargetSpace(1, 1, [[1]], [1.0])
@@ -256,7 +256,8 @@ class TestGaugeStepOperator:
         assert rep.newton_iterations > 0
         assert len(calls) == rep.newton_iterations + 1
         calls.clear()
-        assert len(PatchedPreconditioner(seed, flavor="gauge_step").domains) == 2
+        PatchedPreconditioner(seed, flavor="gauge_step")
+        assert len(core_sleeve(seed.piece, seed.surface.sleeve_width)) == 2
         assert len(calls) == 1
 
 
@@ -599,7 +600,7 @@ class TestTwoNeckChain:
         assert rep.converged
         assert abs(rep.final_energy - 4 * math.pi) / (4 * math.pi) < 0.03
         pre = patched_preconditioner(field)
-        assert len(pre.domains) == 3
+        assert len(core_sleeve(field.piece, field.surface.sleeve_width)) == 3
         defects = operator_defect(field, pre, n_probes=5, seed=11)
         assert max(defects) < 0.5
         p = field.piece
@@ -615,7 +616,10 @@ class TestTwoNeckChain:
 # -- banded domain solves of the patched preconditioner ----------------------
 
 def _rank_two_field(n_r, n_theta, h_r, seed):
-    surf = cyl(n_r=n_r, n_theta=n_theta, h_r=h_r)
+    return _perturbed_rank_two(cyl(n_r=n_r, n_theta=n_theta, h_r=h_r), seed)
+
+
+def _perturbed_rank_two(surf, seed):
     t2 = TargetSpace(3, 2, [[1, 0, 1], [0, 1, 1]], [1.0, 1.0])
     f = constant_field(surf, 0, t2, [1.3, 0.9, 0.4])
     rng = np.random.default_rng(seed)
@@ -659,17 +663,36 @@ def _entrywise_domain_matrix(f, rows, flavor):
     return A.tocsc()
 
 
-def _twisted_neck_seed(n_theta=16, h_r=0.2):
+def _twisted_neck_seed(n_theta=16, h_r=0.2, k=1, n_r=51):
+    """Two components glued along a neck of length 20 and twist 3 h_theta:
+    the degree-one seed for k = 1, a perturbed constant field for k = 2."""
     g = ModularGraph({"u": 0, "v": 0}, (("u", "v"),), ((1, "u"), (2, "v")))
-    mk = lambda rmin, l, r: ComponentMesh(51, n_theta, h_r, rmin, l, r)
+    mk = lambda rmin, l, r: ComponentMesh(n_r, n_theta, h_r, rmin, l, r)
     comps = {
         "u": mk(-10.0, End("truncation", ("leg", 1)), End("socket", edge=0)),
         "v": mk(0.0, End("socket", edge=0), End("truncation", ("leg", 2))),
     }
     twist = 3 * 2 * math.pi / n_theta
     surf = glue(comps, g, {0: cmath.exp(complex(-20.0, -twist))}, sleeve_width=4.0)
+    if k == 2:
+        return _perturbed_rank_two(surf, seed=n_theta)
     q = QuasimapData(g, T1, {"u": ((-5.0 + 0.3j,),)})
     return build_seed(q, surf, 0)
+
+
+def _domains(f):
+    """[(rows, cover rows, phi)] of the patched preconditioner's domains: a
+    component's domain runs from the far socket ring of the neck on its left
+    to that of the neck on its right, taken from the piece, not the object
+    under test."""
+    p = f.piece
+    covers = core_sleeve(p, f.surface.sleeve_width)
+    out = []
+    for ci, cover in enumerate(covers):
+        a = 0 if ci == 0 else p.necks[ci - 1].i_plus
+        b = p.n_r - 1 if ci == len(covers) - 1 else p.necks[ci].i_minus
+        out.append(((a, b), (cover.a, cover.b), cover.phi))
+    return out
 
 
 def _splu_patched(f, flavor, symmetric=True):
@@ -677,13 +700,13 @@ def _splu_patched(f, flavor, symmetric=True):
     the solve and phi after it) of the patched preconditioner with whole-domain
     sparse-LU solves (reference)."""
     pre = PatchedPreconditioner(f, flavor=flavor)
-    lus = [spla.splu(_assemble_domain_matrix(f, d.rows, flavor)) for d in pre.domains]
+    domains = _domains(f)
+    lus = [spla.splu(_assemble_domain_matrix(f, rows, flavor)) for rows, _, _ in domains]
 
     def apply(eta):
         out = np.zeros_like(eta)
-        for dom, lu in zip(pre.domains, lus):
-            (a, b), (ca, cb) = dom.rows, dom.cover
-            w = dom.phi[:, None, None]
+        for ((a, b), (ca, cb), phi), lu in zip(domains, lus):
+            w = phi[:, None, None]
             lift, cut = (np.sqrt(w), np.sqrt(w)) if symmetric else (1.0, w)
             full = np.zeros((b - a + 1,) + eta.shape[1:])
             full[ca - a : cb - a + 1] = lift * eta[ca : cb + 1]
@@ -761,45 +784,58 @@ def _band_matrix(band):
     return U + sp.triu(U, 1).T
 
 
-# domain covers putting the rings in ascending (whole domain) and descending
-# (cover at the low end) order
-def _ring_order_covers(rows):
-    return (rows, (rows[0], rows[0] + 3))
-
-
 class TestBandedDomainSolve:
     @pytest.mark.parametrize("flavor", ["five_point", "gauge_step"])
     @pytest.mark.parametrize("k", [1, 2])
     @pytest.mark.parametrize("n_theta", [16, 15])
     def test_matches_sparse_direct(self, flavor, k, n_theta):
+        # a single cylinder has one cover, the whole piece with phi 1, so
+        # apply is the whole-domain solve
         f = _domain_field(k, n_theta)
+        p = f.piece
+        (cover,) = core_sleeve(p, f.surface.sleeve_width)
+        assert (cover.a, cover.b) == (0, p.n_r - 1) and np.all(cover.phi == 1.0)
+        pre = PatchedPreconditioner(f, flavor=flavor)
+        A = _assemble_domain_matrix(f, (0, p.n_r - 1), flavor)
         rng = np.random.default_rng(30 + 2 * k + n_theta)
-        # odd (29) and even (14) interior ring counts
-        for rows in ((0, f.piece.n_r - 1), (4, 19)):
-            A = _assemble_domain_matrix(f, rows, flavor)
-            shape = (rows[1] - rows[0] - 1, n_theta, k)
-            for cover in _ring_order_covers(rows):
-                dom = solver._Domain(_domain_data(f, rows, flavor), rows, cover,
-                                     np.ones(cover[1] - cover[0] + 1),
-                                     solver._STENCIL_STEP[flavor])
-                _assert_solves_match(dom.solve, A, shape, rng)
+
+        def solve(rhs):
+            eta = np.zeros((p.n_r, n_theta, k))
+            eta[1:-1] = rhs
+            return pre.apply(eta)[1:-1]
+
+        _assert_solves_match(solve, A, (p.n_r - 2, n_theta, k), rng)
 
     @pytest.mark.parametrize("flavor", ["five_point", "gauge_step"])
     def test_twisted_neck_domains(self, flavor):
+        # eta on the rings only one cover holds: apply is that domain's
+        # exact solve, times its cutoff on its cover
         f = _twisted_neck_seed()
+        p = f.piece
         pre = PatchedPreconditioner(f, flavor=flavor)
-        assert len(pre.domains) == 2
+        domains = _domains(f)
+        assert len(domains) == 2
         rng = np.random.default_rng(31)
-        for dom in pre.domains:
-            a, b = dom.rows
-            A = _assemble_domain_matrix(f, dom.rows, flavor)
-            _assert_solves_match(dom.solve, A, (b - a - 1, f.piece.n_theta, 1), rng)
+        for di, ((a, b), (ca, cb), phi) in enumerate(domains):
+            own = np.zeros(p.n_r, dtype=bool)
+            own[ca : cb + 1] = True
+            for _, (oa, ob), _ in domains[:di] + domains[di + 1 :]:
+                own[oa : ob + 1] = False
+            own[0] = own[-1] = False
+            eta = rng.normal(size=(p.n_r, p.n_theta, 1)) * own[:, None, None]
+            A = _assemble_domain_matrix(f, (a, b), flavor)
+            sol = np.zeros((b - a + 1, p.n_theta, 1))
+            sol[1:-1] = spla.spsolve(A, eta[a + 1 : b].ravel()).reshape(sol[1:-1].shape)
+            ref = np.zeros_like(eta)
+            ref[ca : cb + 1] = phi[:, None, None] * sol[ca - a : cb - a + 1]
+            out = pre.apply(eta)
+            assert np.linalg.norm(out - ref) <= 1e-10 * np.linalg.norm(ref)
 
-    def test_indefinite_domain_raises(self):
+    def test_indefinite_domain_raises(self, monkeypatch):
         f = _domain_field(1, 16)
-        data = _domain_data(f, (0, 30), "gauge_step")
+        monkeypatch.setattr(solver, "gram_field", lambda f: -gram_field(f))
         with pytest.raises(SolverError, match="not positive definite"):
-            solver._Domain(-data, (0, 30), (0, 30), np.ones(31), 2)
+            PatchedPreconditioner(f, flavor="gauge_step")
 
     @pytest.mark.parametrize("flavor", ["five_point", "gauge_step"])
     @pytest.mark.parametrize("descending", [False, True])
@@ -820,13 +856,20 @@ class TestBandedDomainSolve:
 class TestPatchedAppliesMatchSparseLU:
     # the applies solve only the trailing block of each class factor; on
     # the two-neck piece the middle domain's cover sits inside it, so the
-    # trailing block also holds rings past the cover
+    # trailing block also holds rings past the cover.  Every domain is a
+    # sub-row range of its piece, and the first of each pair has its cover
+    # at its low end, so its rings run descending; the k = 2 seed has even
+    # interior ring counts, the others odd
     @pytest.mark.parametrize("flavor", ["five_point", "gauge_step"])
-    @pytest.mark.parametrize("make_seed", [_twisted_neck_seed, two_neck_seed])
+    @pytest.mark.parametrize("make_seed", [
+        _twisted_neck_seed, two_neck_seed,
+        pytest.param(lambda: _twisted_neck_seed(k=2, n_r=52), id="twisted-k2"),
+        pytest.param(lambda: _twisted_neck_seed(n_theta=15), id="twisted-n_theta15"),
+    ])
     def test_apply_and_apply_symmetric(self, make_seed, flavor):
         f = make_seed()
         p = f.piece
-        eta = np.random.default_rng(33).normal(size=(p.n_r, p.n_theta, 1))
+        eta = np.random.default_rng(33).normal(size=(p.n_r, p.n_theta, f.target.k))
         eta[0] = eta[-1] = 0.0
         for symmetric in (False, True):
             pre, reference = _splu_patched(f, flavor, symmetric)
@@ -834,7 +877,7 @@ class TestPatchedAppliesMatchSparseLU:
             ref = reference(eta)
             assert np.linalg.norm(out - ref) <= 1e-10 * np.linalg.norm(ref)
         if make_seed is two_neck_seed:
-            (a, b), (ca, cb) = pre.domains[1].rows, pre.domains[1].cover
+            (a, b), (ca, cb), _ = _domains(f)[1]
             assert a + 1 < ca and cb < b - 1
 
 

@@ -14,6 +14,7 @@ from vortexlab.surface import (
     glue,
     neck_parameters,
     single_cylinder,
+    sleeve_band,
 )
 
 
@@ -163,12 +164,12 @@ class TestCutoffProfile:
             cutoff_profile(0.0)
 
 
-def _core_mask(cs, piece_index):
+def _core_mask(piece, width):
     """Rings of a piece outside the open sleeve bands of its necks."""
-    mask = np.ones(cs.surface.pieces[piece_index].n_r, dtype=bool)
-    for nc in cs.necks:
-        if nc.piece_index == piece_index:
-            mask[nc.j_lo + 1 : nc.j_hi] = False
+    mask = np.ones(piece.n_r, dtype=bool)
+    for nk in piece.necks:
+        j_lo, j_hi = sleeve_band(piece, nk, width)
+        mask[j_lo + 1 : j_hi] = False
     return mask
 
 
@@ -176,46 +177,46 @@ class TestCoreSleeve:
     def test_sleeve_band_span(self):
         graph, comps = two_component_setup()
         surf = glue(comps, graph, {0: math.exp(-10.0)}, sleeve_width=4.0)
-        cs = core_sleeve(surf)
-        (nc,) = cs.necks
         piece = surf.pieces[0]
-        rho_lo = (nc.j_lo - piece.necks[0].i_plus) * piece.h_r
-        rho_hi = (nc.j_hi - piece.necks[0].i_plus) * piece.h_r
+        j_lo, j_hi = sleeve_band(piece, piece.necks[0], surf.sleeve_width)
+        rho_lo = (j_lo - piece.necks[0].i_plus) * piece.h_r
+        rho_hi = (j_hi - piece.necks[0].i_plus) * piece.h_r
         assert rho_lo == pytest.approx(3.0)
         assert rho_hi == pytest.approx(7.0)
+        # the two covers overlap on exactly that band
+        first, second = core_sleeve(piece, surf.sleeve_width)
+        assert (second.a, first.b) == (j_lo, j_hi)
 
     def test_single_component_core_only(self):
         surf = single_cylinder(81, 16, 0.25)
-        cs = core_sleeve(surf)
-        assert cs.necks == ()
-        assert np.all(_core_mask(cs, 0))
-        (cover,) = cs.covers
-        assert (cover.a, cover.b) == (0, surf.pieces[0].n_r - 1)
+        piece = surf.pieces[0]
+        assert piece.necks == []
+        assert np.all(_core_mask(piece, surf.sleeve_width))
+        (cover,) = core_sleeve(piece, surf.sleeve_width)
+        assert (cover.a, cover.b) == (0, piece.n_r - 1)
         assert np.all(cover.phi == 1.0)
 
     def test_partition_of_unity_exact(self):
         graph, comps = two_component_setup()
         surf = glue(comps, graph, {0: math.exp(-10.0)}, sleeve_width=4.0)
-        cs = core_sleeve(surf)
         piece = surf.pieces[0]
         weights = np.zeros(piece.n_r)
-        for cover in cs.covers:
+        for cover in core_sleeve(piece, surf.sleeve_width):
             weights[cover.a : cover.b + 1] += cover.phi
         assert np.allclose(weights, 1.0, atol=1e-12)
 
     def test_cover_spans_every_site_once_or_twice(self):
         graph, comps = two_component_setup()
         surf = glue(comps, graph, {0: math.exp(-10.0)}, sleeve_width=4.0)
-        cs = core_sleeve(surf)
         piece = surf.pieces[0]
         count = np.zeros(piece.n_r, dtype=int)
-        for cover in cs.covers:
+        for cover in core_sleeve(piece, surf.sleeve_width):
             count[cover.a : cover.b + 1] += 1
-        (nc,) = cs.necks
+        j_lo, j_hi = sleeve_band(piece, piece.necks[0], surf.sleeve_width)
         assert np.all(count >= 1)
-        assert np.all(count[nc.j_lo : nc.j_hi + 1] == 2)
-        core = _core_mask(cs, 0)
-        assert np.all(count[core] == 1) or np.all(count[nc.j_lo + 1 : nc.j_hi] == 2)
+        assert np.all(count[j_lo : j_hi + 1] == 2)
+        core = _core_mask(piece, surf.sleeve_width)
+        assert np.all(count[core] == 1) or np.all(count[j_lo + 1 : j_hi] == 2)
 
 
 class TestThreeComponentChain:
@@ -236,9 +237,8 @@ class TestThreeComponentChain:
         (piece,) = surf.pieces
         assert len(piece.necks) == 2
         assert piece.necks[1].length == pytest.approx(15.0)
-        cs = core_sleeve(surf)
         weights = np.zeros(piece.n_r)
-        for cover in cs.covers:
+        for cover in core_sleeve(piece, surf.sleeve_width):
             weights[cover.a : cover.b + 1] += cover.phi
         assert np.allclose(weights, 1.0, atol=1e-12)
 
