@@ -17,7 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import VortexlabError
-from .fields import GaugedField, energy, holonomy, ring_average, ring_energy
+from .fields import GaugedField, holonomy, ring_average, ring_energy
 from .quasimap import correspondences
 from .solver import SolveConfig, solve_all
 from .surface import glue
@@ -233,10 +233,11 @@ def neck_profile(f: GaugedField, edge=None) -> NeckProfile:
     nk = necks[0]
     e = ring_energy(f)
     wr = p.quad_weights_r
+    weighted = e * wr  # energy's quadrature, ring by ring
     sl = slice(nk.i_plus, nk.i_minus + 1)
     rho = (np.arange(nk.i_plus, nk.i_minus + 1) - nk.i_plus) * p.h_r
     ring = e[sl]
-    total_neck = float((e * wr)[sl].sum())
+    total_neck = float(weighted[sl].sum())
     # the tail mass is measured from the + side, so the detector floor is the
     # quiet level of the first half (a twisted side floors at the angular
     # stencil error of its winding phase, which must not mask the tail)
@@ -249,7 +250,7 @@ def neck_profile(f: GaugedField, edge=None) -> NeckProfile:
         rho=rho,
         ring_energy=ring,
         total_neck_energy=total_neck,
-        total_energy=energy(f).total,
+        total_energy=float(weighted.sum()),
         m0=m0,
         tail_start=float(rho[start]),
         h_r=p.h_r,

@@ -2,24 +2,25 @@
 
 The unknown is a real moment-direction gauge parameter xi on grid sites
 (Dirichlet zero at truncation rings).  Every Laplacian applied here is one
-Dirichlet-periodic stencil with a step plus the pointwise Gram(u), assembled
-into one CSR matrix per freeze (_operator; its index arrays are built once
-per shape and shared read-only): step 2 is the composed-centered (wide)
-Laplacian of the gauge step, step 1 the five-point one.  Each Newton step
-freezes the exact positive Jacobian of the discrete gauge step (step 2) and
-solves it by conjugate gradients (pcg, the one Krylov loop of the package),
-one CSR matvec per iteration, optionally preconditioned by the core/sleeve
-patched inverse.  Its domain solves write every parity class's band straight
-from the same operator's coefficients, factor it once, and solve at each
-apply only the trailing block under the cutoff.  The Newton is inexact: the
-inner tolerance of each step is an Eisenstat-Walker forcing term (choice 2,
-relative, Euclidean) floored at cg_tol, each inner solve also stops once its
-linear residual is at most newton_tol / 2 in the sup norm, the norm of the
-outer stop, and a backtracking line search guards the large-residual
-regime.  The five-point operator (linearized_apply) is the default system of
-cg_solve.  solve_all runs a list of independent Newton solves, in worker
-processes started by multiprocessing's fork start method when the seeds are
-large enough to pay for a fork, with the serial loop's results and error.
+Dirichlet-periodic stencil with a step plus the pointwise Gram(u), its
+weights and site blocks written once (_site_blocks): step 2 is the
+composed-centered (wide) Laplacian of the gauge step, step 1 the five-point
+one.  Each Newton step freezes the exact positive Jacobian of the discrete
+gauge step (step 2) and solves it by conjugate gradients (pcg, the one
+Krylov loop of the package), one matrix-free numpy apply per iteration,
+optionally preconditioned by the core/sleeve patched inverse: the one user
+of scipy, imported when it is built.  Its domain solves write every parity
+class's band from the operator's coefficients (_operator), factor it once,
+and keep and solve at each apply only the trailing block under the cutoff.
+The Newton is inexact: the inner tolerance of each step is an
+Eisenstat-Walker forcing term (choice 2, relative, Euclidean) floored at
+cg_tol, each inner solve also stops once its linear residual is at most
+newton_tol / 2 in the sup norm, the norm of the outer stop, and a
+backtracking line search guards the large-residual regime.  The five-point
+operator (linearized_apply) is the default system of cg_solve.  solve_all
+runs a list of independent Newton solves, in worker processes started by
+multiprocessing's fork start method when the seeds are large enough to pay
+for a fork, with the serial loop's results and error.
 """
 
 from __future__ import annotations
@@ -31,44 +32,20 @@ import os
 import sys
 import threading
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg.blas import daxpy, ddot
-from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from . import VortexlabError
-from .fields import (
-    FieldError,
-    GaugedField,
-    d_r,
-    d_theta,
-    end_average,
-    energy,
-    gram_field,
-    vortex_residual,
-)
+from .fields import (FieldError, GaugedField, d_r, d_theta, end_average, energy,
+                     gram_field, vortex_residual)
 from .surface import core_sleeve
 from .target import TargetError
 
-__all__ = [
-    "SolverError",
-    "SolveConfig",
-    "SolveReport",
-    "linearized_apply",
-    "pcg",
-    "cg_solve",
-    "gauge_step_operator",
-    "gauge_step_jacobian_apply",
-    "gauge_update",
-    "newton_solve",
-    "solve_all",
-    "PatchedPreconditioner",
-    "patched_preconditioner",
-    "operator_defect",
-]
+__all__ = ["SolverError", "SolveConfig", "SolveReport", "linearized_apply", "pcg",
+           "cg_solve", "gauge_step_operator", "gauge_step_jacobian_apply",
+           "gauge_update", "newton_solve", "solve_all", "PatchedPreconditioner",
+           "patched_preconditioner", "operator_defect"]
 
 
 class SolverError(VortexlabError, RuntimeError):
@@ -136,85 +113,95 @@ def _zero_boundary(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=16)
-def _pattern(inner: int, nth: int, k: int, step: int):
-    """Read-only CSR (indptr, indices) of the step stencil on (inner, nth, k)
-    interior unknowns in (ring, theta, component) order.
-
-    Every row has 4 + k slots: ring - step, theta - step, the k components of
-    its site (the Gram block row), theta + step, ring + step.  A ring
-    neighbour past the domain is a dummy slot on the row's own column whose
-    coefficient is always zero.  The arrays are shared by every operator of
-    this shape, so nothing may write them: a matrix that gets sorted or
-    pruned must take its own copy first.
-    """
-    s = step
-    itype = np.int32 if inner * nth * k * (4 + k) < 2**31 else np.int64
-    idx = np.arange(inner * nth * k, dtype=itype).reshape(inner, nth, k)
-    cols = np.empty((inner, nth, k, 4 + k), dtype=itype)
-    cols[..., 0] = cols[..., 3 + k] = idx
-    cols[s:, ..., 0] = idx[:-s]
-    cols[:-s, ..., 3 + k] = idx[s:]
-    cols[..., 1] = np.roll(idx, s, axis=1)
-    cols[..., 2 : 2 + k] = idx[:, :, None, :]
-    cols[..., 2 + k] = np.roll(idx, -s, axis=1)
-    indices = cols.reshape(-1)
-    indptr = np.arange(0, indices.size + 1, 4 + k, dtype=itype)
-    indices.flags.writeable = indptr.flags.writeable = False
-    return indptr, indices
-
-
-def _operator(f: GaugedField, rows: tuple, step: int,
-              gram: np.ndarray) -> sp.csr_matrix:
-    """Positive Laplacian of the step stencil plus the pointwise gram
-    (gram_field(f) of f's whole piece) on rows [a, b] of the piece,
-    Dirichlet at rings a and b, periodic in theta, as a CSR matrix over the
-    interior unknowns in (ring, theta, component) order.
+def _site_blocks(p, step: int, gram_rows: np.ndarray):
+    """(w_r, w_t, blocks) of the step stencil on interior rings with Gram(u)
+    gram_rows (rings, n_theta, k, k), Dirichlet one ring past each end: the
+    radial and angular neighbour weights (each entering with a minus sign)
+    and each site's k x k block, Gram(u) plus the Laplacian's diagonal.
 
     The radial part is D^T D, D the difference across step rings divided by
-    step * h_r over the pairs of rings inside [a, b]; the angular part is the
-    periodic second difference across step angles divided by
-    (step * h_theta)^2.  step = 1 is the five-point operator, step = 2 the
-    composed-centered (wide) one of the gauge step.  The radial weight is
-    1/h_r^2 for step 1 and the product of the centered weights 1/(2 h_r) for
-    step 2, so that every entry is bitwise that of the kron-assembled sparse
-    operator.  Only the data array is built here; the index arrays are
-    _pattern's.
+    step * h_r; the angular part is the periodic second difference across
+    step angles divided by (step * h_theta)^2.  step = 1 is the five-point
+    operator, step = 2 the composed-centered (wide) one of the gauge step.
+    w_r is 1/h_r^2 for step 1 and the product of the centered weights
+    1/(2 h_r) for step 2, so that every entry is bitwise that of the
+    kron-assembled sparse operator.
     """
-    p, k, s = f.piece, f.target.k, step
-    a, b = rows
-    inner, nth = b - a - 1, p.n_theta
-    if inner < 1:
-        raise SolverError("operator domain too thin")
+    s, inner, k = step, len(gram_rows), gram_rows.shape[-1]
     w_r = 1.0 / p.h_r**2 if s == 1 else (0.5 / p.h_r) * (0.5 / p.h_r)
     w_t = 1.0 / (s * s * p.h_theta**2)
     ring = np.arange(inner)[:, None, None]
-    data = np.empty((inner, nth, k, 4 + k))
+    pairs = (ring >= s - 1).astype(float) + (ring <= inner - s)  # D^T D diagonal
+    blocks = np.array(gram_rows, dtype=float)
+    c = np.arange(k)
+    blocks[:, :, c, c] += pairs * w_r + 2.0 * w_t
+    return w_r, w_t, blocks
+
+
+def _operator(f: GaugedField, rows: tuple, step: int, gram: np.ndarray) -> np.ndarray:
+    """Positive Laplacian of the step stencil plus the pointwise gram
+    (gram_field(f) of f's whole piece) on rows [a, b] of the piece,
+    Dirichlet at rings a and b, periodic in theta: its coefficients
+    (rings, n_theta, k, 4 + k) over the interior unknowns in (ring, theta,
+    component) order, for ring - step, theta - step, the k components of
+    the site (its block row), theta + step and ring + step; a ring
+    neighbour past the domain has coefficient zero."""
+    p, k, s = f.piece, f.target.k, step
+    a, b = rows
+    inner = b - a - 1
+    if inner < 1:
+        raise SolverError("operator domain too thin")
+    w_r, w_t, blocks = _site_blocks(p, s, gram[a + 1 : b])
+    ring = np.arange(inner)[:, None, None]
+    data = np.empty((inner, p.n_theta, k, 4 + k))
     data[..., 0] = np.where(ring >= s, -w_r, 0.0)
     data[..., 1] = data[..., 2 + k] = -w_t
+    data[..., 2 : 2 + k] = blocks
     data[..., 3 + k] = np.where(ring < inner - s, -w_r, 0.0)
-    data[..., 2 : 2 + k] = gram[a + 1 : b]
-    pairs = (ring >= s - 1).astype(float) + (ring <= inner - s)  # D^T D diagonal
-    c = np.arange(k)
-    data[:, :, c, 2 + c] += pairs * w_r + 2.0 * w_t
-    indptr, indices = _pattern(inner, nth, k, s)
-    n = inner * nth * k
-    return sp.csr_matrix((data.reshape(-1), indices, indptr), shape=(n, n))
+    return data
 
 
 def _stencil(f: GaugedField, step: int) -> Callable[[np.ndarray], np.ndarray]:
     """The _operator of f's whole piece (Gram(u) frozen here) as an apply on
     full-piece parameters: it reads only the interior rows of its argument
-    and returns a new array whose boundary rows are zero."""
-    n_r, nth, k = f.piece.n_r, f.piece.n_theta, f.target.k
-    A = _operator(f, (0, n_r - 1), step, gram_field(f))
+    and returns a new array whose boundary rows are zero.  Its attribute
+    flat is the same map, matrix-free, on flat interior vectors in (ring,
+    theta, component) order, returning a buffer of its own that the next
+    call overwrites: blocks x - w_r (w_t / w_r angular sum + radial sum) in
+    whole-vector numpy operations on shifted slices, the angular sum taken
+    again by index on the first and last step angles of each ring, where a
+    shift runs into the next ring."""
+    p, k, s = f.piece, f.target.k, step
+    n_r, nth, inner = p.n_r, p.n_theta, p.n_r - 2
+    w_r, w_t, blocks = _site_blocks(p, s, gram_field(f)[1:-1])
+    n = inner * nth * k
+    rs, ts = min(s * nth * k, n), s * k  # flat shifts by step rings, step angles
+    at = lambda js: ((np.arange(inner)[:, None, None] * nth + js[:, None]) * k
+                     + np.arange(k)).reshape(-1)  # flat indices of angles js
+    wrapped = np.r_[:s, nth - s : nth]
+    edge, below, above = at(wrapped), at((wrapped - s) % nth), at((wrapped + s) % nth)
+    y, t = np.empty(n), np.empty(n)
+
+    def flat(x: np.ndarray) -> np.ndarray:
+        np.add(x[: n - 2 * ts], x[2 * ts :], out=y[ts : n - ts])
+        y[edge] = x[below] + x[above]
+        np.multiply(y, w_t / w_r, out=y)
+        np.add(y[rs:], x[: n - rs], out=y[rs:])  # ring - step
+        np.add(y[: n - rs], x[rs:], out=y[: n - rs])  # ring + step
+        np.multiply(y, -w_r, out=y)
+        for c in range(k):  # the site blocks, column by column
+            np.multiply(blocks.reshape(-1, k, k)[:, :, c], x.reshape(-1, k)[:, c : c + 1],
+                        out=t.reshape(-1, k))
+            np.add(y, t, out=y)
+        return y
 
     def apply(xi: np.ndarray) -> np.ndarray:
         out = np.zeros((n_r, nth, k))
-        out[1:-1] = (A @ xi[1:-1].reshape(-1)).reshape(n_r - 2, nth, k)
+        x = np.ascontiguousarray(xi[1:-1], dtype=float).reshape(-1)
+        out[1:-1] = flat(x).reshape(inner, nth, k)
         return out
 
-    apply.matrix = A
+    apply.flat = flat
     return apply
 
 
@@ -268,31 +255,35 @@ def pcg(op: Callable, rhs: np.ndarray, M: Optional[Callable], tol: float,
     sup_tol; that entry is only looked for once the Euclidean norm is at
     most sqrt(n) sup_tol, which every such residual satisfies.  Raises on
     loss of positivity (a misconfigured operator) or when maxit is exceeded.
-    Returns (x, iterations).  x and the residual are updated in place by
-    BLAS daxpy on flat views.
+    Returns (x, iterations).  Every update is an in-place numpy operation
+    on a flat view: the direction is scaled by the step length and added to
+    x, and op's result, which pcg overwrites, is scaled and subtracted from
+    the residual.
     """
     x = np.zeros(np.shape(rhs))
     r = np.array(rhs, dtype=float)
     xv, rv = x.reshape(-1), r.reshape(-1)
-    rr = ddot(rv, rv)
+    rr = float(np.dot(rv, rv))
     rhs_norm = math.sqrt(rr)
     if rhs_norm == 0.0:
         return x, 0
     stop = tol * rhs_norm
     sup_gate = -1.0 if sup_tol is None else math.sqrt(rv.size) * sup_tol
     z = r if M is None else M(r)
-    rz = rr if M is None else ddot(rv, z.reshape(-1))
+    rz = rr if M is None else float(np.dot(rv, z.reshape(-1)))
     d = np.array(z, dtype=float)
     dv = d.reshape(-1)
     for it in range(1, maxit + 1):
         Ad = op(d).reshape(-1)
-        dAd = ddot(dv, Ad)
+        dAd = float(np.dot(dv, Ad))
         if dAd <= 0.0:
             raise SolverError("operator lost positivity; misconfigured system")
         alpha = rz / dAd
-        daxpy(dv, xv, a=alpha)
-        daxpy(Ad, rv, a=-alpha)
-        rr = ddot(rv, rv)
+        dv *= alpha  # unscaled again with beta below
+        xv += dv
+        Ad *= alpha
+        rv -= Ad
+        rr = float(np.dot(rv, rv))
         norm = math.sqrt(rr)
         if norm <= stop or (norm <= sup_gate and max(rv.max(), -rv.min()) <= sup_tol):
             return x, it
@@ -300,8 +291,8 @@ def pcg(op: Callable, rhs: np.ndarray, M: Optional[Callable], tol: float,
             z, rz_new = r, rr
         else:
             z = M(r)
-            rz_new = ddot(rv, z.reshape(-1))
-        d *= rz_new / rz
+            rz_new = float(np.dot(rv, z.reshape(-1)))
+        d *= rz_new / rz / alpha
         d += z
         rz = rz_new
     raise SolverError(f"conjugate gradients exceeded {maxit} iterations")
@@ -320,11 +311,11 @@ def cg_solve(
     operator replaces the default five-point operator of linearized_apply
     (Gram(u) frozen for the solve) and must come from _stencil, such as
     gauge_step_operator(f): the solve runs on flat interior vectors with its
-    CSR matrix.  cfg.cg_tol, cfg.max_cg and sup_tol (None: no sup stop; Newton
-    passes half its newton_tol) bound the solve (see pcg).  Returns (xi,
-    iterations).
+    matrix-free flat apply.  cfg.cg_tol, cfg.max_cg and sup_tol (None: no sup
+    stop; Newton passes half its newton_tol) bound the solve (see pcg).
+    Returns (xi, iterations).
     """
-    A = (operator if operator is not None else _stencil(f, 1)).matrix
+    op = operator if operator is not None else _stencil(f, 1)
     xi = np.zeros(rhs.shape)
     inner = xi[1:-1]
     M = None
@@ -332,7 +323,7 @@ def cg_solve(
         def M(v):
             inner[...] = v.reshape(inner.shape)
             return preconditioner(xi)[1:-1].reshape(-1)
-    x, iterations = pcg(A.dot, rhs[1:-1].reshape(-1), M, cfg.cg_tol, cfg.max_cg,
+    x, iterations = pcg(op.flat, rhs[1:-1].reshape(-1), M, cfg.cg_tol, cfg.max_cg,
                         sup_tol)
     inner[...] = x.reshape(inner.shape)
     return xi, iterations
@@ -631,9 +622,9 @@ def solve_all(seeds, cfg: Optional[SolveConfig] = None) -> list:
 _STENCIL_STEP = {"five_point": 1, "gauge_step": 2}
 
 
-def _class_bands(data: np.ndarray, step: int, descending: bool) -> list:
-    """LAPACK upper band of each parity class of a domain's _operator data,
-    viewed (rings, n_theta, k, 4 + k), with its rings descending if asked.
+def _class_bands(data: np.ndarray, step: int, descending: bool):
+    """LAPACK upper band of each parity class of a domain's _operator
+    coefficients, with its rings descending if asked.
 
     A stencil reaching rings and angles +-step mixes no ring classes mod
     step, nor angle classes mod step when step divides n_theta (Gram(u)
@@ -642,8 +633,8 @@ def _class_bands(data: np.ndarray, step: int, descending: bool) -> list:
     to band row u + i - j of column j: the Gram block on rows u .. u - k + 1,
     the in-class theta neighbour (q = step // angle stride angles on) on row
     u - q k, the periodic wrap of the last q angles on row u - (T - q) k and
-    the ring neighbour on row 0.  Returns [(cls, band)]: the class's flat
-    domain-local unknowns, (rings, T, k) in band order, and its F-ordered band.
+    the ring neighbour on row 0.  Yields (cls, band), one class at a time:
+    its flat domain-local unknowns, (rings, T, k) in band order, and band.
     """
     nth, k = data.shape[1:3]
     idx = np.arange(data[..., 0].size).reshape(data.shape[:3])
@@ -651,7 +642,6 @@ def _class_bands(data: np.ndarray, step: int, descending: bool) -> list:
         data, idx = data[::-1], idx[::-1]
     st = step if nth % step == 0 else 1
     T, q, u = nth // st, step // st, nth // st * k
-    bands = []
     for pr in range(min(step, len(data))):
         for pt in range(st):
             view = (slice(pr, None, step), slice(pt, None, st))
@@ -663,8 +653,8 @@ def _class_bands(data: np.ndarray, step: int, descending: bool) -> list:
             Z[:, q:, :, u - q * k] = D[:, : T - q, :, 2 + k]
             Z[:, T - q :, :, u - (T - q) * k] = D[:, :q, :, 1]
             Z[1:, ..., 0] = D[:-1, ..., 0 if descending else 3 + k]
-            bands.append((idx[view], Z.reshape(-1, u + 1).T))
-    return bands
+            yield idx[view], Z.reshape(-1, u + 1).T
+            del Z  # the caller's is the only reference to this band
 
 
 class PatchedPreconditioner:
@@ -686,26 +676,28 @@ class PatchedPreconditioner:
     """
 
     def __init__(self, f: GaugedField, flavor: str = "five_point"):
+        from scipy.linalg.lapack import dpbtrf, dpbtrs  # scipy's one use
+
         if flavor not in _STENCIL_STEP:
             raise SolverError(f"unknown operator flavor {flavor!r}")
         step, p, k = _STENCIL_STEP[flavor], f.piece, f.target.k
         covers = core_sleeve(p, f.surface.sleeve_width)
         gram = gram_field(f)  # one evaluation for every domain
         size = p.n_theta * k  # unknowns per ring
+        self._dpbtrs = dpbtrs
         self._blocks, parts, n = [], [], 0
         for ci, cover in enumerate(covers):
             left = 0 if ci == 0 else p.necks[ci - 1].i_plus
             right = p.n_r - 1 if ci == len(covers) - 1 else p.necks[ci].i_minus
             inner = right - left - 1
-            data = _operator(f, (left, right), step, gram).data
             c0 = max(cover.a - left - 1, 0)  # cover as interior ring indices
             c1 = min(cover.b - left - 1, inner - 1)
             descending = c1 + 1 < inner - c0
             pad = (cover.a, p.n_r - 1 - cover.b)  # cover indicator, cutoff by ring
             on = np.pad(np.ones_like(cover.phi), pad)
             phi = np.pad(cover.phi, pad)
-            for cls, band in _class_bands(data.reshape(inner, p.n_theta, k, 4 + k),
-                                          step, descending):
+            data = _operator(f, (left, right), step, gram)
+            for cls, band in _class_bands(data, step, descending):
                 factor, info = dpbtrf(band, overwrite_ab=1)
                 if info > 0:
                     raise SolverError("preconditioner domain matrix is not positive "
@@ -713,16 +705,18 @@ class PatchedPreconditioner:
                 ring = cls[:, 0, 0] // size
                 start = np.count_nonzero(ring > c1 if descending else ring < c0)
                 src = cls[start:].reshape(-1) + (left + 1) * size
-                self._blocks.append((n, n + src.size, factor[:, start * cls[0].size:]))
+                self._blocks.append((n, n + src.size,
+                                     factor[:, start * cls[0].size :].copy(order="F")))
                 n += src.size
                 parts.append((src, on[src // size], phi[src // size]))
+                del band, factor  # so that the next class's band is the only one
         self._src, self._inside, self._phi = (np.concatenate(x) for x in zip(*parts))
         self._sqrt_phi = np.sqrt(self._phi)
 
     def _apply(self, eta: np.ndarray, pre: np.ndarray, post: np.ndarray) -> np.ndarray:
         v = eta.reshape(-1)[self._src] * pre
         for start, stop, factor in self._blocks:
-            v[start:stop] = dpbtrs(factor, v[start:stop], overwrite_b=1)[0]
+            v[start:stop] = self._dpbtrs(factor, v[start:stop], overwrite_b=1)[0]
         return np.bincount(self._src, weights=post * v,
                            minlength=eta.size).reshape(eta.shape)
 

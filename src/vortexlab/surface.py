@@ -45,6 +45,7 @@ __all__ = [
 ]
 
 MIN_SITES = 8
+MAX_SITES = np.iinfo(np.intp).max // 16  # numpy's largest array of complex sites
 
 
 class SurfaceError(VortexlabError, ValueError):
@@ -133,6 +134,10 @@ class Piece:
     necks: list
     left: tuple
     right: tuple
+
+    def __post_init__(self):
+        if self.n_r * self.n_theta > MAX_SITES:
+            raise SurfaceError(f"piece has more than the {MAX_SITES} sites numpy can hold")
 
     @property
     def h_theta(self) -> float:

@@ -420,6 +420,12 @@ class TestWorkerProcessesThroughMain:
             os.waitpid(-1, os.WNOHANG)
 
 
+def _with_src_path(env):
+    """env with the package's source directory first on PYTHONPATH."""
+    src = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+    return dict(env, PYTHONPATH=os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")])))
+
+
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
                     "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 
@@ -430,9 +436,7 @@ class TestOneBlasThreadByDefault:
     def _run(self, tmp_path, name, threads):
         env = {k: v for k, v in os.environ.items() if k not in THREAD_VARIABLES}
         env.update(threads)
-        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [os.path.abspath(src), env.get("PYTHONPATH")]))
+        env = _with_src_path(env)
         run_dir = tmp_path / name
         run_dir.mkdir()
         done = subprocess.run(
@@ -450,6 +454,53 @@ class TestOneBlasThreadByDefault:
         default = self._run(tmp_path, "default", {})
         assert default[0] == EXIT_OK, default[2]
         assert default == self._run(tmp_path, "one", {"OPENBLAS_NUM_THREADS": "1"})
+
+
+#: main in a fresh process, with every scipy import failing when its first
+#: argument is "blocked"; its last line of stdout lists the scipy modules
+#: loaded by then
+MAIN_WITH_SCIPY = """
+import sys
+if sys.argv.pop(1) == "blocked":
+    sys.modules["scipy"] = None
+from vortexlab.cli import main
+code = main(sys.argv[1:])
+print(sorted(m for m, mod in sys.modules.items() if m.split(".")[0] == "scipy" and mod))
+sys.exit(code)
+"""
+
+
+class TestDefaultPathWithoutScipy:
+    # scipy serves only the patched preconditioner: with it blocked, solve
+    # on every shipped config exits, prints and writes as it does with it
+    def _run(self, tmp_path, name, scipy, args):
+        run_dir = tmp_path / name
+        run_dir.mkdir()
+        done = subprocess.run([sys.executable, "-c", MAIN_WITH_SCIPY, scipy, *args,
+                               "--out", "out"],
+                              cwd=run_dir, env=_with_src_path(os.environ),
+                              capture_output=True, text=True, timeout=300)
+        *printed, loaded = done.stdout.splitlines()
+        artifacts = {p.name: p.read_bytes() for p in (run_dir / "out").iterdir()}
+        return (done.returncode, printed, done.stderr, artifacts), loaded
+
+    @pytest.mark.parametrize("shipped", sorted(
+        name for name in os.listdir(CONFIGS) if name.endswith(".yaml")))
+    def test_solve_writes_the_bytes_of_a_run_with_scipy(self, tmp_path, shipped):
+        args = ["solve", "--config", os.path.abspath(os.path.join(CONFIGS, shipped)),
+                "--snapshots"]
+        blocked, _ = self._run(tmp_path, "blocked", "blocked", args)
+        assert blocked[0] == EXIT_OK, blocked[2]
+        plain, loaded = self._run(tmp_path, "plain", "allowed", args)
+        assert blocked == plain
+        assert loaded == "[]"
+
+    def test_patched_neck_loads_scipy_linalg_only(self, tmp_path):
+        cfg = neck_config(tmp_path, _set(("solve", "preconditioner"), "patched"))
+        (code, _, err, _), loaded = self._run(tmp_path, "patched", "allowed",
+                                              ["neck", "--config", cfg])
+        assert code == EXIT_OK, err
+        assert "'scipy.linalg'" in loaded and "scipy.sparse" not in loaded
 
 
 class TestNumericValidation:
@@ -637,6 +688,23 @@ class TestBreakRadiusRingCount:
         assert main(["solve", "--config", write_config(tmp_path, data)]) == EXIT_NUMERICAL
         err = capsys.readouterr().err
         assert "numerical failure: break radius 1e+308 is not a finite number" in err
+        (error,) = (tmp_path / "out").glob("solve-*-error.json")
+        assert "traceback" not in load_json(error)
+
+    @pytest.mark.parametrize("shipped, edit", [
+        ("degree_one.yaml", lambda d: d["surface"]["components"]["c"].update(length=1e300)),
+        ("connectedness.yaml", lambda d: d["surface"].update(break_radius=1e300)),
+    ], ids=["component-length", "break-radius"])
+    def test_unallocatable_ring_count_is_a_numerical_failure(self, tmp_path, capsys,
+                                                             shipped, edit):
+        # a finite ring count whose sites numpy cannot allocate: a glue error
+        with open(os.path.join(CONFIGS, shipped)) as fh:
+            data = yaml.safe_load(fh)
+        edit(data)
+        data["out"] = str(tmp_path / "out")
+        assert main(["solve", "--config", write_config(tmp_path, data)]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert "numerical failure: piece has more than the" in err
         (error,) = (tmp_path / "out").glob("solve-*-error.json")
         assert "traceback" not in load_json(error)
 

@@ -5,6 +5,7 @@ import os
 import signal
 import threading
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -719,12 +720,41 @@ def _splu_patched(f, flavor, symmetric=True):
     return pre, apply
 
 
+def _csr_pattern(inner, nth, k, step):
+    """CSR (indptr, indices) matching _operator's coefficient layout on
+    (inner, nth, k) interior unknowns: every row has 4 + k slots, ring -
+    step, theta - step, the k components of its site, theta + step and ring
+    + step, and a ring neighbour past the domain is a slot on the row's own
+    column (its coefficient is zero)."""
+    s = step
+    idx = np.arange(inner * nth * k).reshape(inner, nth, k)
+    cols = np.empty((inner, nth, k, 4 + k), dtype=np.int64)
+    cols[..., 0] = cols[..., 3 + k] = idx
+    cols[s:, ..., 0] = idx[:-s]
+    cols[:-s, ..., 3 + k] = idx[s:]
+    cols[..., 1] = np.roll(idx, s, axis=1)
+    cols[..., 2 : 2 + k] = idx[:, :, None, :]
+    cols[..., 2 + k] = np.roll(idx, -s, axis=1)
+    indices = cols.reshape(-1)
+    return np.arange(0, indices.size + 1, 4 + k), indices
+
+
+def _operator_csr(f, rows, step, gram=None):
+    """_operator's coefficients on domain rows [a, b] as a CSR matrix over
+    the interior unknowns, zero slots kept; gram defaults to f's."""
+    gram = gram_field(f) if gram is None else gram
+    data = solver._operator(f, rows, step, gram)
+    n = data[..., 0].size
+    return sp.csr_matrix((data.reshape(-1), *_csr_pattern(*data.shape[:3], step)[::-1]),
+                         shape=(n, n))
+
+
 def _assemble_domain_matrix(f, rows, flavor="five_point"):
     """The _operator of flavor "five_point" (step 1, linearized_apply) or
     "gauge_step" (step 2, the operator solved inside Newton) on domain rows
-    [a, b] as a sparse matrix with its own index arrays and without the zero
-    dummy slots: the reference the class bands are checked against."""
-    A = solver._operator(f, rows, solver._STENCIL_STEP[flavor], gram_field(f)).tocsc()
+    [a, b] as a sparse matrix without the zero slots: the reference the
+    class bands are checked against."""
+    A = _operator_csr(f, rows, solver._STENCIL_STEP[flavor]).tocsc()
     A.eliminate_zeros()
     return A
 
@@ -751,9 +781,8 @@ class TestDomainAssembly:
 class TestSharedIndexArrays:
     @pytest.mark.parametrize("k", [1, 2])
     def test_domain_matrices_leave_the_operator_intact(self, k):
-        # one index pattern serves every operator of a shape: building,
-        # sorting or pruning domain matrices of the same shape must not
-        # change an operator frozen before them
+        # building preconditioners and domain matrices of the same shape
+        # must not change an operator frozen before them
         f = _domain_field(k, 16)
         p = f.piece
         op = gauge_step_operator(f)
@@ -766,15 +795,46 @@ class TestSharedIndexArrays:
             A.sort_indices()
             A.eliminate_zeros()
         assert np.array_equal(op(x), before)
-        assert not op.matrix.indices.flags.writeable
-        assert not op.matrix.indptr.flags.writeable
+
+
+class TestMatrixFreeApply:
+    # the flat apply of _stencil against the CSR matrix of _operator's
+    # coefficients, on a whole piece and on rows of it with at most step
+    # interior rings (no radial neighbour at all)
+    @pytest.mark.parametrize("step", [1, 2])
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("n_theta", [16, 15])
+    @pytest.mark.parametrize("rings", [None, 4, 3])
+    def test_equals_csr_of_the_coefficients(self, rings, n_theta, k, step, monkeypatch):
+        f = _domain_field(k, n_theta)
+        gram = gram_field(f)
+        if rings is not None:
+            # rows 5 .. 5 + rings - 1 as a piece of their own, thinner than a
+            # mesh may be, with their Gram(u)
+            p, gram = f.piece, gram[5 : 5 + rings]
+            piece = SimpleNamespace(n_r=rings, n_theta=n_theta, h_r=p.h_r,
+                                    h_theta=p.h_theta)
+            f = SimpleNamespace(piece=piece, target=f.target)
+            monkeypatch.setattr(solver, "gram_field", lambda _: gram)
+        p = f.piece
+        op = solver._stencil(f, step)
+        A = _operator_csr(f, (0, p.n_r - 1), step, gram)
+        rng = np.random.default_rng(50 + n_theta + k)
+        for _ in range(3):
+            x = rng.normal(size=A.shape[0])
+            ref = A @ x
+            out = op.flat(x)
+            assert np.max(np.abs(out - ref)) <= 1e-15 * np.max(np.abs(ref))
+            xi = np.zeros((p.n_r, n_theta, k))
+            xi[1:-1] = x.reshape(p.n_r - 2, n_theta, k)
+            full = op(xi)
+            assert np.all(full[0] == 0) and np.all(full[-1] == 0)
+            assert np.array_equal(full[1:-1].reshape(-1), out)
 
 
 def _domain_data(f, rows, flavor):
-    """The domain's _operator data viewed (rings, n_theta, k, 4 + k)."""
-    k = f.target.k
-    A = solver._operator(f, rows, solver._STENCIL_STEP[flavor], gram_field(f))
-    return A.data.reshape(rows[1] - rows[0] - 1, f.piece.n_theta, k, 4 + k)
+    """The domain's _operator coefficients (rings, n_theta, k, 4 + k)."""
+    return solver._operator(f, rows, solver._STENCIL_STEP[flavor], gram_field(f))
 
 
 def _band_matrix(band):
@@ -845,7 +905,7 @@ class TestBandedDomainSolve:
         f = _domain_field(1, 16)
         data = _domain_data(f, (0, 30), flavor)
         step = solver._STENCIL_STEP[flavor]
-        bands = solver._class_bands(data, step, descending)
+        bands = list(solver._class_bands(data, step, descending))
         perm = np.concatenate([cls.ravel() for cls, _ in bands])
         B = sp.block_diag([_band_matrix(band) for _, band in bands], format="coo")
         A = sp.csc_matrix((B.data, (perm[B.row], perm[B.col])), shape=B.shape)
