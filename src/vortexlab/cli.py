@@ -518,7 +518,8 @@ def _run_decay(cfg: RunConfig, out, name):
     surf = cfg.surface()
     fam = correspondence(cfg.quasimap, surf, cfg.solve)
     pi = sorted(fam.fields)[0]
-    fit = xp.decay_fit(fam.fields[pi], block["end"], block["window"])
+    fit = xp.decay_fit(fam.fields[pi], block["end"], block["window"],
+                       fam.reports[pi].ring_energy)
     summary = {"gamma_hat": fit.gamma_hat, "c_hat": fit.c_hat,
                "r_squared": fit.r_squared, "window": list(fit.window),
                "rejected": fit.rejected, "note": fit.note,
@@ -539,8 +540,8 @@ def _run_annulus(cfg: RunConfig, out, name):
     p = f.piece
     z = p.r[:, None] + 1j * p.h_theta * np.arange(p.n_theta)[None, :]
     f = f.with_fields(u=f.u * (1 + eps * np.exp(-(z - p.r[0])))[:, :, None])
-    solved, _, _ = newton_solve(f, cfg.solve)
-    out_data = xp.annulus_check(solved, block["t_values"])
+    solved, _, report = newton_solve(f, cfg.solve)
+    out_data = xp.annulus_check(solved, block["t_values"], report.ring_energy)
     summary = {key: out_data[key]
                for key in ("monotone", "delta_hat", "r_squared", "orbit_diameter")}
     rows = [(float(t), float(e)) for t, e in out_data["table"]]
@@ -650,10 +651,15 @@ SUBCOMMANDS = {"solve": _run_solve, "decay": _run_decay, "annulus": _run_annulus
 
 
 def run(cfg: RunConfig, subcommand: str, snapshots: bool = False):
-    """Run one subcommand; returns (exit code, artifact paths).  A package
-    error inside is a numerical failure: exit 3 with an error artifact."""
+    """Run one subcommand; returns (exit code, artifact paths).  Every
+    subcommand but graph needs a meshed component, and neck exactly one
+    glued edge (a ConfigError otherwise).  A package error inside is a
+    numerical failure: exit 3 with an error artifact."""
     if subcommand not in SUBCOMMANDS:
         raise ConfigError([f"unknown subcommand {subcommand!r}"], cfg.raw)
+    if subcommand != "graph" and not cfg.components:
+        raise ConfigError([f"surface.components: {subcommand} needs at least one "
+                           "meshed component"], cfg.raw)
     if subcommand == "neck" and len(cfg.gluings) != 1:
         raise ConfigError(["neck experiment needs exactly one glued edge"], cfg.raw)
     name = f"{subcommand}-{cfg.content_hash()}"

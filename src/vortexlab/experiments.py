@@ -98,17 +98,19 @@ class DecayFit:
     note: str = ""
 
 
-def decay_fit(f: GaugedField, end: str, window: tuple) -> DecayFit:
+def decay_fit(f: GaugedField, end: str, window: tuple,
+              ring_energies: Optional[np.ndarray] = None) -> DecayFit:
     """Log-linear fit of the ring energy over a radial window toward an end.
 
     The window is given in the piece's radial coordinate.  If the section
     vanishes somewhere inside the window (density not yet in the decay
     regime) the window is shifted toward the end and the shift is noted.
     Constant fields (no ring energy above DECAY_ZERO_FLOOR) and fits with
-    R^2 below DECAY_MIN_R2 are rejected with a flag.
+    R^2 below DECAY_MIN_R2 are rejected with a flag.  ring_energies is
+    ring_energy(f) as f's SolveReport carries it (None: evaluated here).
     """
     p = f.piece
-    e = ring_energy(f)
+    e = ring_energy(f) if ring_energies is None else ring_energies
     lo, hi = float(window[0]), float(window[1])
     note = ""
     per_coord_max = np.max(np.abs(f.u), axis=(0, 1))
@@ -148,11 +150,13 @@ def _ring_orbit(f: GaugedField, ring: int):
     return kempf_ness(f.target, avg).fingerprint
 
 
-def annulus_check(f: GaugedField, t_values) -> dict:
+def annulus_check(f: GaugedField, t_values,
+                  ring_energies: Optional[np.ndarray] = None) -> dict:
     """Middle-cylinder energies E([s0+T, s1-T]) with a log-linear decay fit
-    and an orbit-diameter proxy over the deepest middle rings."""
+    and an orbit-diameter proxy over the deepest middle rings.  ring_energies
+    is ring_energy(f) as f's SolveReport carries it (None: evaluated here)."""
     p = f.piece
-    e = ring_energy(f)
+    e = ring_energy(f) if ring_energies is None else ring_energies
     wr = p.quad_weights_r
     s0, s1 = p.r[0], p.r[-1]
     rows = []
@@ -220,8 +224,10 @@ class NeckProfile:
     h_r: float
 
 
-def neck_profile(f: GaugedField, edge=None) -> NeckProfile:
+def neck_profile(f: GaugedField, edge, ring_energies: np.ndarray) -> NeckProfile:
     """Ring-energy profile along a glued neck with the tail-mass estimate.
+    ring_energies is ring_energy(f), as f's SolveReport carries it; edge None
+    takes the piece's first neck.
 
     The tail starts after the ring where the density first drops below ten
     times the neck floor (the double limit replaced by a plateau detector).
@@ -231,12 +237,11 @@ def neck_profile(f: GaugedField, edge=None) -> NeckProfile:
     if not necks:
         raise ExperimentError("field has no glued neck")
     nk = necks[0]
-    e = ring_energy(f)
     wr = p.quad_weights_r
-    weighted = e * wr  # energy's quadrature, ring by ring
+    weighted = ring_energies * wr  # energy's quadrature, ring by ring
     sl = slice(nk.i_plus, nk.i_minus + 1)
     rho = (np.arange(nk.i_plus, nk.i_minus + 1) - nk.i_plus) * p.h_r
-    ring = e[sl]
+    ring = ring_energies[sl]
     total_neck = float(weighted[sl].sum())
     # the tail mass is measured from the + side, so the detector floor is the
     # quiet level of the first half (a twisted side floors at the angular
@@ -272,7 +277,9 @@ def neck_family(
     produces one NeckProfile plus the family of evaluations.  Every length is
     glued and checked first, so a bad length fails before any solve; the
     lengths are independent solves, which correspondences seeds and solves in
-    one solve_all call (forked processes when they are large enough).
+    one solve_all call (forked processes when they are large enough).  Each
+    profile reads the ring energies its solve's report carries, so no
+    length's energy density is evaluated again here.
     """
     members, necks = [], []  # necks: (L, edge) of each member
     for L in lengths:
@@ -285,7 +292,8 @@ def neck_family(
         necks.append((float(L), edge))
     out = {"profiles": {}, "families": {}}
     for (L, edge), fam in zip(necks, correspondences(members, cfg)):
-        out["profiles"][L] = neck_profile(fam.fields[0], edge)
+        out["profiles"][L] = neck_profile(fam.fields[0], edge,
+                                          fam.reports[0].ring_energy)
         out["families"][L] = fam
     return out
 

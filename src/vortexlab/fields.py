@@ -131,17 +131,29 @@ def constant_field(surface, piece_index, target, v, lam=None) -> GaugedField:
 # -- discrete derivatives ----------------------------------------------------
 
 def d_r(arr: np.ndarray, h: float) -> np.ndarray:
-    """Radial derivative: centered inside, one-sided second order at rows 0, -1."""
-    out = np.empty_like(arr)
-    out[1:-1] = (arr[2:] - arr[:-2]) / (2.0 * h)
-    out[0] = (-3.0 * arr[0] + 4.0 * arr[1] - arr[2]) / (2.0 * h)
-    out[-1] = (3.0 * arr[-1] - 4.0 * arr[-2] + arr[-3]) / (2.0 * h)
-    return out
+    """Radial derivative: centered inside, one-sided second order at rows 0, -1.
+
+    The differences are written straight into the returned array and divided
+    there by 2h, with no whole-array temporary; the values are bitwise those
+    of (arr[i+1] - arr[i-1]) / (2h)."""
+    out = np.empty(arr.shape, np.result_type(arr, 1.0))
+    np.subtract(arr[2:], arr[:-2], out=out[1:-1])
+    out[0] = -3.0 * arr[0] + 4.0 * arr[1] - arr[2]
+    out[-1] = 3.0 * arr[-1] - 4.0 * arr[-2] + arr[-3]
+    return np.divide(out, 2.0 * h, out=out)
 
 
 def d_theta(arr: np.ndarray, h: float) -> np.ndarray:
-    """Angular derivative, centered, periodic."""
-    return (np.roll(arr, -1, axis=1) - np.roll(arr, 1, axis=1)) / (2.0 * h)
+    """Angular derivative, centered, periodic along axis 1:
+    (arr[:, j+1] - arr[:, j-1]) / (2h) with j +- 1 taken mod n_theta, so zero
+    when n_theta is 1 or 2.  Written like d_r, by slices into the returned
+    array, the two wrapped columns apart."""
+    n = arr.shape[1]
+    out = np.empty(arr.shape, np.result_type(arr, 1.0))
+    np.subtract(arr[:, 2:], arr[:, :-2], out=out[:, 1:-1])
+    np.subtract(arr[:, 1 % n], arr[:, -1], out=out[:, 0])
+    np.subtract(arr[:, 0], arr[:, (n - 2) % n], out=out[:, -1])
+    return np.divide(out, 2.0 * h, out=out)
 
 
 # -- local operators ----------------------------------------------------------

@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from . import VortexlabError
-from .fields import GaugedField, d_r, limit_orbit, ring_energy
+from .fields import GaugedField, d_r, limit_orbit
 from .modgraph import ModularGraph
 from .solver import SolveConfig, solve_all
 from .surface import GluedSurface, SurfaceError
@@ -332,10 +332,10 @@ def _find_end(surface: GluedSurface, anchor: tuple):
     raise SurfaceError(f"no piece end with anchor {anchor}")
 
 
-def _decay_rate_estimate(f: GaugedField, end: str) -> float:
-    """Crude log-slope of the ring energy density toward an end (positive)."""
-    p = f.piece
-    dens = ring_energy(f)
+def _decay_rate_estimate(p, dens: np.ndarray, end: str) -> float:
+    """Crude log-slope of a solved field's ring energies dens on piece p
+    (its SolveReport's ring_energy, not evaluated again here) toward an end
+    (positive)."""
     n = p.n_r
     lo, hi = (int(0.55 * n), int(0.9 * n)) if end == "right" else (int(0.1 * n), int(0.45 * n))
     vals = np.maximum(dens[lo:hi], 1e-300)
@@ -397,7 +397,7 @@ def _connected_family(q: QuasimapData, surface: GluedSurface, fields_out: dict,
     raises when a kept node does not connect."""
     gammas = []
     for pi, fsol in fields_out.items():
-        gammas.append(_decay_rate_estimate(fsol, "right"))
+        gammas.append(_decay_rate_estimate(fsol.piece, reports[pi].ring_energy, "right"))
     gamma_hat = float(np.median(gammas)) if gammas else 1.0
     tol = default_tol_connect(surface, gamma_hat)
 

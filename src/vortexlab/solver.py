@@ -37,8 +37,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import VortexlabError
-from .fields import (FieldError, GaugedField, d_r, d_theta, end_average, energy,
-                     gram_field, vortex_residual)
+from .fields import (FieldError, GaugedField, d_r, d_theta, end_average, gram_field,
+                     ring_energy, vortex_residual)
 from .surface import core_sleeve
 from .target import TargetError
 
@@ -77,6 +77,13 @@ class SolveConfig:
 
 @dataclass
 class SolveReport:
+    """What a Newton solve did, step by step, and the energy of the field it
+    returns: ring_energy is fields.ring_energy of that field, evaluated once
+    in newton_solve (it travels back from a worker process with the
+    report), and final_energy its quadrature, bitwise energy(field).total.
+    The experiments read ring_energy instead of evaluating the density
+    again; as_dict leaves it out."""
+
     residual_sup: list = field(default_factory=list)
     residual_l2: list = field(default_factory=list)
     cg_iterations: list = field(default_factory=list)
@@ -84,6 +91,7 @@ class SolveReport:
     step_sizes: list = field(default_factory=list)
     backtracks: list = field(default_factory=list)  # halvings of each step
     final_energy: float = float("nan")
+    ring_energy: Optional[np.ndarray] = None  # (n_r,) angular line energy per ring
     converged: bool = False
 
     @property
@@ -391,7 +399,9 @@ def _forcing_term(norm: float, prev_norm: Optional[float],
 
 def newton_solve(f: GaugedField, cfg: Optional[SolveConfig] = None):
     """Drive the vortex residual to cfg.newton_tol within the complex gauge
-    orbit of f.  Returns (field, xi_total, SolveReport).
+    orbit of f.  Returns (field, xi_total, SolveReport).  The report's
+    ring_energy is the returned field's ring energies, the one evaluation
+    of its energy density, and final_energy their quadrature.
 
     Each step solves its Jacobian system until the linear residual is
     within the forcing term of _forcing_term (at least cfg.cg_tol, relative
@@ -452,7 +462,8 @@ def newton_solve(f: GaugedField, cfg: Optional[SolveConfig] = None):
         report.backtracks.append(halvings)
     else:
         report.converged = sup <= cfg.newton_tol
-    report.final_energy = energy(cur).total
+    report.ring_energy = ring_energy(cur)
+    report.final_energy = float((report.ring_energy * p.quad_weights_r).sum())
     if not report.converged:
         raise SolverError(
             f"Newton did not reach tol {cfg.newton_tol}: sup residual {sup:.3e}"

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import yaml
 
-from vortexlab import cli, experiments, solver
+from vortexlab import cli, experiments, fields, solver
 from vortexlab.cli import (
     ConfigError,
     EXIT_ASSERTION,
@@ -418,6 +418,79 @@ class TestWorkerProcessesThroughMain:
         assert many == one
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+
+class TestEnergyDensityOncePerSolvedPiece:
+    # a solve's report carries the ring energies of the field it returns, so
+    # no subcommand evaluates a solved piece's energy density again, neither
+    # in this process nor in the worker processes solve_all forks
+    @pytest.fixture
+    def densities(self, tmp_path, monkeypatch):
+        """The process id of every fields.energy_density call, through a file
+        that this process and its forked workers append to."""
+        log = tmp_path / "density-calls"
+        real = fields.energy_density
+
+        def spy(f):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return real(f)
+
+        monkeypatch.setattr(fields, "energy_density", spy)
+        return lambda: log.read_text().split() if log.exists() else []
+
+    @pytest.mark.parametrize("subcommand, shipped, pieces, forked", [
+        ("solve", "connectedness.yaml", 2, False),
+        ("solve", "connectedness.yaml", 2, True),
+        ("decay", "degree_one.yaml", 1, False),
+        ("annulus", "degree_one.yaml", 1, False),
+        ("energy", "degree_one.yaml", 1, False),
+        ("neck", "neck_family.yaml", 3, False),
+        ("neck", "neck_family.yaml", 3, True),
+    ])
+    def test_once_per_piece(self, tmp_path, monkeypatch, capsys, densities,
+                            subcommand, shipped, pieces, forked):
+        forks, real_fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+        if forked:  # one worker per seed, whatever the seeds' size
+            monkeypatch.setattr(solver, "PARALLEL_MIN_SITES", 0)
+            monkeypatch.setattr(solver, "_live_threads", threading.active_count)
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        config = os.path.join(CONFIGS, shipped)
+        out = str(tmp_path / "out")
+        assert main([subcommand, "--config", config, "--out", out]) == EXIT_OK
+        pids = densities()
+        assert len(pids) == pieces
+        assert len(forks) == (pieces - 1 if forked else 0)
+        assert len(set(pids)) == (pieces if forked else 1)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
+class TestNoMeshedComponent:
+    # degree_one.yaml without surface.components: every subcommand but graph
+    # needs a meshed piece, so it is a configuration error naming the key
+    def _run(self, tmp_path, subcommand):
+        with open(os.path.join(CONFIGS, "degree_one.yaml")) as fh:
+            data = yaml.safe_load(fh)
+        del data["surface"]["components"]
+        data["out"] = str(tmp_path / "out")
+        return main([subcommand, "--config", write_config(tmp_path, data)])
+
+    @pytest.mark.parametrize("subcommand",
+                             ["solve", "decay", "annulus", "energy", "quantize",
+                              "neck", "ev"])
+    def test_a_config_error_naming_the_key(self, tmp_path, capsys, subcommand):
+        assert self._run(tmp_path, subcommand) == EXIT_CONFIG
+        problem = f"surface.components: {subcommand} needs at least one meshed component"
+        assert capsys.readouterr().err == f"configuration error: {problem}\n"
+        (error_file,) = (tmp_path / "out").glob(f"{subcommand}-*-error.json")
+        assert load_json(error_file)["problems"] == [problem]
+
+    def test_graph_needs_no_mesh(self, tmp_path, capsys):
+        assert self._run(tmp_path, "graph") == EXIT_OK
+        (summary,) = (tmp_path / "out").glob("graph-*.json")
+        assert load_json(summary)["total_genus"] == 0
 
 
 def _with_src_path(env):

@@ -14,10 +14,11 @@ from vortexlab.experiments import (
     ev_continuity,
     mass_scale,
     neck_family,
+    neck_profile,
     pairing_value,
     quantization_scan,
 )
-from vortexlab.fields import constant_field
+from vortexlab.fields import constant_field, ring_energy
 from vortexlab.modgraph import ModularGraph
 from vortexlab.quasimap import QuasimapData, build_seed, correspondence
 from vortexlab.solver import SolveConfig, newton_solve
@@ -141,6 +142,38 @@ class TestAnnulus:
     def test_orbit_diameter_small_at_small_energy(self, small_energy_vortex):
         out = annulus_check(small_energy_vortex, [0.0, 5.0])
         assert out["orbit_diameter"] < 0.05
+
+
+class TestReportRingEnergies:
+    # given the ring energies a solve's report carries, each experiment gives
+    # what it gives from the field alone, bit for bit
+    def test_decay_fit(self, vortex_field):
+        f, rep = vortex_field
+        alone = decay_fit(f, "right", (5.0, 15.0))
+        given = decay_fit(f, "right", (5.0, 15.0), rep.ring_energy)
+        assert given.samples.tobytes() == alone.samples.tobytes()
+        assert (given.gamma_hat, given.c_hat, given.r_squared, given.note) == (
+            alone.gamma_hat, alone.c_hat, alone.r_squared, alone.note)
+
+    def test_annulus_check(self):
+        surf = single_cylinder(151, 16, 0.2, r_min=0.0, graph=G1, vertex=0)
+        f = constant_field(surf, 0, T1, [1.3])
+        solved, _, rep = newton_solve(f, SolveConfig())
+        alone = annulus_check(solved, [0.0, 2.0, 4.0])
+        given = annulus_check(solved, [0.0, 2.0, 4.0], rep.ring_energy)
+        assert given["table"].tobytes() == alone["table"].tobytes()
+        assert {k: v for k, v in given.items() if k != "table"} == {
+            k: v for k, v in alone.items() if k != "table"}
+
+    def test_neck_family_profiles(self):
+        comps, qdata = neck_factories(T1, zero_in_neck=True)
+        out = neck_family(comps, qdata, [12.0])
+        prof = out["profiles"][12.0]
+        f = out["families"][12.0].fields[0]
+        alone = neck_profile(f, 0, ring_energy(f))
+        assert prof.ring_energy.tobytes() == alone.ring_energy.tobytes()
+        assert (prof.m0, prof.total_energy, prof.total_neck_energy, prof.tail_start) == (
+            alone.m0, alone.total_energy, alone.total_neck_energy, alone.tail_start)
 
 
 class TestQuantization:

@@ -10,6 +10,8 @@ from vortexlab.fields import (
     apply_unitary_gauge,
     constant_field,
     curvature,
+    d_r,
+    d_theta,
     dbar_residual,
     energy,
     holonomy,
@@ -41,6 +43,37 @@ def grid_z(piece):
 
 def refinement_slope(err_coarse, err_fine):
     return np.log2(err_coarse / err_fine)
+
+
+def rolled_d_r(arr, h):
+    """d_r written with rolls: centered inside, one-sided at rows 0 and -1."""
+    out = (np.roll(arr, -1, axis=0) - np.roll(arr, 1, axis=0)) / (2.0 * h)
+    out[0] = (-3.0 * arr[0] + 4.0 * arr[1] - arr[2]) / (2.0 * h)
+    out[-1] = (3.0 * arr[-1] - 4.0 * arr[-2] + arr[-3]) / (2.0 * h)
+    return out
+
+
+def rolled_d_theta(arr, h):
+    return (np.roll(arr, -1, axis=1) - np.roll(arr, 1, axis=1)) / (2.0 * h)
+
+
+class TestDerivativesWithoutRolls:
+    # the slice-written differences give the rolled ones bit for bit
+    @pytest.mark.parametrize("n_theta", [1, 2, 3, 64])
+    @pytest.mark.parametrize("trailing", [(), (2,)])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_bitwise_the_rolled_differences(self, n_theta, trailing, dtype):
+        rng = np.random.default_rng(n_theta)
+        shape = (7, n_theta) + trailing
+        arr = rng.normal(size=shape)
+        if dtype is complex:
+            arr = arr + 1j * rng.normal(size=shape)
+        for got, want in ((d_r(arr, 0.3), rolled_d_r(arr, 0.3)),
+                          (d_theta(arr, 0.1), rolled_d_theta(arr, 0.1))):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
+        if n_theta <= 2:  # both rolls give the same array
+            assert not np.any(d_theta(arr, 0.1))
 
 
 class TestCurvature:

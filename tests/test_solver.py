@@ -23,6 +23,7 @@ from vortexlab.fields import (
     energy,
     gram_field,
     limit_orbit,
+    ring_energy,
     vortex_residual,
 )
 from vortexlab.modgraph import ModularGraph
@@ -348,6 +349,22 @@ class TestPCG:
         A = np.diag(np.linspace(1.0, 1e4, 200))
         with pytest.raises(SolverError, match="exceeded 3 iterations"):
             pcg(lambda v: A @ v, np.ones(200), None, 1e-12, 3)
+
+
+class TestReportRingEnergy:
+    # the report carries the returned field's ring energies, and its final
+    # energy is their quadrature: energy(field).total, bit for bit
+    def test_ring_energies_of_the_returned_field(self, vortex1):
+        _, field, _, rep = vortex1
+        want = ring_energy(field)
+        assert rep.ring_energy.dtype == want.dtype
+        assert rep.ring_energy.tobytes() == want.tobytes()
+
+    def test_final_energy_is_their_quadrature(self, vortex1):
+        _, field, _, rep = vortex1
+        weights = field.piece.quad_weights_r
+        assert rep.final_energy == float((rep.ring_energy * weights).sum())
+        assert rep.final_energy == energy(field).total
 
 
 class TestNewtonSolve:
@@ -1143,6 +1160,7 @@ def _same_results(got, expected):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
         assert xi.tobytes() == xi0.tobytes()
         assert rep.as_dict() == rep0.as_dict()
+        assert rep.ring_energy.tobytes() == rep0.ring_energy.tobytes()
 
 
 def _serial_error(seeds, cfg):
