@@ -454,7 +454,11 @@ def parse_config(path) -> RunConfig:
 # -- report emission ----------------------------------------------------------
 
 def emit_report(out_dir, name, summary: dict, tables: dict):
-    """One JSON summary plus one CSV per table; returns the written paths."""
+    """One JSON summary plus one CSV per table; returns the written paths.
+
+    tables maps a name to (header, rows).  Each column holds values of one
+    type, the first row's: a float column is written "%.17g", any other
+    str(), with one % over the whole table."""
     os.makedirs(out_dir, exist_ok=True)
     paths = {}
     summary = dict(summary)
@@ -468,9 +472,9 @@ def emit_report(out_dir, name, summary: dict, tables: dict):
         cpath = os.path.join(out_dir, f"{name}-{tname}.csv")
         with open(cpath, "w") as fh:
             fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(f"{x:.17g}" if isinstance(x, float) else str(x)
-                                  for x in row) + "\n")
+            row = ",".join("%.17g" if isinstance(x, float) else "%s"
+                           for x in (rows[0] if rows else ())) + "\n"
+            fh.write(row * len(rows) % tuple(x for r in rows for x in r))
         paths[tname] = cpath
     return paths
 

@@ -197,7 +197,7 @@ def quantization_scan(seeds, cfg: Optional[SolveConfig] = None) -> dict:
 
     The seeds are independent solves, run by one solve_all call (forked
     processes when they are large enough, with the serial loop's results)."""
-    energies = np.array([rep.final_energy for _, _, rep in solve_all(seeds, cfg)])
+    energies = np.array([rep.final_energy for _, rep in solve_all(seeds, cfg)])
     nonzero = energies[energies > QUANT_FLOOR]
     gap = float(np.min(nonzero)) if len(nonzero) else float("inf")
     band = (QUANT_FLOOR, gap / 2.0)

@@ -386,7 +386,7 @@ def correspondences(members: list, cfg: Optional[SolveConfig] = None) -> list:
     for q, surface in members:
         fields_out, reports = {}, {}
         for pi in range(len(surface.pieces)):
-            fields_out[pi], _, reports[pi] = next(solved)
+            fields_out[pi], reports[pi] = next(solved)
         out.append(_connected_family(q, surface, fields_out, reports))
     return out
 

@@ -7,11 +7,13 @@ weights and site blocks written once (_site_blocks): step 2 is the
 composed-centered (wide) Laplacian of the gauge step, step 1 the five-point
 one.  Each Newton step freezes the exact positive Jacobian of the discrete
 gauge step (step 2) and solves it by conjugate gradients (pcg, the one
-Krylov loop of the package), one matrix-free numpy apply per iteration,
-optionally preconditioned by the core/sleeve patched inverse: the one user
-of scipy, imported when it is built.  Its domain solves write every parity
-class's band from the operator's coefficients (_operator), factor it once,
-and keep and solve at each apply only the trailing block under the cutoff.
+Krylov loop of the package) on flat interior vectors, one matrix-free numpy
+apply per iteration, optionally preconditioned by the core/sleeve patched
+inverse: the one user of scipy, imported when it is built.  A preconditioner
+maps a flat interior vector to one, so pcg applies it as it is.  The
+patched inverse writes every parity class's band of its domain solves from
+the same site blocks, factors it once, and keeps and solves at each apply
+only the trailing block under the cutoff.
 The Newton is inexact: the inner tolerance of each step is an
 Eisenstat-Walker forcing term (choice 2, relative, Euclidean) floored at
 cg_tol, each inner solve also stops once its linear residual is at most
@@ -146,39 +148,16 @@ def _site_blocks(p, step: int, gram_rows: np.ndarray):
     return w_r, w_t, blocks
 
 
-def _operator(f: GaugedField, rows: tuple, step: int, gram: np.ndarray) -> np.ndarray:
-    """Positive Laplacian of the step stencil plus the pointwise gram
-    (gram_field(f) of f's whole piece) on rows [a, b] of the piece,
-    Dirichlet at rings a and b, periodic in theta: its coefficients
-    (rings, n_theta, k, 4 + k) over the interior unknowns in (ring, theta,
-    component) order, for ring - step, theta - step, the k components of
-    the site (its block row), theta + step and ring + step; a ring
-    neighbour past the domain has coefficient zero."""
-    p, k, s = f.piece, f.target.k, step
-    a, b = rows
-    inner = b - a - 1
-    if inner < 1:
-        raise SolverError("operator domain too thin")
-    w_r, w_t, blocks = _site_blocks(p, s, gram[a + 1 : b])
-    ring = np.arange(inner)[:, None, None]
-    data = np.empty((inner, p.n_theta, k, 4 + k))
-    data[..., 0] = np.where(ring >= s, -w_r, 0.0)
-    data[..., 1] = data[..., 2 + k] = -w_t
-    data[..., 2 : 2 + k] = blocks
-    data[..., 3 + k] = np.where(ring < inner - s, -w_r, 0.0)
-    return data
-
-
 def _stencil(f: GaugedField, step: int) -> Callable[[np.ndarray], np.ndarray]:
-    """The _operator of f's whole piece (Gram(u) frozen here) as an apply on
-    full-piece parameters: it reads only the interior rows of its argument
-    and returns a new array whose boundary rows are zero.  Its attribute
-    flat is the same map, matrix-free, on flat interior vectors in (ring,
-    theta, component) order, returning a buffer of its own that the next
-    call overwrites: blocks x - w_r (w_t / w_r angular sum + radial sum) in
-    whole-vector numpy operations on shifted slices, the angular sum taken
-    again by index on the first and last step angles of each ring, where a
-    shift runs into the next ring."""
+    """The step stencil of f's whole piece (Gram(u) frozen here, Dirichlet at
+    its end rings) as an apply on full-piece parameters: it reads only the
+    interior rows of its argument and returns a new array whose boundary
+    rows are zero.  Its attribute flat is the same map, matrix-free, on flat
+    interior vectors in (ring, theta, component) order, returning a buffer of
+    its own that the next call overwrites: blocks x - w_r (w_t / w_r angular
+    sum + radial sum) in whole-vector numpy operations on shifted slices,
+    the angular sum taken again by index on the first and last step angles
+    of each ring, where a shift runs into the next ring."""
     p, k, s = f.piece, f.target.k, step
     n_r, nth, inner = p.n_r, p.n_theta, p.n_r - 2
     w_r, w_t, blocks = _site_blocks(p, s, gram_field(f)[1:-1])
@@ -319,21 +298,17 @@ def cg_solve(
     operator replaces the default five-point operator of linearized_apply
     (Gram(u) frozen for the solve) and must come from _stencil, such as
     gauge_step_operator(f): the solve runs on flat interior vectors with its
-    matrix-free flat apply.  cfg.cg_tol, cfg.max_cg and sup_tol (None: no sup
-    stop; Newton passes half its newton_tol) bound the solve (see pcg).
-    Returns (xi, iterations).
+    matrix-free flat apply, and preconditioner (None: none), a map from such
+    a vector to one such as PatchedPreconditioner.apply_symmetric, goes to
+    pcg as it is.  cfg.cg_tol, cfg.max_cg and sup_tol (None: no sup stop;
+    Newton passes half its newton_tol) bound the solve (see pcg).  Returns
+    (xi, iterations), xi full-piece with zero boundary rows.
     """
     op = operator if operator is not None else _stencil(f, 1)
-    xi = np.zeros(rhs.shape)
-    inner = xi[1:-1]
-    M = None
-    if preconditioner is not None:
-        def M(v):
-            inner[...] = v.reshape(inner.shape)
-            return preconditioner(xi)[1:-1].reshape(-1)
-    x, iterations = pcg(op.flat, rhs[1:-1].reshape(-1), M, cfg.cg_tol, cfg.max_cg,
-                        sup_tol)
-    inner[...] = x.reshape(inner.shape)
+    xi = np.zeros(rhs.shape)  # before pcg's arrays: 1 MiB less peak RSS at 800x128
+    x, iterations = pcg(op.flat, rhs[1:-1].reshape(-1), preconditioner, cfg.cg_tol,
+                        cfg.max_cg, sup_tol)
+    xi[1:-1] = x.reshape(xi[1:-1].shape)
     return xi, iterations
 
 
@@ -527,12 +502,13 @@ def _bins(seeds, n: int) -> list:
 
 
 def _solve_in_order(seeds, indices, cfg) -> dict:
-    """{index: newton_solve's result, or the exception it raised} over
-    indices in order, stopping at the first exception."""
+    """{index: (field, report) of newton_solve, or the exception it raised}
+    over indices in order, stopping at the first exception."""
     out = {}
     for i in indices:
         try:
-            out[i] = newton_solve(seeds[i], cfg)
+            field_out, _, report = newton_solve(seeds[i], cfg)
+            out[i] = field_out, report
         except Exception as exc:
             out[i] = exc
             break
@@ -541,12 +517,12 @@ def _solve_in_order(seeds, indices, cfg) -> dict:
 
 def _worker(seeds, indices, cfg, conn):
     """Body of a forked worker: solve indices and send {index: (u, a_r,
-    a_theta, xi, report) or exception} through conn.  The surface stays in
+    a_theta, report) or exception} through conn.  The surface stays in
     the parent.  A worker that cannot send its outcomes (one that does not
     pickle, say) exits with status 1 and prints nothing."""
     try:
         conn.send({i: r if isinstance(r, Exception)
-                   else (r[0].u, r[0].a_r, r[0].a_theta, r[1], r[2])
+                   else (r[0].u, r[0].a_r, r[0].a_theta, r[1])
                    for i, r in _solve_in_order(seeds, indices, cfg).items()})
     except BaseException:
         sys.exit(1)
@@ -578,12 +554,12 @@ def _received(seeds, indices, got, code: int) -> dict:
         how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
         return {indices[0]: SolverError(f"worker process for seeds {indices} {how}")}
     return {i: r if isinstance(r, Exception)
-            else (seeds[i].with_fields(u=r[0], a_r=r[1], a_theta=r[2]), r[3], r[4])
+            else (seeds[i].with_fields(u=r[0], a_r=r[1], a_theta=r[2]), r[3])
             for i, r in got.items()}
 
 
 def solve_all(seeds, cfg: Optional[SolveConfig] = None) -> list:
-    """newton_solve on every seed, [(field, xi, report)] in seed order.
+    """newton_solve on every seed, [(field, report)] in seed order.
 
     The seeds are packed into _worker_count's number of bins by _bins: the
     calling process solves bin 0 and one child process per other bin, forked
@@ -629,47 +605,52 @@ def solve_all(seeds, cfg: Optional[SolveConfig] = None) -> list:
 
 # -- patched approximate inverse ---------------------------------------------
 
-# _operator step of each domain flavor: "gauge_step" is the wide stencil
+# stencil step of each domain flavor: "gauge_step" is the wide stencil
 _STENCIL_STEP = {"five_point": 1, "gauge_step": 2}
 
 
-def _class_bands(data: np.ndarray, step: int, descending: bool):
-    """LAPACK upper band of each parity class of a domain's _operator
-    coefficients, with its rings descending if asked.
+def _class_bands(w_r: float, w_t: float, blocks: np.ndarray, step: int,
+                 descending: bool):
+    """LAPACK upper band of each parity class of a domain's step stencil,
+    written from its _site_blocks (w_r, w_t, blocks), with its rings
+    descending if asked.
 
     A stencil reaching rings and angles +-step mixes no ring classes mod
     step, nor angle classes mod step when step divides n_theta (Gram(u)
     stays at one site).  In (ring, theta, component) order a class of T
     angles has half-bandwidth u = T k, and entry A[i, j], i before j, goes
-    to band row u + i - j of column j: the Gram block on rows u .. u - k + 1,
-    the in-class theta neighbour (q = step // angle stride angles on) on row
-    u - q k, the periodic wrap of the last q angles on row u - (T - q) k and
-    the ring neighbour on row 0.  Yields (cls, band), one class at a time:
-    its flat domain-local unknowns, (rings, T, k) in band order, and band.
+    to band row u + i - j of column j: the site block on rows u .. u - k + 1,
+    -w_t for the in-class theta neighbour (q = step // angle stride angles
+    on) on row u - q k and for the periodic wrap of the last q angles on row
+    u - (T - q) k, and -w_r for the ring neighbour on row 0.  Yields (cls,
+    band), one class at a time: its flat domain-local unknowns, (rings, T,
+    k) in band order, and band.
     """
-    nth, k = data.shape[1:3]
-    idx = np.arange(data[..., 0].size).reshape(data.shape[:3])
+    inner, nth, k = blocks.shape[:3]
+    idx = np.arange(inner * nth * k).reshape(inner, nth, k)
     if descending:
-        data, idx = data[::-1], idx[::-1]
+        blocks, idx = blocks[::-1], idx[::-1]
     st = step if nth % step == 0 else 1
     T, q, u = nth // st, step // st, nth // st * k
-    for pr in range(min(step, len(data))):
+    for pr in range(min(step, inner)):
         for pt in range(st):
             view = (slice(pr, None, step), slice(pt, None, st))
-            D = data[view]
-            Z = np.zeros(D.shape[:3] + (u + 1,))  # the band, transposed
+            B = blocks[view]
+            Z = np.zeros(B.shape[:3] + (u + 1,))  # the band, transposed
             for d in range(k):
                 c = np.arange(d, k)
-                Z[:, :, d:, u - d] = D[:, :, c - d, 2 + c]
-            Z[:, q:, :, u - q * k] = D[:, : T - q, :, 2 + k]
-            Z[:, T - q :, :, u - (T - q) * k] = D[:, :q, :, 1]
-            Z[1:, ..., 0] = D[:-1, ..., 0 if descending else 3 + k]
+                Z[:, :, d:, u - d] = B[:, :, c - d, c]
+            Z[:, q:, :, u - q * k] = -w_t
+            Z[:, T - q :, :, u - (T - q) * k] = -w_t
+            Z[1:, ..., 0] = -w_r
             yield idx[view], Z.reshape(-1, u + 1).T
             del Z  # the caller's is the only reference to this band
 
 
 class PatchedPreconditioner:
-    """Approximate inverse glued from per-component reference solves.
+    """Approximate inverse glued from per-component reference solves, a map
+    from a flat interior vector (ring, theta, component order, as pcg
+    iterates) to one.
 
     The literal pipeline lifts a section to the core/sleeve cover, applies the
     exact broken-surface inverse per component, multiplies by the cutoff
@@ -677,13 +658,14 @@ class PatchedPreconditioner:
     sqrt(phi) on both sides, which keeps the map positive for use inside CG.
 
     Component ci's domain is the piece rows between its neighbouring necks'
-    far socket rings; each parity class band of its _operator is factored
-    once in place (dpbtrf), its rings descending when the cover lies nearer
-    the domain's low end, so that the cover's rings come last.  A domain's
-    right-hand side vanishes off its cover, which is all that is read back,
-    so each class solves exactly with the trailing block of its factor from
-    its first cover ring on: one gather of eta, one dpbtrs per class block
-    and one scatter-add make an apply.
+    far socket rings; each parity class band of its step stencil, written
+    from _site_blocks, is factored once in place (dpbtrf), its rings
+    descending when the cover lies nearer the domain's low end, so that the
+    cover's rings come last.  A domain's right-hand side vanishes off its
+    cover, which is all that is read back, so each class solves exactly with
+    the trailing block of its factor from its first cover ring on: one
+    gather of eta, one dpbtrs per class block and one scatter-add make an
+    apply.
     """
 
     def __init__(self, f: GaugedField, flavor: str = "five_point"):
@@ -701,21 +683,23 @@ class PatchedPreconditioner:
             left = 0 if ci == 0 else p.necks[ci - 1].i_plus
             right = p.n_r - 1 if ci == len(covers) - 1 else p.necks[ci].i_minus
             inner = right - left - 1
-            c0 = max(cover.a - left - 1, 0)  # cover as interior ring indices
+            if inner < 1:
+                raise SolverError("operator domain too thin")
+            c0 = max(cover.a - left - 1, 0)  # cover as domain interior rings
             c1 = min(cover.b - left - 1, inner - 1)
             descending = c1 + 1 < inner - c0
             pad = (cover.a, p.n_r - 1 - cover.b)  # cover indicator, cutoff by ring
-            on = np.pad(np.ones_like(cover.phi), pad)
-            phi = np.pad(cover.phi, pad)
-            data = _operator(f, (left, right), step, gram)
-            for cls, band in _class_bands(data, step, descending):
+            on = np.pad(np.ones_like(cover.phi), pad)[1:-1]  # interior rings
+            phi = np.pad(cover.phi, pad)[1:-1]
+            w_r, w_t, blocks = _site_blocks(p, step, gram[left + 1 : right])
+            for cls, band in _class_bands(w_r, w_t, blocks, step, descending):
                 factor, info = dpbtrf(band, overwrite_ab=1)
                 if info > 0:
                     raise SolverError("preconditioner domain matrix is not positive "
                                       f"definite: leading minor {info} of a parity class")
                 ring = cls[:, 0, 0] // size
                 start = np.count_nonzero(ring > c1 if descending else ring < c0)
-                src = cls[start:].reshape(-1) + (left + 1) * size
+                src = cls[start:].reshape(-1) + left * size
                 self._blocks.append((n, n + src.size,
                                      factor[:, start * cls[0].size :].copy(order="F")))
                 n += src.size
@@ -725,11 +709,10 @@ class PatchedPreconditioner:
         self._sqrt_phi = np.sqrt(self._phi)
 
     def _apply(self, eta: np.ndarray, pre: np.ndarray, post: np.ndarray) -> np.ndarray:
-        v = eta.reshape(-1)[self._src] * pre
+        v = eta[self._src] * pre
         for start, stop, factor in self._blocks:
             v[start:stop] = self._dpbtrs(factor, v[start:stop], overwrite_b=1)[0]
-        return np.bincount(self._src, weights=post * v,
-                           minlength=eta.size).reshape(eta.shape)
+        return np.bincount(self._src, weights=post * v, minlength=eta.size)
 
     def apply(self, eta: np.ndarray) -> np.ndarray:
         """Literal lift -> solve -> cutoff -> push-forward pipeline: the cover
@@ -747,15 +730,13 @@ def patched_preconditioner(f: GaugedField) -> PatchedPreconditioner:
 
 def operator_defect(f: GaugedField, pre: PatchedPreconditioner,
                     n_probes: int = 10, seed: int = 0) -> list:
-    """Measured |DF(Q eta) - eta| / |eta| on random probes."""
+    """Measured |DF(Q eta) - eta| / |eta| on random interior probes."""
     p = f.piece
-    lin = _stencil(f, 1)
+    lin = _stencil(f, 1).flat
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(n_probes):
-        eta = rng.normal(size=(p.n_r, p.n_theta, f.target.k))
-        eta[0] = 0.0
-        eta[-1] = 0.0
+        eta = rng.normal(size=(p.n_r, p.n_theta, f.target.k))[1:-1].reshape(-1)
         image = lin(pre.apply(eta))
         out.append(float(np.linalg.norm(image - eta) / np.linalg.norm(eta)))
     return out

@@ -1236,3 +1236,28 @@ def test_negative_seed_override_is_a_usage_error(tmp_path, capsys):
         main(["quantize", "--config", path, "--seed", "-1"])
     assert exit_.value.code == EXIT_CONFIG
     assert "--seed must be an integer >= 0" in capsys.readouterr().err
+
+
+class TestEmitReportTables:
+    # emit_report writes a table with one % over a row format built from
+    # its column types; the bytes are those of formatting value by value
+    ROWS = [
+        (0, "leg-1", 1.0, -0.0, math.inf, True),
+        (7, "b", 0.1 + 0.2, math.nan, 1e-300, False),
+        (np.int64(-3), "", -math.inf, 1.2345678901234567, np.float64(2.0 / 3.0), True),
+        (10**20, "x,y", 5e-324, 1.7976931348623157e308, -123456789.01234567, False),
+    ]
+
+    @staticmethod
+    def _value_by_value(header, rows):
+        lines = [",".join(header)]
+        lines += [",".join(f"{x:.17g}" if isinstance(x, float) else str(x) for x in row)
+                  for row in rows]
+        return ("\n".join(lines) + "\n").encode()
+
+    @pytest.mark.parametrize("rows", [ROWS, ROWS[:1], []])
+    def test_bytes_equal_formatting_value_by_value(self, tmp_path, rows):
+        header = ["i", "name", "a", "b", "c", "flag"]
+        paths = cli.emit_report(tmp_path, "t", {}, {"mixed": (header, rows)})
+        with open(paths["mixed"], "rb") as fh:
+            assert fh.read() == self._value_by_value(header, rows)

@@ -212,7 +212,7 @@ class TestGaugeStepOperator:
             op = gauge_step_operator(f)
         else:
             op = lambda xi: linearized_apply(f, xi)
-        A = _assemble_domain_matrix(f, (0, p.n_r - 1), flavor)
+        A = _entrywise_domain_matrix(f, (0, p.n_r - 1), flavor)
         for _ in range(3):
             xi = rng.normal(size=(p.n_r, p.n_theta, k))
             out = op(xi)
@@ -349,6 +349,28 @@ class TestPCG:
         A = np.diag(np.linspace(1.0, 1e4, 200))
         with pytest.raises(SolverError, match="exceeded 3 iterations"):
             pcg(lambda v: A @ v, np.ones(200), None, 1e-12, 3)
+
+    @pytest.mark.parametrize("step", [1, 2])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_cg_solve_hands_its_preconditioner_to_pcg(self, k, step):
+        # a preconditioner maps CG's flat interior vector to one: cg_solve
+        # with a Jacobi M from _site_blocks' diagonal is pcg called directly,
+        # on the default five-point system and on the gauge step's
+        f = _domain_field(k, 16)
+        p = f.piece
+        _, _, blocks = solver._site_blocks(p, step, gram_field(f)[1:-1])
+        diag = np.diagonal(blocks, axis1=-2, axis2=-1).reshape(-1)
+        M = lambda v: v / diag
+        rhs = np.random.default_rng(34).normal(size=(p.n_r, p.n_theta, k))
+        rhs[0] = rhs[-1] = 0.0
+        cfg = SolveConfig(cg_tol=1e-10)
+        operator = gauge_step_operator(f) if step == 2 else None
+        xi, it = cg_solve(f, rhs, cfg, preconditioner=M, operator=operator)
+        x, it_direct = pcg(solver._stencil(f, step).flat, rhs[1:-1].reshape(-1), M,
+                           cfg.cg_tol, cfg.max_cg)
+        assert it == it_direct > 0
+        assert np.all(xi[0] == 0) and np.all(xi[-1] == 0)
+        assert xi[1:-1].tobytes() == x.tobytes()
 
 
 class TestReportRingEnergy:
@@ -506,12 +528,10 @@ class TestPatchedPreconditioner:
             pre = patched_preconditioner(field)
             p = field.piece
             # smooth probe resolves the cutoff-commutator mechanism
-            probe = np.exp(-0.5 * ((p.r - p.r.mean()) / 10) ** 2)[:, None, None] \
-                * np.ones((1, p.n_theta, 1))
-            probe[0] = probe[-1] = 0.0
-            from vortexlab.solver import linearized_apply as lap
-
-            image = lap(field, pre.apply(probe))
+            probe = np.exp(-0.5 * ((p.r[1:-1] - p.r.mean()) / 10) ** 2)[:, None] \
+                * np.ones((1, p.n_theta))
+            probe = probe.reshape(-1)  # flat interior vector
+            image = solver._stencil(field, 1).flat(pre.apply(probe))
             results.append(float(np.linalg.norm(image - probe) / np.linalg.norm(probe)))
         assert results[0] > results[1] > results[2]
 
@@ -650,20 +670,24 @@ def _domain_field(k, n_theta):
     return _rank_two_field(31, n_theta, 0.3, seed=n_theta)
 
 
-def _entrywise_domain_matrix(f, rows, flavor):
-    """Reference assembly: the angular stencil entry by entry, Gram(u) site
-    by site."""
+def _entrywise_domain_matrix(f, rows, flavor, gram=None):
+    """Reference assembly of the flavor's operator on domain rows [a, b]
+    (Dirichlet at rings a and b) over the interior unknowns in (ring, theta,
+    component) order: the angular stencil entry by entry, Gram(u) (gram,
+    default gram_field(f)) site by site."""
     p, k = f.piece, f.target.k
     a, b = rows
     inner, nth = b - a - 1, p.n_theta
     if flavor == "five_point":
         lap_r = sp.diags([np.full(inner, 2.0 / p.h_r**2),
                           np.full(inner - 1, -1.0 / p.h_r**2),
-                          np.full(inner - 1, -1.0 / p.h_r**2)], [0, 1, -1])
+                          np.full(inner - 1, -1.0 / p.h_r**2)], [0, 1, -1],
+                         shape=(inner, inner))
         step, center, side = 1, 2.0 / p.h_theta**2, -1.0 / p.h_theta**2
     else:
         d_r = sp.diags([np.full(inner - 1, 0.5 / p.h_r),
-                        np.full(inner - 1, -0.5 / p.h_r)], [1, -1], format="csr")
+                        np.full(inner - 1, -0.5 / p.h_r)], [1, -1],
+                       shape=(inner, inner), format="csr")
         lap_r = d_r.T @ d_r
         step, center, side = 2, 0.5 / p.h_theta**2, -0.25 / p.h_theta**2
     lap_t = sp.lil_matrix((nth, nth))
@@ -673,7 +697,7 @@ def _entrywise_domain_matrix(f, rows, flavor):
         lap_t[j, (j - step) % nth] = side
     lap = sp.kron(lap_r, sp.identity(nth)) + sp.kron(sp.identity(inner), lap_t)
     A = sp.lil_matrix(sp.kron(lap, sp.identity(k)))
-    gram = gram_field(f)[a + 1 : b].reshape(inner * nth, k, k)
+    gram = (gram_field(f) if gram is None else gram)[a + 1 : b].reshape(inner * nth, k, k)
     for s in range(inner * nth):
         for c1 in range(k):
             for c2 in range(k):
@@ -716,12 +740,16 @@ def _domains(f):
 def _splu_patched(f, flavor, symmetric=True):
     """apply_symmetric (or, not symmetric, apply: the cover indicator before
     the solve and phi after it) of the patched preconditioner with whole-domain
-    sparse-LU solves (reference)."""
+    sparse-LU solves of the entrywise reference (reference), on flat interior
+    vectors as the preconditioner."""
     pre = PatchedPreconditioner(f, flavor=flavor)
     domains = _domains(f)
-    lus = [spla.splu(_assemble_domain_matrix(f, rows, flavor)) for rows, _, _ in domains]
+    lus = [spla.splu(_entrywise_domain_matrix(f, rows, flavor)) for rows, _, _ in domains]
+    p = f.piece
 
-    def apply(eta):
+    def apply(x):
+        eta = np.zeros((p.n_r, p.n_theta, f.target.k))
+        eta[1:-1] = x.reshape(eta[1:-1].shape)
         out = np.zeros_like(eta)
         for ((a, b), (ca, cb), phi), lu in zip(domains, lus):
             w = phi[:, None, None]
@@ -731,68 +759,15 @@ def _splu_patched(f, flavor, symmetric=True):
             sol = np.zeros_like(full)
             sol[1:-1] = lu.solve(full[1:-1].ravel()).reshape(sol[1:-1].shape)
             out[ca : cb + 1] += cut * sol[ca - a : cb - a + 1]
-        out[0] = out[-1] = 0.0
-        return out
+        return out[1:-1].reshape(-1)
 
     return pre, apply
-
-
-def _csr_pattern(inner, nth, k, step):
-    """CSR (indptr, indices) matching _operator's coefficient layout on
-    (inner, nth, k) interior unknowns: every row has 4 + k slots, ring -
-    step, theta - step, the k components of its site, theta + step and ring
-    + step, and a ring neighbour past the domain is a slot on the row's own
-    column (its coefficient is zero)."""
-    s = step
-    idx = np.arange(inner * nth * k).reshape(inner, nth, k)
-    cols = np.empty((inner, nth, k, 4 + k), dtype=np.int64)
-    cols[..., 0] = cols[..., 3 + k] = idx
-    cols[s:, ..., 0] = idx[:-s]
-    cols[:-s, ..., 3 + k] = idx[s:]
-    cols[..., 1] = np.roll(idx, s, axis=1)
-    cols[..., 2 : 2 + k] = idx[:, :, None, :]
-    cols[..., 2 + k] = np.roll(idx, -s, axis=1)
-    indices = cols.reshape(-1)
-    return np.arange(0, indices.size + 1, 4 + k), indices
-
-
-def _operator_csr(f, rows, step, gram=None):
-    """_operator's coefficients on domain rows [a, b] as a CSR matrix over
-    the interior unknowns, zero slots kept; gram defaults to f's."""
-    gram = gram_field(f) if gram is None else gram
-    data = solver._operator(f, rows, step, gram)
-    n = data[..., 0].size
-    return sp.csr_matrix((data.reshape(-1), *_csr_pattern(*data.shape[:3], step)[::-1]),
-                         shape=(n, n))
-
-
-def _assemble_domain_matrix(f, rows, flavor="five_point"):
-    """The _operator of flavor "five_point" (step 1, linearized_apply) or
-    "gauge_step" (step 2, the operator solved inside Newton) on domain rows
-    [a, b] as a sparse matrix without the zero slots: the reference the
-    class bands are checked against."""
-    A = _operator_csr(f, rows, solver._STENCIL_STEP[flavor]).tocsc()
-    A.eliminate_zeros()
-    return A
 
 
 def _assert_solves_match(solve, A, shape, rng):
     rhs = rng.normal(size=shape)
     ref = spla.spsolve(A, rhs.ravel()).reshape(shape)
     assert np.linalg.norm(solve(rhs) - ref) <= 1e-10 * np.linalg.norm(ref)
-
-
-class TestDomainAssembly:
-    @pytest.mark.parametrize("flavor", ["five_point", "gauge_step"])
-    @pytest.mark.parametrize("k", [1, 2])
-    @pytest.mark.parametrize("n_theta", [16, 15])
-    def test_equals_entrywise_reference(self, flavor, k, n_theta):
-        f = _domain_field(k, n_theta)
-        for rows in ((0, f.piece.n_r - 1), (4, 19)):
-            A = _assemble_domain_matrix(f, rows, flavor)
-            ref = _entrywise_domain_matrix(f, rows, flavor)
-            assert A.shape == ref.shape
-            assert (A != ref).nnz == 0
 
 
 class TestSharedIndexArrays:
@@ -807,7 +782,7 @@ class TestSharedIndexArrays:
         before = op(x)
         PatchedPreconditioner(f, flavor="gauge_step")
         for flavor in ("gauge_step", "five_point"):
-            A = _assemble_domain_matrix(f, (0, p.n_r - 1), flavor)
+            A = _entrywise_domain_matrix(f, (0, p.n_r - 1), flavor)
             A.sum_duplicates()
             A.sort_indices()
             A.eliminate_zeros()
@@ -815,9 +790,9 @@ class TestSharedIndexArrays:
 
 
 class TestMatrixFreeApply:
-    # the flat apply of _stencil against the CSR matrix of _operator's
-    # coefficients, on a whole piece and on rows of it with at most step
-    # interior rings (no radial neighbour at all)
+    # the flat apply of _stencil against the entrywise reference matrix, on
+    # a whole piece and on rows of it with at most step interior rings (no
+    # radial neighbour at all)
     @pytest.mark.parametrize("step", [1, 2])
     @pytest.mark.parametrize("k", [1, 2])
     @pytest.mark.parametrize("n_theta", [16, 15])
@@ -835,7 +810,8 @@ class TestMatrixFreeApply:
             monkeypatch.setattr(solver, "gram_field", lambda _: gram)
         p = f.piece
         op = solver._stencil(f, step)
-        A = _operator_csr(f, (0, p.n_r - 1), step, gram)
+        flavor = {1: "five_point", 2: "gauge_step"}[step]
+        A = _entrywise_domain_matrix(f, (0, p.n_r - 1), flavor, gram)
         rng = np.random.default_rng(50 + n_theta + k)
         for _ in range(3):
             x = rng.normal(size=A.shape[0])
@@ -847,11 +823,6 @@ class TestMatrixFreeApply:
             full = op(xi)
             assert np.all(full[0] == 0) and np.all(full[-1] == 0)
             assert np.array_equal(full[1:-1].reshape(-1), out)
-
-
-def _domain_data(f, rows, flavor):
-    """The domain's _operator coefficients (rings, n_theta, k, 4 + k)."""
-    return solver._operator(f, rows, solver._STENCIL_STEP[flavor], gram_field(f))
 
 
 def _band_matrix(band):
@@ -873,14 +844,9 @@ class TestBandedDomainSolve:
         (cover,) = core_sleeve(p, f.surface.sleeve_width)
         assert (cover.a, cover.b) == (0, p.n_r - 1) and np.all(cover.phi == 1.0)
         pre = PatchedPreconditioner(f, flavor=flavor)
-        A = _assemble_domain_matrix(f, (0, p.n_r - 1), flavor)
+        A = _entrywise_domain_matrix(f, (0, p.n_r - 1), flavor)
         rng = np.random.default_rng(30 + 2 * k + n_theta)
-
-        def solve(rhs):
-            eta = np.zeros((p.n_r, n_theta, k))
-            eta[1:-1] = rhs
-            return pre.apply(eta)[1:-1]
-
+        solve = lambda rhs: pre.apply(rhs.reshape(-1)).reshape(rhs.shape)
         _assert_solves_match(solve, A, (p.n_r - 2, n_theta, k), rng)
 
     @pytest.mark.parametrize("flavor", ["five_point", "gauge_step"])
@@ -900,13 +866,27 @@ class TestBandedDomainSolve:
                 own[oa : ob + 1] = False
             own[0] = own[-1] = False
             eta = rng.normal(size=(p.n_r, p.n_theta, 1)) * own[:, None, None]
-            A = _assemble_domain_matrix(f, (a, b), flavor)
+            A = _entrywise_domain_matrix(f, (a, b), flavor)
             sol = np.zeros((b - a + 1, p.n_theta, 1))
             sol[1:-1] = spla.spsolve(A, eta[a + 1 : b].ravel()).reshape(sol[1:-1].shape)
             ref = np.zeros_like(eta)
             ref[ca : cb + 1] = phi[:, None, None] * sol[ca - a : cb - a + 1]
-            out = pre.apply(eta)
+            out = pre.apply(eta[1:-1].reshape(-1))
+            ref = ref[1:-1].reshape(-1)
             assert np.linalg.norm(out - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("flavor", ["five_point", "gauge_step"])
+    def test_applies_map_flat_interior_vectors(self, flavor):
+        # pcg's M as it is: a flat interior vector in, one out; the
+        # symmetric apply is symmetric and positive, as CG needs
+        f = _twisted_neck_seed()
+        p = f.piece
+        pre = PatchedPreconditioner(f, flavor=flavor)
+        x, y = np.random.default_rng(35).normal(size=(2, (p.n_r - 2) * p.n_theta))
+        assert pre.apply(x).shape == pre.apply_symmetric(x).shape == x.shape
+        Mx, My = pre.apply_symmetric(x), pre.apply_symmetric(y)
+        assert np.dot(y, Mx) == pytest.approx(np.dot(x, My), rel=1e-12)
+        assert np.dot(x, Mx) > 0
 
     def test_indefinite_domain_raises(self, monkeypatch):
         f = _domain_field(1, 16)
@@ -917,17 +897,24 @@ class TestBandedDomainSolve:
     @pytest.mark.parametrize("flavor", ["five_point", "gauge_step"])
     @pytest.mark.parametrize("descending", [False, True])
     def test_class_bands_reassemble_the_domain_matrix(self, flavor, descending):
-        # the block diagonal of the class bands, permuted back to (ring,
-        # theta, component) order, is the domain matrix entry for entry
-        f = _domain_field(1, 16)
-        data = _domain_data(f, (0, 30), flavor)
+        # the block diagonal of the class bands written from _site_blocks,
+        # permuted back to (ring, theta, component) order, is the entrywise
+        # reference of the domain matrix entry for entry
         step = solver._STENCIL_STEP[flavor]
-        bands = list(solver._class_bands(data, step, descending))
-        perm = np.concatenate([cls.ravel() for cls, _ in bands])
-        B = sp.block_diag([_band_matrix(band) for _, band in bands], format="coo")
-        A = sp.csc_matrix((B.data, (perm[B.row], perm[B.col])), shape=B.shape)
-        assert len(bands) == step * step
-        assert (A != _assemble_domain_matrix(f, (0, 30), flavor)).nnz == 0
+        for k in (1, 2):
+            for n_theta in (16, 15):
+                f = _domain_field(k, n_theta)
+                for a, b in ((0, f.piece.n_r - 1), (4, 19)):
+                    blocks = solver._site_blocks(f.piece, step, gram_field(f)[a + 1 : b])
+                    bands = list(solver._class_bands(*blocks, step, descending))
+                    perm = np.concatenate([cls.ravel() for cls, _ in bands])
+                    B = sp.block_diag([_band_matrix(band) for _, band in bands],
+                                      format="coo")
+                    A = sp.csc_matrix((B.data, (perm[B.row], perm[B.col])), shape=B.shape)
+                    assert len(bands) == step * (step if n_theta % step == 0 else 1)
+                    ref = _entrywise_domain_matrix(f, (a, b), flavor)
+                    assert A.shape == ref.shape
+                    assert (A != ref).nnz == 0
 
 
 class TestPatchedAppliesMatchSparseLU:
@@ -946,8 +933,7 @@ class TestPatchedAppliesMatchSparseLU:
     def test_apply_and_apply_symmetric(self, make_seed, flavor):
         f = make_seed()
         p = f.piece
-        eta = np.random.default_rng(33).normal(size=(p.n_r, p.n_theta, f.target.k))
-        eta[0] = eta[-1] = 0.0
+        eta = np.random.default_rng(33).normal(size=(p.n_r - 2) * p.n_theta * f.target.k)
         for symmetric in (False, True):
             pre, reference = _splu_patched(f, flavor, symmetric)
             out = pre.apply_symmetric(eta) if symmetric else pre.apply(eta)
@@ -963,8 +949,7 @@ class TestPatchedMatchesSparseLU:
         f = _twisted_neck_seed()
         pre, reference = _splu_patched(f, "gauge_step")
         p = f.piece
-        eta = np.random.default_rng(32).normal(size=(p.n_r, p.n_theta, 1))
-        eta[0] = eta[-1] = 0.0
+        eta = np.random.default_rng(32).normal(size=(p.n_r - 2) * p.n_theta)
         ref = reference(eta)
         err = np.linalg.norm(pre.apply_symmetric(eta) - ref)
         assert err <= 1e-10 * np.linalg.norm(ref)
@@ -999,7 +984,10 @@ def _exact_newton(f, newton_tol, preconditioner=None):
             return energy(f).total
         rhs = -res
         rhs[0] = rhs[-1] = 0.0
-        step, _ = pcg(gauge_step_operator(f), rhs, preconditioner, 1e-12, 20000)
+        step = np.zeros_like(rhs)
+        x, _ = pcg(gauge_step_operator(f).flat, rhs[1:-1].reshape(-1), preconditioner,
+                   1e-12, 20000)
+        step[1:-1] = x.reshape(step[1:-1].shape)
         alpha = 1.0
         while True:
             trial = gauge_update(f, alpha * step)
@@ -1154,11 +1142,10 @@ def _zero_level_field(n_r):
 
 def _same_results(got, expected):
     assert len(got) == len(expected)
-    for (f, xi, rep), (f0, xi0, rep0) in zip(got, expected):
+    for (f, rep), (f0, _, rep0) in zip(got, expected):
         for name in ("u", "a_r", "a_theta"):
             a, b = getattr(f, name), getattr(f0, name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-        assert xi.tobytes() == xi0.tobytes()
         assert rep.as_dict() == rep0.as_dict()
         assert rep.ring_energy.tobytes() == rep0.ring_energy.tobytes()
 
@@ -1185,7 +1172,7 @@ class TestSolveAll:
         forked = solve_all(seeds, cfg)
         assert len(forks) == 2
         _same_results(forked, [newton_solve(s, cfg) for s in seeds])
-        assert all(f.surface is s.surface for (f, _, _), s in zip(forked, seeds))
+        assert all(f.surface is s.surface for (f, _), s in zip(forked, seeds))
 
     def test_bins_put_the_largest_seed_in_the_caller(self):
         seeds = [_zero_level_field(n) for n in (41, 201, 81, 121, 61)]
