@@ -113,12 +113,14 @@ REQUIRED = object()  # the default of a key that must be given
 
 
 def _real(value, name: str, problems: list):
-    """value as a float, finite or not."""
+    """value as a float, finite or not; a boolean is no number."""
     try:
-        return float(value)
+        if not isinstance(value, bool):
+            return float(value)
     except (TypeError, ValueError, OverflowError):
-        problems.append(f"{name}: not a number: {value!r}")
-        return None
+        pass
+    problems.append(f"{name}: not a number: {value!r}")
+    return None
 
 
 def _finite(value, name: str, problems: list, positive: bool = True):
@@ -159,10 +161,11 @@ def _lengths(value, name: str, problems: list):
 
 def _integer(value, name: str, problems: list, lo=0, hi=None, positive=False):
     """value checked by _finite as an int >= lo and < hi (None: no bound)."""
-    number = _finite(value, name, problems, positive)
+    # a boolean gets this kind's message below, not _real's
+    number = 0.5 if isinstance(value, bool) else _finite(value, name, problems, positive)
     if number is None:
         return None
-    if (isinstance(value, bool) or not number.is_integer()
+    if (not number.is_integer()
             or (lo is not None and number < lo) or (hi is not None and number >= hi)):
         bound = "" if lo is None else f" >= {lo}" if hi is None else f" in [{lo}, {hi})"
         problems.append(f"{name} must be an integer{bound}, got {value!r}")
@@ -203,15 +206,21 @@ def _end(value, name: str, problems: list):
 
 
 def _complex(value, name: str, problems: list):
-    """value as a finite complex number: a number, [re, im] or {re, im}."""
-    parts = ((value.get("re", 0.0), value.get("im", 0.0)) if isinstance(value, dict)
-             else value if isinstance(value, (list, tuple)) and len(value) == 2
-             else (value, 0.0))
-    try:
-        number = complex(float(parts[0]), float(parts[1]))
-    except (TypeError, ValueError, OverflowError):
+    """value as a finite complex number: a number, [re, im] or {re, im},
+    each part checked by _real."""
+    if isinstance(value, dict):
+        parts = _check(value, {"re": (0.0, _real), "im": (0.0, _real)}, name, problems)
+        parts = parts and (parts["re"], parts["im"])
+    elif not isinstance(value, (list, tuple)):
+        parts = (_real(value, name, problems), 0.0)
+    elif len(value) == 2:
+        parts = _check(value, [_real], name, problems)
+    else:
         problems.append(f"{name}: not a complex number: {value!r}")
         return None
+    if parts is None or None in parts:
+        return None
+    number = complex(*parts)
     if not cmath.isfinite(number):
         problems.append(f"{name} must be finite, got {value!r}")
         return None

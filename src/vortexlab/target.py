@@ -3,9 +3,11 @@
 A rank-k torus acts on C^n through an integer weight matrix; the moment map
 carries a constant shift tau.  This module provides the moment map, the Gram
 operator entering the linearized vortex equation, the Hilbert-Mumford
-semistability test (k <= 2), and the projection of a semistable point onto
-the zero level of the moment map along the imaginary-direction flow (Newton
-on a convex potential).
+semistability test (k <= 2: a point is semistable when every integer
+lambda != 0 pairing nonnegatively with the weights of its nonvanishing
+coordinates has tau . lambda > 0), and the projection of a semistable point
+onto the zero level of the moment map along the imaginary-direction flow
+(Newton on a convex potential).
 """
 
 from __future__ import annotations
@@ -115,69 +117,26 @@ def _as_rows(t: TargetSpace, V) -> np.ndarray:
     return V
 
 
-def _tau_in_open_cone(weights: np.ndarray, tau: np.ndarray):
-    """Is tau a strictly positive combination of the given weight columns?
+def _destabilizer(weights: np.ndarray, tau: np.ndarray):
+    """A one-parameter subgroup destabilizing the weight columns at shift tau:
+    an integer lambda != 0 with weights^T lambda >= 0 and not tau . lambda > 0,
+    or None when there is none (King's Hilbert-Mumford criterion).
 
-    Exact extreme-ray test for k <= 2.  Returns (bool, separating direction or
-    None); the direction is a Hilbert-Mumford destabilizer when the answer is
-    negative.
+    Only +-e_i and, for k = 2, +-(-c_2, c_1) per nonzero column c are tried.
+    The cone {lambda : weights^T lambda >= 0} is all of R^k when every column
+    vanishes; otherwise, for k <= 2, each of its extreme rays and any line it
+    holds is orthogonal to a column, so the test is exact.
     """
-    k, m = weights.shape
-    if k == 1:
-        ws = weights[0]
-        has_pos = np.any(ws > 0)
-        has_neg = np.any(ws < 0)
-        tau0 = float(tau[0])
-        if has_pos and has_neg:
-            return True, None
-        if has_pos:
-            return (tau0 > 0), (None if tau0 > 0 else np.array([-1.0]))
-        if has_neg:
-            return (tau0 < 0), (None if tau0 < 0 else np.array([1.0]))
-        return False, np.array([1.0 if tau0 <= 0 else -1.0])
+    k = weights.shape[0]
+    if k > 2:
+        raise TargetError(f"Hilbert-Mumford test supports k <= 2, got k={k}")
+    lam = np.eye(k, dtype=int)
     if k == 2:
-        cols = [weights[:, j] for j in range(m) if np.any(weights[:, j] != 0)]
-        if not cols:
-            return False, np.array([1.0, 0.0])
-        # does some closed half-plane contain every weight ray?
-        for u in cols:
-            normal = np.array([-u[1], u[0]], dtype=float)
-            for sgn in (1.0, -1.0):
-                nn = sgn * normal
-                if all(nn @ c >= 0 for c in cols):
-                    break
-            else:
-                continue
-            # all rays lie in {x : nn.x >= 0}; sector between extreme rays
-            return _tau_in_sector(cols, tau)
-        # weight rays positively span the plane: open cone is all of R^2
-        return True, None
-    raise TargetError(f"Hilbert-Mumford test supports k <= 2, got k={k}")
-
-
-def _tau_in_sector(cols, tau):
-    cross = lambda a, b: float(a[0]) * float(b[1]) - float(a[1]) * float(b[0])
-    lo = hi = cols[0]
-    for c in cols[1:]:
-        if cross(lo, c) < 0:
-            lo = c
-        if cross(hi, c) > 0:
-            hi = c
-    width = cross(lo, hi)
-    tau = np.asarray(tau, dtype=float)
-    if width > 0:
-        ok = cross(lo, tau) > ZERO_TOL and cross(tau, hi) > ZERO_TOL
-        if ok:
-            return True, None
-        bad = np.array([-lo[1], lo[0]], float) if cross(lo, tau) <= ZERO_TOL else -np.array([-hi[1], hi[0]], float)
-        return False, bad
-    # all rays collinear
-    ray = np.asarray(lo, dtype=float)
-    along = ray @ tau
-    perp = cross(ray, tau)
-    if abs(perp) <= ZERO_TOL and along > ZERO_TOL and all(cross(ray, c) == 0 and ray @ c > 0 for c in cols):
-        return True, None
-    return False, np.array([-ray[1], ray[0]]) if abs(perp) > ZERO_TOL else -ray
+        cols = weights[:, np.any(weights != 0, axis=0)]
+        lam = np.concatenate([lam, np.stack([-cols[1], cols[0]], axis=1)])
+    lam = np.concatenate([lam, -lam])
+    bad = np.all(lam @ weights >= 0, axis=1) & ~(lam @ tau > 0)
+    return lam[np.argmax(bad)] if bad.any() else None
 
 
 def _pattern_fact(t: TargetSpace, compute, active: np.ndarray):
@@ -191,14 +150,7 @@ def _pattern_fact(t: TargetSpace, compute, active: np.ndarray):
 
 
 def _hilbert_mumford(t: TargetSpace, active: np.ndarray) -> bool:
-    act = np.flatnonzero(active)
-    if len(act) == 0:
-        return False
-    sub = t.weights[:, act]
-    if np.linalg.matrix_rank(sub) < t.k:
-        return False
-    ok, _ = _tau_in_open_cone(sub, t.tau)
-    return ok
+    return _destabilizer(t.weights[:, active], t.tau) is None
 
 
 def _patterns(V: np.ndarray):
@@ -221,9 +173,10 @@ def semistable_mask(t: TargetSpace, V) -> np.ndarray:
 def is_semistable(t: TargetSpace, v) -> bool:
     """Hilbert-Mumford test: no one-parameter subgroup destabilizes v.
 
-    For the linear torus action this is the statement that tau is a strictly
-    positive combination of the weights of the nonvanishing coordinates and
-    that those weights span R^k.
+    For the linear torus action this is the statement that tau . lambda > 0
+    for every integer lambda != 0 with w_j . lambda >= 0 on each nonvanishing
+    coordinate j; equivalently, tau is a strictly positive combination of
+    those weights and they span R^k.
     """
     return bool(semistable_mask(t, _as_point(t, v)[None, :])[0])
 
@@ -435,15 +388,16 @@ def validate_chamber(t: TargetSpace):
     """Refuse targets whose shift lies outside the feasible cone or whose
     zero level is visited by points with positive-dimensional stabilizer.
 
-    Draws CHAMBER_SAMPLES seeded sample points, retracts the semistable ones,
-    and requires the active weight submatrix to have rank k on the zero level.
+    tau is outside the cone when the Hilbert-Mumford test refuses the point
+    with every coordinate nonvanishing; the error names the destabilizing
+    integer lambda it found.  Then CHAMBER_SAMPLES seeded sample points are
+    drawn, the semistable ones retracted, and the active weight submatrix
+    must have rank k on the zero level.
     """
-    ok, direction = _tau_in_open_cone(t.weights, t.tau)
-    if not ok:
+    direction = _destabilizer(t.weights, t.tau)
+    if direction is not None:
         raise TargetError(
-            "tau outside the feasible cone; destabilizing direction "
-            f"{None if direction is None else direction.tolist()}"
-        )
+            f"tau outside the feasible cone; destabilizing direction {direction.tolist()}")
     draws = np.random.default_rng(CHAMBER_SEED).normal(size=(CHAMBER_SAMPLES, 2, t.n))
     V = draws[:, 0] + 1j * draws[:, 1]
     V = V[semistable_mask(t, V)]

@@ -1186,6 +1186,69 @@ class TestEveryBadValueIsAConfigError:
         assert f"configuration error: {problem}" in err
 
 
+def _shipped_args(tmp_path, shipped, edit):
+    """solve on the shipped config edited by edit, writing under tmp_path/out."""
+    with open(os.path.join(CONFIGS, shipped)) as fh:
+        data = yaml.safe_load(fh)
+    edit(data)
+    data["out"] = str(tmp_path / "out")
+    return ["solve", "--config", write_config(tmp_path, data)]
+
+
+class TestMisspelledNumbers:
+    """A complex number's mapping is checked like every other block, so a
+    misspelled part is a problem rather than a silent zero; and a boolean is
+    no number."""
+
+    CASES = {
+        "asymptotic-imag": (
+            "connectedness.yaml",
+            _set(("quasimap", "asymptotics"),
+                 [{"anchor": ["node", 0], "value": [{"re": 1.0, "imag": 0.5}, 0.0]}]),
+            "quasimap.asymptotics[0].value[0]: unknown key 'imag'"),
+        "delta-real": (
+            "neck_family.yaml", _set(("surface", "gluings", "0"), {"delta": {"real": 2.06e-9}}),
+            "surface.gluings.0.delta: unknown key 'real'"),
+        "h_r-boolean": (
+            "neck_family.yaml", _set(("surface", "h_r"), True),
+            "surface.h_r: not a number: True"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_exits_with_config_error(self, tmp_path, capsys, case):
+        shipped, edit, problem = self.CASES[case]
+        assert main(_shipped_args(tmp_path, shipped, edit)) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err == f"configuration error: {problem}\n"
+        (error_file,) = (tmp_path / "out").glob("solve-*-error.json")
+        assert load_json(error_file)["problems"] == [problem]
+
+    @pytest.mark.parametrize("value, delta", [
+        ({"re": 2e-9}, 2e-9), ({"im": 1e-9}, 1e-9j), ([0.0, 1e-9], 1e-9j), (3e-9, 3e-9)])
+    def test_each_form_read(self, tmp_path, value, delta):
+        edit = _set(("surface", "gluings", "0"), {"delta": value})
+        assert parse_config(neck_config(tmp_path, edit)).gluings[0] == delta
+
+
+class TestHalfPlaneTarget:
+    # weights that positively span exactly a half-plane, which is neither
+    # collinear nor the whole plane; swapping coordinates 0 and 1 must not
+    # change the verdict or the solution
+    def test_both_coordinate_orders_solve(self, tmp_path, capsys):
+        energies = []
+        for name, weights in (("a", [[-1, 1, 0], [0, 0, 1]]), ("b", [[1, -1, 0], [0, 0, 1]])):
+            data = json.loads(json.dumps(MINIMAL))
+            data["target"] = {"n": 3, "k": 2, "weights": weights, "tau": [1.0, 1.0]}
+            data["quasimap"] = {}
+            out = tmp_path / name
+            path = write_config(tmp_path, data, f"{name}.yaml")
+            assert main(["solve", "--config", path, "--out", str(out)]) == EXIT_OK
+            (summary,) = out.glob("solve-*.json")
+            energies.append(load_json(summary)["total_energy"])
+        assert energies[0] == energies[1]
+
+
 class TestInternalError:
     def test_exit_4_with_one_line_and_an_artifact(self, tmp_path, capsys, monkeypatch):
         def fail(cfg, out, name):

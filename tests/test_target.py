@@ -1,5 +1,8 @@
 import dataclasses
+import functools
 import itertools
+import json
+import re
 
 import numpy as np
 import pytest
@@ -37,6 +40,18 @@ def hm_oracle(t, v, box=3):
         if all(p >= 0 for p in pairings) and not (t.tau @ lam > 0):
             return False
     return True
+
+
+@functools.cache
+def hm_sweep():
+    """Every target with k in {1, 2}, n in {1, 2, 3}, weights in {-1, 0, 1}
+    (zero columns among them) and tau in {-1, 0, 1, 2}^k, each with
+    hm_oracle's verdict on its point with every coordinate 1."""
+    targets = [TargetSpace(n, k, np.reshape(w, (k, n)), tau)
+               for k in (1, 2) for n in (1, 2, 3)
+               for w in itertools.product((-1, 0, 1), repeat=k * n)
+               for tau in itertools.product((-1.0, 0.0, 1.0, 2.0), repeat=k)]
+    return [(t, hm_oracle(t, np.ones(t.n))) for t in targets]
 
 
 class TestMomentMap:
@@ -133,6 +148,20 @@ class TestSemistability:
     def test_tau_zero_is_unstable_for_positive_weights(self):
         t = TargetSpace(1, 1, [[1]], [0.0])
         assert not is_semistable(t, [1.0])
+
+    def test_matches_oracle_on_every_small_target(self):
+        # weights that positively span exactly a half-plane are neither
+        # collinear nor spanning, and their verdict must not depend on the
+        # order of the coordinates
+        disagree = [(t.weights.tolist(), t.tau.tolist()) for t, oracle in hm_sweep()
+                    if is_semistable(t, np.ones(t.n)) != oracle]
+        assert disagree == []
+
+    def test_strict_at_a_rank_two_wall(self):
+        # no cushion: tau a hair inside the positive quadrant is semistable
+        t = TargetSpace(2, 2, np.eye(2, dtype=int), [1.0, 1e-12])
+        assert is_semistable(t, [1.0, 1.0])
+        assert not is_semistable(dataclasses.replace(t, tau=[1.0, 0.0]), [1.0, 1.0])
 
 
 class TestKempfNess:
@@ -282,6 +311,30 @@ class TestChamberValidation:
         t = TargetSpace(1, 1, [[1]], [0.0])
         with pytest.raises(TargetError):
             validate_chamber(t)
+
+    @pytest.mark.parametrize("w, tau, direction", [
+        ([[1]], [-1.0], [1]), ([[1]], [0.0], [1]), ([[-1]], [1.0], [-1]),
+        ([[0, 0]], [1.0], [-1]), ([[1, 0], [0, 1]], [1.0, -1.0], [0, 1]),
+        ([[1, 2], [2, 4]], [1.0, 2.0], [-2, 1]),
+    ])
+    def test_refusal_names_the_direction(self, w, tau, direction):
+        t = TargetSpace(len(w[0]), len(w), w, tau)
+        with pytest.raises(TargetError, match=re.escape(
+                f"tau outside the feasible cone; destabilizing direction {direction}")):
+            validate_chamber(t)
+
+    def test_every_refused_chamber_names_a_destabilizer(self):
+        refused = 0
+        for t, oracle in hm_sweep():
+            if oracle:
+                continue
+            with pytest.raises(TargetError, match="destabilizing direction") as err:
+                validate_chamber(t)
+            lam = np.array(json.loads(str(err.value).rpartition("direction ")[2]))
+            assert lam.dtype == int and lam.any()
+            assert np.all(t.weights.T @ lam >= 0) and t.tau @ lam <= 0
+            refused += 1
+        assert refused > 0
 
 
 class TestValidation:
