@@ -502,14 +502,6 @@ def _family_summary(fam) -> dict:
     }
 
 
-def _total_bundle_degree(cfg: RunConfig) -> int:
-    degs = np.asarray(cfg.quasimap.total_degree(), dtype=float)
-    if not np.any(degs):
-        return 0
-    w = cfg.target.weights[0].astype(float)
-    return int(round(float(np.max(degs / w))))
-
-
 # -- subcommand implementations ------------------------------------------------
 
 def _run_solve(cfg: RunConfig, out, name, snapshots=False):
@@ -530,9 +522,8 @@ def _run_decay(cfg: RunConfig, out, name):
     block = cfg.experiments["decay"]
     surf = cfg.surface()
     fam = correspondence(cfg.quasimap, surf, cfg.solve)
-    pi = sorted(fam.fields)[0]
-    fit = xp.decay_fit(fam.fields[pi], block["end"], block["window"],
-                       fam.reports[pi].ring_energy)
+    fit = xp.decay_fit(fam.fields[0], block["end"], block["window"],
+                       fam.reports[0].ring_energy)
     summary = {"gamma_hat": fit.gamma_hat, "c_hat": fit.c_hat,
                "r_squared": fit.r_squared, "window": list(fit.window),
                "rejected": fit.rejected, "note": fit.note,
@@ -572,7 +563,7 @@ def _run_quantize(cfg: RunConfig, out, name):
         v = rng.normal(size=cfg.target.n) + 1j * rng.normal(size=cfg.target.n)
         seeds.append(constant_field(surf, 0, cfg.target,
                                     kempf_ness(cfg.target, v).point))
-    vertex = next(iter(cfg.components))
+    vertex = surf.pieces[0].strips[0].vertex
     for z0 in block["zero_positions"]:
         q = QuasimapData(cfg.graph, cfg.target, {vertex: ((z0,),)})
         seeds.append(build_seed(q, surf, 0))
@@ -610,7 +601,7 @@ def _run_ev(cfg: RunConfig, out, name):
     coord = cfg.experiments["ev"]["coordinate"]
     surf = cfg.surface()
     base = cfg.quasimap
-    vertex = next(iter(cfg.components))
+    vertex = surf.pieces[0].strips[0].vertex
     members = []
     for off in offsets:
         zeros = dict(base.zeros)
@@ -650,7 +641,7 @@ def _run_graph(cfg: RunConfig, out, name):
 def _run_energy(cfg: RunConfig, out, name):
     surf = cfg.surface()
     fam = correspondence(cfg.quasimap, surf, cfg.solve)
-    degree = _total_bundle_degree(cfg)
+    degree = int(sum(f.lam_left[0] for f in fam.fields.values()))
     check = xp.energy_homology_check(fam.total_energy, degree, cfg.target)
     paths = emit_report(out, name, {**check, "degree": degree}, {})
     tol = cfg.experiments["energy"]["tolerance"]

@@ -81,12 +81,6 @@ class QuasimapData:
             return tuple(0 for _ in range(self.target.n))
         return tuple(len(z) for z in zs)
 
-    def total_degree(self) -> tuple:
-        tot = np.zeros(self.target.n, dtype=int)
-        for v in self.graph.vertex_ids():
-            tot += np.asarray(self.degrees(v))
-        return tuple(int(x) for x in tot)
-
     def asymptotic(self, anchor) -> np.ndarray:
         key = tuple(anchor)
         if key in self.asymptotics:

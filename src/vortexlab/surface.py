@@ -4,9 +4,12 @@ Meshed components are finite flat cylinders [r_min, r_max] x S^1 on a uniform
 grid.  Gluing a pair of sockets with parameter delta inserts a neck of length
 L = -ln|delta| and twist t = -arg(delta), realized as extra rings between the
 two socket rings with the twist absorbed into an integer roll of the angular
-index.  A connected glued chain becomes a single rectangular grid (a Piece);
-delta = 0 leaves the node in place and splits the chain into broken pieces
-whose former sockets become truncated cylindrical ends.
+index.  The sockets alone decide the gluing, not vertex names or mesh
+order: an edge joins the component whose right socket it is to the one
+whose left socket it is.  A connected glued chain becomes a single
+rectangular grid (a Piece), listed by the name of its first (leftmost)
+component; delta = 0 leaves the node in place and splits the chain into
+broken pieces whose former sockets become truncated cylindrical ends.
 
 The core/sleeve cover of a piece (core_sleeve) puts a band of width
 sleeve_width on the middle of every neck (sleeve_band, the one place that
@@ -218,11 +221,15 @@ def glue(
 ) -> GluedSurface:
     """Glue meshed components along graph edges with parameters delta.
 
-    Components must be oriented along each chain (an edge joins the right
-    socket of one component to the left socket of the next).  Neck lengths
-    must be grid-compatible multiples of h_r, at least 2*sleeve_width; twists
-    must be multiples of h_theta.  delta = 0 marks the edge broken: the chain
-    splits and the sockets become truncated ends of radius ``break_radius``.
+    Each glued edge joins the endpoint whose right socket it is to the one
+    whose left socket it is ("orient meshes" otherwise), so neither vertex
+    names nor the order of ``components`` matter.  A chain runs from a
+    component whose left end is not glued, and pieces are listed by that
+    component's name; glued components that close a cycle (a loop edge is
+    one) are refused.  Neck lengths must be grid-compatible multiples of
+    h_r, at least 2*sleeve_width; twists must be multiples of h_theta.
+    delta = 0 marks the edge broken: the chain splits and the sockets become
+    truncated ends of radius ``break_radius``.
     """
     surf = GluedSurface(graph, dict(components), dict(deltas), float(sleeve_width),
                         float(break_radius))
@@ -269,42 +276,6 @@ def glue(
     return surf
 
 
-def _chain_order(surf: GluedSurface, live: dict) -> list:
-    """Split meshed vertices into chains ordered left to right."""
-    adj = {v: [] for v in surf.components}
-    for eid in live:
-        a, b = surf.graph.edges[eid]
-        if a == b:
-            raise SurfaceError(f"edge {eid}: meshed loop would close a torus")
-        adj[a].append((eid, b))
-        adj[b].append((eid, a))
-    for v, nb in adj.items():
-        if len(nb) > 2:
-            raise SurfaceError(f"component {v!r} glued along more than two edges")
-    chains = []
-    seen = set()
-    for v in sorted(surf.components, key=str):
-        if v in seen or len(adj[v]) > 1:
-            continue
-        chain = [v]
-        seen.add(v)
-        prev = None
-        while True:
-            nxt = [(e, w) for e, w in adj[chain[-1]] if w != prev]
-            if not nxt:
-                break
-            e, w = nxt[0]
-            prev = chain[-1]
-            if w in seen:
-                raise SurfaceError("glued components form a cycle")
-            chain.append(w)
-            seen.add(w)
-        chains.append(chain)
-    if len(seen) != len(surf.components):
-        raise SurfaceError("glued components form a cycle")
-    return chains
-
-
 def _truncation_anchor(surf: GluedSurface, vertex, side: str) -> tuple:
     mesh = surf.components[vertex]
     end = mesh.left if side == "left" else mesh.right
@@ -329,53 +300,57 @@ def _end_rings(break_radius: float, h_r: float) -> int:
 
 
 def _build_pieces(surf: GluedSurface, live: dict) -> list:
+    """One piece per chain, walked left to right along the glued sockets and
+    listed by the name of its first component."""
+    comps = surf.components
+    after = {}  # component -> (edge, component glued to its right socket)
+    for eid in live:
+        a, b = surf.graph.edges[eid]
+        pair = next(((x, y) for x, y in ((a, b), (b, a))
+                     if _socket_edge(comps[x], "right") == eid
+                     and _socket_edge(comps[y], "left") == eid), None)
+        if pair is None:
+            raise SurfaceError(
+                f"components {a!r}, {b!r} are not glued right-to-left along "
+                "their shared edge; orient meshes along the chain"
+            )
+        after[pair[0]] = (eid, pair[1])
+    glued_left = {v for _, v in after.values()}
     pieces = []
-    for chain in _chain_order(surf, live):
-        first = surf.components[chain[0]]
+    for v in sorted((v for v in comps if v not in glued_left), key=str):
+        first = comps[v]
         hr, nth = first.h_r, first.n_theta
-        # orientation check: interior junctions must be right-socket -> left-socket
-        for va, vb in zip(chain, chain[1:]):
-            er = _socket_edge(surf.components[va], "right")
-            el = _socket_edge(surf.components[vb], "left")
-            if er is None or er != el or er not in live:
-                raise SurfaceError(
-                    f"components {va!r}, {vb!r} are not glued right-to-left along "
-                    "their shared edge; orient meshes along the chain"
-                )
+        # a chain that starts at a dangling socket gets a truncated end on the left
+        n_ext_left = _end_rings(surf.break_radius, hr) if first.left.kind == "socket" else 0
         strips, necks = [], []
-        i, shift = 0, 0
-        n_ext_left = 0
-        # left extension when the chain starts at a dangling socket
-        if first.left.kind == "socket":
-            n_ext_left = _end_rings(surf.break_radius, hr)
-            i = n_ext_left
-        for pos, v in enumerate(chain):
-            mesh = surf.components[v]
+        i, shift = n_ext_left, 0
+        while True:
+            mesh = comps[v]
             strips.append(Strip(v, i, mesh.n_r, shift, mesh.r_min))
             i += mesh.n_r - 1
-            if pos + 1 < len(chain):
-                eid = _socket_edge(mesh, "right")
-                L, t, roll = live[eid]
-                n_neck = int(round(L / hr))
-                necks.append(Neck(eid, i, i + n_neck, L, t, roll))
-                i += n_neck
-                shift = (shift + roll) % nth
-        last = surf.components[chain[-1]]
-        n_ext_right = _end_rings(surf.break_radius, hr) if last.right.kind == "socket" else 0
-        n_r = i + 1 + n_ext_right
-        r0 = first.r_min - n_ext_left * hr
+            if v not in after:
+                break
+            eid, v = after[v]
+            L, t, roll = live[eid]
+            n_neck = int(round(L / hr))
+            necks.append(Neck(eid, i, i + n_neck, L, t, roll))
+            i += n_neck
+            shift = (shift + roll) % nth
+        n_ext_right = _end_rings(surf.break_radius, hr) if mesh.right.kind == "socket" else 0
         pieces.append(
             Piece(
-                n_r=n_r,
+                n_r=i + 1 + n_ext_right,
                 n_theta=nth,
                 h_r=hr,
-                r0=r0,
+                r0=first.r_min - n_ext_left * hr,
                 strips=strips,
                 necks=necks,
-                left=_truncation_anchor(surf, chain[0], "left"),
-                right=_truncation_anchor(surf, chain[-1], "right"),
+                left=_truncation_anchor(surf, strips[0].vertex, "left"),
+                right=_truncation_anchor(surf, v, "right"),
             )
         )
+    if sum(len(p.strips) for p in pieces) != len(comps):
+        raise SurfaceError("glued components form a cycle")
     return pieces
 
 

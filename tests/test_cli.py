@@ -1249,6 +1249,75 @@ class TestHalfPlaneTarget:
         assert energies[0] == energies[1]
 
 
+def _renamed(node, old, new):
+    """node with every string equal to old, key or value, replaced by new."""
+    if isinstance(node, dict):
+        return {_renamed(k, old, new): _renamed(v, old, new) for k, v in node.items()}
+    if isinstance(node, list):
+        return [_renamed(v, old, new) for v in node]
+    return new if node == old else node
+
+
+class TestSocketsDecideTheChain:
+    """Pieces follow the meshes' sockets, so neither vertex names nor the
+    key order of the YAML change a run's bytes."""
+
+    def _run(self, tmp_path, sub, data, name):
+        path = tmp_path / f"{name}.yaml"
+        path.write_text(yaml.safe_dump(data, sort_keys=False))
+        out = tmp_path / name
+        assert main([sub, "--config", str(path), "--out", str(out)]) == EXIT_OK
+        return out
+
+    @pytest.mark.parametrize("sub", ["solve", "neck"])
+    def test_left_component_renamed(self, tmp_path, sub):
+        # u renamed z sorts after v, its right-hand neighbour
+        with open(NECK_CONFIG) as fh:
+            data = yaml.safe_load(fh)
+        ref = self._run(tmp_path, sub, data, "u")
+        ren = self._run(tmp_path, sub, _renamed(data, "u", "z"), "z")
+        (ref_hash,), (ren_hash,) = ({p.name[len(sub) + 1 : len(sub) + 13]
+                                     for p in out.iterdir()} for out in (ref, ren))
+        assert ref_hash != ren_hash
+        assert ({p.name.replace(ren_hash, ref_hash): p.read_bytes() for p in ren.iterdir()}
+                == {p.name: p.read_bytes() for p in ref.iterdir()})
+
+    @pytest.mark.parametrize("sub", ["quantize", "ev"])
+    def test_components_in_reverse_order(self, tmp_path, sub):
+        # the zeros of quantize and ev go on the first component of piece 0
+        with open(os.path.join(CONFIGS, "connectedness.yaml")) as fh:
+            data = yaml.safe_load(fh)
+        ref = self._run(tmp_path, sub, data, "ref")
+        comps = data["surface"]["components"]
+        data["surface"]["components"] = {v: comps[v] for v in reversed(list(comps))}
+        rev = self._run(tmp_path, sub, data, "rev")
+        assert ({p.name: p.read_bytes() for p in rev.iterdir()}
+                == {p.name: p.read_bytes() for p in ref.iterdir()})
+
+    LOOP = {"vertices": [{"id": "u", "genus": 0}], "edges": [["u", "u"]], "legs": []}
+    TRIANGLE = {"vertices": [{"id": v, "genus": 0} for v in "uvw"],
+                "edges": [["u", "v"], ["v", "w"], ["w", "u"]], "legs": []}
+
+    @pytest.mark.parametrize("graph", [LOOP, TRIANGLE], ids=["loop", "triangle"])
+    def test_glued_cycle_is_a_numerical_failure(self, tmp_path, capsys, graph):
+        n = len(graph["edges"])
+        data = json.loads(json.dumps(MINIMAL))
+        data["graph"] = graph
+        data["surface"]["components"] = {
+            v["id"]: {"r_min": 0.0, "length": 10.0, "left": {"edge": (i - 1) % n},
+                      "right": {"edge": i}}
+            for i, v in enumerate(graph["vertices"])}
+        data["surface"]["gluings"] = {str(e): {"length": 10.0, "twist": 0.0}
+                                      for e in range(n)}
+        data["quasimap"] = {}
+        path = write_config(tmp_path, data)
+        assert main(["solve", "--config", path, "--out", str(tmp_path / "out")]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err == "numerical failure: glued components form a cycle\n"
+        (error_file,) = (tmp_path / "out").glob("solve-*-error.json")
+        assert load_json(error_file)["error"] == "glued components form a cycle"
+
+
 class TestInternalError:
     def test_exit_4_with_one_line_and_an_artifact(self, tmp_path, capsys, monkeypatch):
         def fail(cfg, out, name):

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -141,6 +142,55 @@ class TestGlue:
                           End("truncation", ("leg", 2)), End("socket", edge=0))
         with pytest.raises(SurfaceError, match="orient"):
             glue({"u": A, "v": B}, graph, {0: math.exp(-10.0)}, sleeve_width=4.0)
+
+    @pytest.mark.parametrize("delta", [cmath.exp(-10.0 + 1j * math.pi), 0],
+                             ids=["glued", "broken"])
+    def test_sockets_not_names_decide_the_chain(self, delta):
+        # the left component renamed so that it sorts after the right one,
+        # and listed last: the same strips, necks and anchors
+        graph, comps = two_component_setup()
+        renamed = ModularGraph({"z": 0, "v": 0}, (("z", "v"),), ((1, "z"), (2, "v")))
+        ref = glue(comps, graph, {0: delta}, sleeve_width=4.0, break_radius=5.0)
+        ren = glue({"v": comps["v"], "z": comps["u"]}, renamed, {0: delta},
+                   sleeve_width=4.0, break_radius=5.0)
+        assert len(ren.pieces) == len(ref.pieces)
+        for p in ref.pieces:
+            strips = [dataclasses.replace(s, vertex="z" if s.vertex == "u" else s.vertex)
+                      for s in p.strips]
+            (q,) = [q for q in ren.pieces if q.strips[0].vertex == strips[0].vertex]
+            assert q.strips == strips
+            assert q.necks == p.necks
+            assert (q.n_r, q.r0, q.left, q.right) == (p.n_r, p.r0, p.left, p.right)
+
+    def test_pieces_listed_by_first_component(self):
+        graph, comps = two_component_setup()
+        surf = glue({"v": comps["v"], "u": comps["u"]}, graph, {0: 0}, sleeve_width=4.0)
+        assert [p.strips[0].vertex for p in surf.pieces] == ["u", "v"]
+
+    def test_loop_edge_is_a_cycle(self):
+        graph = ModularGraph({"u": 0}, (("u", "u"),), ())
+        mesh = ComponentMesh(101, 16, 0.1, 0.0, End("socket", edge=0), End("socket", edge=0))
+        with pytest.raises(SurfaceError, match="cycle"):
+            glue({"u": mesh}, graph, {0: math.exp(-10.0)}, sleeve_width=4.0)
+
+    def test_three_component_cycle(self):
+        graph = ModularGraph({"u": 0, "v": 0, "w": 0},
+                             (("u", "v"), ("v", "w"), ("w", "u")), ())
+        comps = {v: ComponentMesh(101, 16, 0.1, 0.0, End("socket", edge=(i + 2) % 3),
+                                  End("socket", edge=i))
+                 for i, v in enumerate("uvw")}
+        with pytest.raises(SurfaceError, match="cycle"):
+            glue(comps, graph, dict.fromkeys(range(3), math.exp(-10.0)), sleeve_width=4.0)
+
+    def test_third_glued_edge_is_misoriented(self):
+        # a component has two ends, so a third glued edge at it has no socket
+        graph = ModularGraph({"u": 0, "v": 0}, (("u", "v"), ("u", "v"), ("u", "v")), ())
+        comps = {"u": ComponentMesh(101, 16, 0.1, -10.0, End("socket", edge=1),
+                                    End("socket", edge=0)),
+                 "v": ComponentMesh(101, 16, 0.1, 0.0, End("socket", edge=0),
+                                    End("socket", edge=1))}
+        with pytest.raises(SurfaceError, match="orient"):
+            glue(comps, graph, dict.fromkeys(range(3), math.exp(-10.0)), sleeve_width=4.0)
 
 
 class TestCutoffProfile:
