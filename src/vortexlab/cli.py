@@ -8,9 +8,12 @@ blocks only.  Subcommands: solve, decay, annulus, quantize, neck, ev, graph,
 energy.  Artifacts are named by a content hash of the config so sweeps never
 collide; identical (config, seed) reruns give byte-identical JSON.
 
-Exit codes: 0 success, 1 hard assertion failed, 2 configuration error,
-3 numerical failure, 4 internal error (any other exception: one line on
-stderr, and its traceback in the error artifact).
+Each subcommand returns (ok, summary, tables); run writes one <name>.json
+summary plus one <name>-<table>.csv per table (solve --snapshots adds the
+field files), or _failure one <name>-error.json.  Exit codes: 0 success,
+1 hard assertion failed, 2 configuration error, 3 numerical failure,
+4 internal error (any other exception: one line on stderr, and its
+traceback in the error artifact).
 """
 
 from __future__ import annotations
@@ -385,6 +388,8 @@ def _meshes(spec: dict, graph: ModularGraph, problems: list) -> dict:
                 found.append(f"{where}: unknown marking {end.anchor[1]}")
             if end.edge is not None and end.edge >= len(graph.edges):
                 found.append(f"{where}: unknown edge {end.edge}")
+            elif end.edge is not None and vid not in graph.edges[end.edge]:
+                found.append(f"{where}: edge {end.edge} does not touch {vid!r}")
         rings = c["length"] / spec["h_r"]
         if not math.isfinite(rings):
             found.append(f"{where}: length / h_r is not finite")
@@ -488,10 +493,20 @@ def emit_report(out_dir, name, summary: dict, tables: dict):
     return paths
 
 
-def _family_summary(fam) -> dict:
-    return {
+# -- subcommand implementations: (ok, summary, tables) from a checked config --
+
+def _run_solve(cfg: RunConfig, snapshots=None):
+    """snapshots: the path prefix of per-piece field files, if any."""
+    fam = correspondence(cfg.quasimap, cfg.surface(), cfg.solve)
+    if snapshots:
+        os.makedirs(os.path.dirname(snapshots), exist_ok=True)
+        for pi, f in fam.fields.items():
+            save_field(f, f"{snapshots}-field-{pi}.csv",
+                       f"{snapshots}-field-{pi}-header.json")
+    converged = all(r.converged for r in fam.reports.values())
+    return converged, {
         "total_energy": fam.total_energy,
-        "converged": all(r.converged for r in fam.reports.values()),
+        "converged": converged,
         "newton_iterations": {str(k): r.newton_iterations
                               for k, r in fam.reports.items()},
         "residual_sup": {str(k): r.residual_sup[-1]
@@ -499,29 +514,12 @@ def _family_summary(fam) -> dict:
         "connect_gaps": {str(k): v for k, v in fam.connect_gaps.items()},
         "tol_connect": fam.tol_connect,
         "evaluations": {str(k): fp.as_dict() for k, fp in fam.evaluations.items()},
-    }
+    }, {}
 
 
-# -- subcommand implementations ------------------------------------------------
-
-def _run_solve(cfg: RunConfig, out, name, snapshots=False):
-    surf = cfg.surface()
-    fam = correspondence(cfg.quasimap, surf, cfg.solve)
-    summary = _family_summary(fam)
-    if snapshots:
-        os.makedirs(out, exist_ok=True)
-        for pi, f in fam.fields.items():
-            csv = os.path.join(out, f"{name}-field-{pi}.csv")
-            hdr = os.path.join(out, f"{name}-field-{pi}-header.json")
-            save_field(f, csv, hdr)
-    code = EXIT_OK if summary["converged"] else EXIT_ASSERTION
-    return code, emit_report(out, name, summary, {})
-
-
-def _run_decay(cfg: RunConfig, out, name):
+def _run_decay(cfg: RunConfig):
     block = cfg.experiments["decay"]
-    surf = cfg.surface()
-    fam = correspondence(cfg.quasimap, surf, cfg.solve)
+    fam = correspondence(cfg.quasimap, cfg.surface(), cfg.solve)
     fit = xp.decay_fit(fam.fields[0], block["end"], block["window"],
                        fam.reports[0].ring_energy)
     summary = {"gamma_hat": fit.gamma_hat, "c_hat": fit.c_hat,
@@ -530,12 +528,11 @@ def _run_decay(cfg: RunConfig, out, name):
                "mass_scale_reference": xp.mass_scale(cfg.target)}
     rows = [(float(r), float(e), float(np.log(max(e, 1e-300))))
             for r, e in fit.samples]
-    paths = emit_report(out, name, summary, {"decay": (["r", "e_r", "log_e_r"], rows)})
-    code = EXIT_OK if (not fit.rejected and fit.gamma_hat > 0) else EXIT_ASSERTION
-    return code, paths
+    return (not fit.rejected and fit.gamma_hat > 0, summary,
+            {"decay": (["r", "e_r", "log_e_r"], rows)})
 
 
-def _run_annulus(cfg: RunConfig, out, name):
+def _run_annulus(cfg: RunConfig):
     block = cfg.experiments["annulus"]
     eps = block["perturbation"]
     surf = cfg.surface()
@@ -549,12 +546,10 @@ def _run_annulus(cfg: RunConfig, out, name):
     summary = {key: out_data[key]
                for key in ("monotone", "delta_hat", "r_squared", "orbit_diameter")}
     rows = [(float(t), float(e)) for t, e in out_data["table"]]
-    paths = emit_report(out, name, summary, {"annulus": (["T", "E_mid"], rows)})
-    code = EXIT_OK if out_data["monotone"] else EXIT_ASSERTION
-    return code, paths
+    return out_data["monotone"], summary, {"annulus": (["T", "E_mid"], rows)}
 
 
-def _run_quantize(cfg: RunConfig, out, name):
+def _run_quantize(cfg: RunConfig):
     block = cfg.experiments["quantize"]
     surf = cfg.surface()
     rng = np.random.default_rng(cfg.seed)
@@ -572,11 +567,10 @@ def _run_quantize(cfg: RunConfig, out, name):
                "band_empty": scan["band_empty"], "n_constant": scan["n_constant"],
                "pairing_reference": xp.pairing_value(cfg.target, 1)}
     rows = [(i, float(e)) for i, e in enumerate(scan["energies"])]
-    paths = emit_report(out, name, summary, {"energies": (["seed", "energy"], rows)})
-    return (EXIT_OK if scan["band_empty"] else EXIT_ASSERTION), paths
+    return scan["band_empty"], summary, {"energies": (["seed", "energy"], rows)}
 
 
-def _run_neck(cfg: RunConfig, out, name):
+def _run_neck(cfg: RunConfig):
     lengths = cfg.experiments["neck"]["lengths"]
     (eid,) = cfg.gluings  # run() checks there is exactly one
     fam = xp.neck_family(lambda L: (cfg.graph, cfg.components, eid),
@@ -593,10 +587,10 @@ def _run_neck(cfg: RunConfig, out, name):
         summary["bubble"][key] = s
         rows = [(float(r), float(e)) for r, e in zip(prof.rho, prof.ring_energy)]
         tables[f"profile-{key}"] = (["rho", "ring_energy"], rows)
-    return EXIT_OK, emit_report(out, name, summary, tables)
+    return True, summary, tables
 
 
-def _run_ev(cfg: RunConfig, out, name):
+def _run_ev(cfg: RunConfig):
     offsets = cfg.experiments["ev"]["offsets"]
     coord = cfg.experiments["ev"]["coordinate"]
     surf = cfg.surface()
@@ -617,8 +611,7 @@ def _run_ev(cfg: RunConfig, out, name):
                "distances": {str(k): v for k, v in dists.items()}}
     rows = [(leg, float(offsets[i]), float(offsets[i + 1]), float(d))
             for leg, ds in sorted(dists.items()) for i, d in enumerate(ds)]
-    return EXIT_OK, emit_report(out, name, summary,
-                                {"distances": (["leg", "from", "to", "distance"], rows)})
+    return True, summary, {"distances": (["leg", "from", "to", "distance"], rows)}
 
 
 def _graph_summary(g) -> dict:
@@ -634,19 +627,16 @@ def _graph_summary(g) -> dict:
     return summary
 
 
-def _run_graph(cfg: RunConfig, out, name):
-    return EXIT_OK, emit_report(out, name, _graph_summary(cfg.graph), {})
+def _run_graph(cfg: RunConfig):
+    return True, _graph_summary(cfg.graph), {}
 
 
-def _run_energy(cfg: RunConfig, out, name):
-    surf = cfg.surface()
-    fam = correspondence(cfg.quasimap, surf, cfg.solve)
+def _run_energy(cfg: RunConfig):
+    fam = correspondence(cfg.quasimap, cfg.surface(), cfg.solve)
     degree = int(sum(f.lam_left[0] for f in fam.fields.values()))
     check = xp.energy_homology_check(fam.total_energy, degree, cfg.target)
-    paths = emit_report(out, name, {**check, "degree": degree}, {})
     tol = cfg.experiments["energy"]["tolerance"]
-    ok = degree == 0 or check["relative_gap"] <= tol
-    return (EXIT_OK if ok else EXIT_ASSERTION), paths
+    return degree == 0 or check["relative_gap"] <= tol, {**check, "degree": degree}, {}
 
 
 SUBCOMMANDS = {"solve": _run_solve, "decay": _run_decay, "annulus": _run_annulus,
@@ -655,10 +645,12 @@ SUBCOMMANDS = {"solve": _run_solve, "decay": _run_decay, "annulus": _run_annulus
 
 
 def run(cfg: RunConfig, subcommand: str, snapshots: bool = False):
-    """Run one subcommand; returns (exit code, artifact paths).  Every
+    """Run one subcommand and write its summary and tables; returns (exit
+    code, artifact paths), the code 0 if it returned ok and 1 if not.  Every
     subcommand but graph needs a meshed component, and neck exactly one
-    glued edge (a ConfigError otherwise).  A package error inside is a
-    numerical failure: exit 3 with an error artifact."""
+    glued edge (a ConfigError otherwise).  snapshots adds solve's field
+    files (other subcommands ignore it).  A package error inside is a
+    numerical failure: exit 3, reported by _failure."""
     if subcommand not in SUBCOMMANDS:
         raise ConfigError([f"unknown subcommand {subcommand!r}"], cfg.raw)
     if subcommand != "graph" and not cfg.components:
@@ -667,21 +659,21 @@ def run(cfg: RunConfig, subcommand: str, snapshots: bool = False):
     if subcommand == "neck" and len(cfg.gluings) != 1:
         raise ConfigError(["neck experiment needs exactly one glued edge"], cfg.raw)
     name = f"{subcommand}-{cfg.content_hash()}"
-    out = cfg.out_dir
+    extra = ({"snapshots": os.path.join(cfg.out_dir, name)}
+             if snapshots and subcommand == "solve" else {})
     try:
-        if subcommand == "solve":
-            return _run_solve(cfg, out, name, snapshots=snapshots)
-        return SUBCOMMANDS[subcommand](cfg, out, name)
+        ok, summary, tables = SUBCOMMANDS[subcommand](cfg, **extra)
     except VortexlabError as exc:
-        emit_report(out, f"{name}-error", {"error": str(exc)}, {})
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL, {}
+        return _failure(EXIT_NUMERICAL, [f"numerical failure: {exc}"], {"error": str(exc)},
+                        subcommand, cfg.raw, cfg.out_dir), {}
+    return (EXIT_OK if ok else EXIT_ASSERTION), emit_report(cfg.out_dir, name, summary, tables)
 
 
 def _failure(code: int, lines: list, content: dict, subcommand: str, raw, out_dir):
-    """Report a failed run: lines on stderr and, when the output directory
-    is named (--out or the config's out key), content as an error artifact
-    named like the run's; returns code."""
+    """Report a failed run, the one writer of error artifacts: lines on
+    stderr and, when the output directory is named (--out, the config's out
+    key, or run's config), content as an error artifact named like the
+    run's; returns code."""
     for line in lines:
         print(line, file=sys.stderr)
     if out_dir is None and raw is not None and "out" in raw:

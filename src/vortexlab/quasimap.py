@@ -326,17 +326,16 @@ def _find_end(surface: GluedSurface, anchor: tuple):
     raise SurfaceError(f"no piece end with anchor {anchor}")
 
 
-def _decay_rate_estimate(p, dens: np.ndarray, end: str) -> float:
+def _decay_rate_estimate(p, dens: np.ndarray) -> float:
     """Crude log-slope of a solved field's ring energies dens on piece p
-    (its SolveReport's ring_energy, not evaluated again here) toward an end
-    (positive)."""
+    (its SolveReport's ring_energy, not evaluated again here) toward the
+    right end (positive)."""
     n = p.n_r
-    lo, hi = (int(0.55 * n), int(0.9 * n)) if end == "right" else (int(0.1 * n), int(0.45 * n))
+    lo, hi = int(0.55 * n), int(0.9 * n)
     vals = np.maximum(dens[lo:hi], 1e-300)
     r = p.r[lo:hi]
     slope = np.polyfit(r, np.log(vals), 1)[0]
-    rate = -slope if end == "right" else slope
-    return max(rate, 0.1)
+    return max(-slope, 0.1)
 
 
 def default_tol_connect(surface: GluedSurface, gamma_hat: float) -> float:
@@ -391,7 +390,7 @@ def _connected_family(q: QuasimapData, surface: GluedSurface, fields_out: dict,
     raises when a kept node does not connect."""
     gammas = []
     for pi, fsol in fields_out.items():
-        gammas.append(_decay_rate_estimate(fsol.piece, reports[pi].ring_energy, "right"))
+        gammas.append(_decay_rate_estimate(fsol.piece, reports[pi].ring_energy))
     gamma_hat = float(np.median(gammas)) if gammas else 1.0
     tol = default_tol_connect(surface, gamma_hat)
 

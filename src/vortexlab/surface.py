@@ -233,9 +233,15 @@ def glue(
     """
     surf = GluedSurface(graph, dict(components), dict(deltas), float(sleeve_width),
                         float(break_radius))
-    for v in components:
+    for v, mesh in components.items():
         if v not in graph.genus:
             raise SurfaceError(f"meshed component {v!r} not a graph vertex")
+        for side in ("left", "right"):
+            eid = _socket_edge(mesh, side)
+            if eid is not None and not (0 <= eid < len(graph.edges)
+                                        and v in graph.edges[eid]):
+                raise SurfaceError(f"component {v!r} {side} socket: edge {eid} "
+                                   "does not touch it")
     meshes = list(components.values())
     if meshes:
         nth = meshes[0].n_theta
@@ -277,16 +283,18 @@ def glue(
 
 
 def _truncation_anchor(surf: GluedSurface, vertex, side: str) -> tuple:
+    """The anchor of a component's end: its own, or for a socket left
+    dangling (broken edge or edge to an unmeshed component) the node half
+    on its side, "+" at the edge's first endpoint (a loop's right socket)."""
     mesh = surf.components[vertex]
     end = mesh.left if side == "left" else mesh.right
     if end.kind == "truncation":
         return tuple(end.anchor)
-    # socket left dangling: broken edge or edge to an unmeshed component
     eid = end.edge
-    if eid is None or not 0 <= eid < len(surf.graph.edges):
+    if eid is None:
         raise SurfaceError(f"component {vertex!r} {side} socket has no edge")
     a, b = surf.graph.edges[eid]
-    sign = "+" if vertex == a else "-"
+    sign = "+" if vertex == a and (a != b or side == "right") else "-"
     return ("node", eid, sign)
 
 

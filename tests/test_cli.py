@@ -633,7 +633,7 @@ class TestRunClassifiesErrors:
         data["out"] = str(tmp_path / "x")
         cfg = parse_config(write_config(tmp_path, data))
 
-        def fail(cfg, out, name):
+        def fail(cfg):
             raise exc
 
         monkeypatch.setitem(cli.SUBCOMMANDS, "graph", fail)
@@ -1317,10 +1317,43 @@ class TestSocketsDecideTheChain:
         (error_file,) = (tmp_path / "out").glob("solve-*-error.json")
         assert load_json(error_file)["error"] == "glued components form a cycle"
 
+    def test_socket_off_its_edge_is_a_config_error(self, tmp_path, capsys):
+        # w's left socket names edge 0, which joins u and v, not w
+        with open(os.path.join(CONFIGS, "connectedness.yaml")) as fh:
+            data = yaml.safe_load(fh)
+        data["graph"]["vertices"].append({"id": "w", "genus": 0})
+        data["graph"]["edges"].append(["v", "w"])
+        data["surface"]["components"]["w"] = {"r_min": 0.0, "length": 10.0,
+                                              "left": {"edge": 0}, "right": {"edge": 1}}
+        data["surface"]["gluings"]["1"] = {"broken": True}
+        path = write_config(tmp_path, data)
+        assert main(["solve", "--config", path, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        problem = "surface.components.w: edge 0 does not touch 'w'"
+        assert capsys.readouterr().err == f"configuration error: {problem}\n"
+        (error_file,) = (tmp_path / "out").glob("solve-*-error.json")
+        assert load_json(error_file)["problems"] == [problem]
+
+    def test_broken_self_node_solves(self, tmp_path):
+        # both sockets of one component on a broken loop edge: its left end is
+        # the node's "-" half and its right end the "+" half
+        data = json.loads(json.dumps(MINIMAL))
+        data["graph"] = {"vertices": [{"id": "w", "genus": 0}], "edges": [["w", "w"]],
+                         "legs": []}
+        data["surface"]["components"] = {"w": {"r_min": -10.0, "length": 20.0,
+                                               "left": {"edge": 0}, "right": {"edge": 0}}}
+        data["surface"]["gluings"] = {"0": {"broken": True}}
+        data["quasimap"] = {"zeros": {"w": [[{"r": 0.0, "theta": 0.0}]]}}
+        path = write_config(tmp_path, data)
+        assert main(["solve", "--config", path, "--out", str(tmp_path / "out")]) == EXIT_OK
+        (summary_file,) = (tmp_path / "out").glob("solve-*.json")
+        summary = load_json(summary_file)
+        assert summary["converged"]
+        assert summary["connect_gaps"]["0"] <= summary["tol_connect"]
+
 
 class TestInternalError:
     def test_exit_4_with_one_line_and_an_artifact(self, tmp_path, capsys, monkeypatch):
-        def fail(cfg, out, name):
+        def fail(cfg):
             raise ZeroDivisionError("a defect")
 
         monkeypatch.setitem(cli.SUBCOMMANDS, "graph", fail)
@@ -1338,6 +1371,39 @@ class TestInternalError:
         assert main(["neck", "--config", path]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "configuration error: neck experiment needs exactly one glued edge" in err
+
+
+class TestRunWritesTheOutcome:
+    """A subcommand returns (ok, summary, tables); run writes them and
+    picks the exit code, and _failure reports a numerical failure."""
+
+    def test_not_ok_exits_1_and_writes_its_artifacts(self, tmp_path, capsys, monkeypatch):
+        header, rows = ["i", "x"], [(0, 0.5), (1, 0.25)]
+        monkeypatch.setitem(cli.SUBCOMMANDS, "graph",
+                            lambda cfg: (False, {"value": 2.0}, {"t": (header, rows)}))
+        out = tmp_path / "out"
+        path = write_config(tmp_path, MINIMAL)
+        assert main(["graph", "--config", path, "--out", str(out)]) == EXIT_ASSERTION
+        (summary_file,) = out.glob("graph-*.json")
+        table_file = out / f"{summary_file.stem}-t.csv"
+        assert capsys.readouterr().out == f"summary: {summary_file}\nt: {table_file}\n"
+        assert load_json(summary_file) == {"value": 2.0,
+                                           "schema_version": cli.SCHEMA_VERSION}
+        assert table_file.read_text() == "i,x\n0,0.5\n1,0.25\n"
+
+    def test_numerical_failure_with_an_unwritable_out(self, tmp_path, capsys):
+        # --out names a file: the error artifact cannot be written, and the
+        # run still ends as the numerical failure it is
+        with open(os.path.join(CONFIGS, "connectedness.yaml")) as fh:
+            data = yaml.safe_load(fh)
+        data["surface"]["break_radius"] = 1e308
+        out = tmp_path / "out"
+        out.write_text("")
+        path = write_config(tmp_path, data)
+        assert main(["solve", "--config", path, "--out", str(out)]) == EXIT_NUMERICAL
+        numerical, artifact = capsys.readouterr().err.splitlines()
+        assert numerical.startswith("numerical failure: break radius 1e+308 is not a finite")
+        assert artifact.startswith("cannot write the error artifact: ")
 
 
 @pytest.mark.parametrize("subcommand", ["decay", "neck", "ev", "graph"])

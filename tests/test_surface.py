@@ -192,6 +192,22 @@ class TestGlue:
         with pytest.raises(SurfaceError, match="orient"):
             glue(comps, graph, dict.fromkeys(range(3), math.exp(-10.0)), sleeve_width=4.0)
 
+    def test_socket_must_touch_its_edge(self):
+        # w's left socket names edge 0, which joins u and v
+        _, comps = two_component_setup()
+        graph = ModularGraph({"u": 0, "v": 0, "w": 0}, (("u", "v"), ("v", "w")),
+                             ((1, "u"), (2, "v")))
+        comps["w"] = ComponentMesh(101, 16, 0.1, 20.0, End("socket", edge=0),
+                                   End("socket", edge=1))
+        with pytest.raises(SurfaceError, match="'w' left socket: edge 0 does not touch it"):
+            glue(comps, graph, {0: 0, 1: 0}, sleeve_width=4.0)
+
+    def test_broken_loop_edge_ends_at_both_node_halves(self):
+        graph = ModularGraph({"u": 0}, (("u", "u"),), ())
+        mesh = ComponentMesh(101, 16, 0.1, 0.0, End("socket", edge=0), End("socket", edge=0))
+        (piece,) = glue({"u": mesh}, graph, {0: 0}, sleeve_width=4.0).pieces
+        assert (piece.left, piece.right) == (("node", 0, "-"), ("node", 0, "+"))
+
 
 class TestCutoffProfile:
     def test_midpoint(self):
