@@ -9,11 +9,12 @@ energy.  Artifacts are named by a content hash of the config so sweeps never
 collide; identical (config, seed) reruns give byte-identical JSON.
 
 Each subcommand returns (ok, summary, tables); run writes one <name>.json
-summary plus one <name>-<table>.csv per table (solve --snapshots adds the
-field files), or _failure one <name>-error.json.  Exit codes: 0 success,
-1 hard assertion failed, 2 configuration error, 3 numerical failure,
-4 internal error (any other exception: one line on stderr, and its
-traceback in the error artifact).
+summary plus one <name>-<table>.csv per table (solve --snapshots adds
+<name>-field-<piece>.npy and its -header.json), or _failure one
+<name>-error.json.  Exit codes: 0 success, 1 hard assertion failed,
+2 configuration error (an output directory that cannot be made is one),
+3 numerical failure, 4 internal error (any other exception: one line on
+stderr, and its traceback in the error artifact).
 """
 
 from __future__ import annotations
@@ -495,14 +496,18 @@ def emit_report(out_dir, name, summary: dict, tables: dict):
 
 # -- subcommand implementations: (ok, summary, tables) from a checked config --
 
+def _field_files(prefix, pi):
+    """solve --snapshots' artifacts of piece pi: its array, then its header."""
+    stem = f"{prefix}-field-{pi}"
+    return {f"field-{pi}": stem + ".npy", f"field-{pi}-header": stem + "-header.json"}
+
+
 def _run_solve(cfg: RunConfig, snapshots=None):
     """snapshots: the path prefix of per-piece field files, if any."""
     fam = correspondence(cfg.quasimap, cfg.surface(), cfg.solve)
     if snapshots:
-        os.makedirs(os.path.dirname(snapshots), exist_ok=True)
         for pi, f in fam.fields.items():
-            save_field(f, f"{snapshots}-field-{pi}.csv",
-                       f"{snapshots}-field-{pi}-header.json")
+            save_field(f, *_field_files(snapshots, pi).values())
     converged = all(r.converged for r in fam.reports.values())
     return converged, {
         "total_energy": fam.total_energy,
@@ -648,9 +653,10 @@ def run(cfg: RunConfig, subcommand: str, snapshots: bool = False):
     """Run one subcommand and write its summary and tables; returns (exit
     code, artifact paths), the code 0 if it returned ok and 1 if not.  Every
     subcommand but graph needs a meshed component, and neck exactly one
-    glued edge (a ConfigError otherwise).  snapshots adds solve's field
-    files (other subcommands ignore it).  A package error inside is a
-    numerical failure: exit 3, reported by _failure."""
+    glued edge, and an output directory made before anything runs (a
+    ConfigError otherwise).  snapshots adds solve's field files (other
+    subcommands ignore it).  A package error inside is a numerical failure:
+    exit 3, reported by _failure."""
     if subcommand not in SUBCOMMANDS:
         raise ConfigError([f"unknown subcommand {subcommand!r}"], cfg.raw)
     if subcommand != "graph" and not cfg.components:
@@ -658,6 +664,11 @@ def run(cfg: RunConfig, subcommand: str, snapshots: bool = False):
                            "meshed component"], cfg.raw)
     if subcommand == "neck" and len(cfg.gluings) != 1:
         raise ConfigError(["neck experiment needs exactly one glued edge"], cfg.raw)
+    try:
+        os.makedirs(cfg.out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError([f"cannot create the output directory {cfg.out_dir}: "
+                           f"{exc.strerror or exc}"], cfg.raw) from exc
     name = f"{subcommand}-{cfg.content_hash()}"
     extra = ({"snapshots": os.path.join(cfg.out_dir, name)}
              if snapshots and subcommand == "solve" else {})
@@ -666,7 +677,10 @@ def run(cfg: RunConfig, subcommand: str, snapshots: bool = False):
     except VortexlabError as exc:
         return _failure(EXIT_NUMERICAL, [f"numerical failure: {exc}"], {"error": str(exc)},
                         subcommand, cfg.raw, cfg.out_dir), {}
-    return (EXIT_OK if ok else EXIT_ASSERTION), emit_report(cfg.out_dir, name, summary, tables)
+    paths = emit_report(cfg.out_dir, name, summary, tables)
+    for pi in range(len(cfg.surface().pieces)) if extra else ():
+        paths.update(_field_files(extra["snapshots"], pi))
+    return (EXIT_OK if ok else EXIT_ASSERTION), paths
 
 
 def _failure(code: int, lines: list, content: dict, subcommand: str, raw, out_dir):

@@ -7,7 +7,8 @@ ends.  a_theta is the whole angular connection: a seed writes the radial
 ramp between the end twists into it once (quasimap.build_seed), so every
 formula reads the stored arrays, and lam_left/lam_right are the flat
 holonomies the boundary rings carry.  A snapshot (save_field, schema version
-SNAPSHOT_SCHEMA) stores exactly these arrays and twists.
+SNAPSHOT_SCHEMA) stores exactly these arrays and twists, as one float64 .npy
+array per piece and a JSON header; load_field reads them back bitwise.
 
 Conventions (pinned by the discrete identities tested in the suite):
   - holomorphic coordinate z = r + i theta, dbar = (d_r + i d_theta)/2;
@@ -349,50 +350,29 @@ def surface_spec_hash(surface: GluedSurface, piece_index: int) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-#: version 2: a_theta_* is the whole angular connection, end-twist ramp included
-SNAPSHOT_SCHEMA = 2
+#: version 3: one float64 .npy array per piece (version 2 was a text table)
+SNAPSHOT_SCHEMA = 3
 
 
-#: save_field formats this many rings of the site table per write
-SAVE_RING_BLOCK = 64
-
-
-def save_field(f: GaugedField, csv_path, header_path):
-    """Plain-text site table plus a JSON header with the schema version, the
-    end twists and the mesh hash.
-
-    The table is the one np.savetxt writes with fmt "%d" for the site and
-    "%.17g" for every other column, byte for byte; it is formatted
-    SAVE_RING_BLOCK rings at a time, with one % per block."""
-    p = f.piece
+def save_field(f: GaugedField, table_path, header_path):
+    """One C-ordered float64 .npy array of shape (n_r, n_theta, 2k + 2n), its
+    last axis a_r, a_theta, then u as numpy lays out complex values (re_u_j,
+    im_u_j for each j), written through an open file so table_path keeps its
+    name; plus a JSON header with the schema version, the column names, the
+    end twists and the mesh hash."""
     k, n = f.target.k, f.target.n
-    cols = ["site", "r", "theta"]
-    cols += [f"a_r_{a}" for a in range(k)] + [f"a_theta_{a}" for a in range(k)]
-    for j in range(n):
-        cols += [f"re_u_{j}", f"im_u_{j}"]
-    row = ",".join(["%d"] + ["%.17g"] * (len(cols) - 1)) + "\n"
-    theta = np.arange(p.n_theta) * p.h_theta
-    with open(csv_path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for i in range(0, p.n_r, SAVE_RING_BLOCK):
-            rings = slice(i, i + SAVE_RING_BLOCK)
-            r = p.r[rings]
-            sites = len(r) * p.n_theta
-            table = np.column_stack([
-                np.arange(i * p.n_theta, i * p.n_theta + sites),
-                np.repeat(r, p.n_theta),
-                np.tile(theta, len(r)),
-                f.a_r[rings].reshape(sites, k),
-                f.a_theta[rings].reshape(sites, k),
-                np.stack([f.u[rings].real, f.u[rings].imag], axis=-1).reshape(sites, 2 * n),
-            ])
-            fh.write(row * sites % tuple(table.ravel().tolist()))
+    u = np.ascontiguousarray(f.u, dtype=complex).view(np.float64)
+    with open(table_path, "wb") as fh:
+        np.save(fh, np.concatenate([f.a_r, f.a_theta, u], axis=-1), allow_pickle=False)
+    cols = [f"a_r_{a}" for a in range(k)] + [f"a_theta_{a}" for a in range(k)]
+    cols += [f"{part}_u_{j}" for j in range(n) for part in ("re", "im")]
     header = {
+        "columns": cols,
         "lam_left": [int(x) for x in np.round(f.lam_left)],
         "lam_right": [int(x) for x in np.round(f.lam_right)],
         "schema_version": SNAPSHOT_SCHEMA,
         "surface_hash": surface_spec_hash(f.surface, f.piece_index),
-        "shape": [p.n_r, p.n_theta],
+        "shape": [f.piece.n_r, f.piece.n_theta],
         "target": {
             "n": f.target.n,
             "k": f.target.k,
@@ -404,7 +384,9 @@ def save_field(f: GaugedField, csv_path, header_path):
         json.dump(header, fh, sort_keys=True, indent=1)
 
 
-def load_field(surface, piece_index, target, csv_path, header_path) -> GaugedField:
+def load_field(surface, piece_index, target, table_path, header_path) -> GaugedField:
+    """The field save_field wrote, bitwise.  A FieldError if the header is not
+    of SNAPSHOT_SCHEMA or another mesh's, or the array not save_field's."""
     with open(header_path) as fh:
         header = json.load(fh)
     if header.get("schema_version") != SNAPSHOT_SCHEMA:
@@ -414,13 +396,16 @@ def load_field(surface, piece_index, target, csv_path, header_path) -> GaugedFie
         )
     if header["surface_hash"] != surface_spec_hash(surface, piece_index):
         raise FieldError("field snapshot belongs to a different mesh")
-    p = surface.pieces[piece_index]
-    k, n = target.k, target.n
-    data = np.loadtxt(csv_path, delimiter=",", skiprows=1)
-    a_r = data[:, 3 : 3 + k].reshape(p.n_r, p.n_theta, k)
-    a_theta = data[:, 3 + k : 3 + 2 * k].reshape(p.n_r, p.n_theta, k)
-    rest = data[:, 3 + 2 * k :]
-    u = (rest[:, 0::2] + 1j * rest[:, 1::2]).reshape(p.n_r, p.n_theta, n)
+    p, k, n = surface.pieces[piece_index], target.k, target.n
+    try:
+        data = np.load(table_path, allow_pickle=False)
+    except ValueError as exc:  # a pickled array, or no .npy file at all
+        raise FieldError(f"field snapshot is not a numeric array: {exc}") from exc
+    shape = (p.n_r, p.n_theta, 2 * k + 2 * n)
+    if data.dtype != np.float64 or data.shape != shape:
+        raise FieldError(f"field snapshot is {data.dtype} {data.shape}, not float64 {shape}")
+    a_r, a_theta = data[..., :k], data[..., k : 2 * k]
+    u = np.ascontiguousarray(data[..., 2 * k :]).view(complex)
     return GaugedField(
         surface, piece_index, target, a_r, a_theta, u,
         np.asarray(header["lam_left"], dtype=float),

@@ -147,7 +147,7 @@ class TestRun:
         total = 0.0
         for pi in range(len(surf.pieces)):
             stem = str(out / f"{summary.stem}-field-{pi}")
-            f = load_field(surf, pi, cfg.target, stem + ".csv", stem + "-header.json")
+            f = load_field(surf, pi, cfg.target, stem + ".npy", stem + "-header.json")
             total += energy(f).total
         expected = load_json(summary)["total_energy"]
         assert total == pytest.approx(expected, rel=1e-12)
@@ -311,8 +311,20 @@ class TestRemainingSubcommands:
         code, _ = run(cfg, "solve", snapshots=True)
         assert code == EXIT_OK
         files = os.listdir(data["out"])
-        assert any("field-0.csv" in f for f in files)
+        assert any("field-0.npy" in f for f in files)
         assert any("field-0-header.json" in f for f in files)
+
+    def test_snapshot_files_are_among_the_printed_paths(self, tmp_path, capsys):
+        out = tmp_path / "s"
+        path = write_config(tmp_path, MINIMAL)
+        assert main(["solve", "--config", path, "--snapshots", "--out", str(out)]) == EXIT_OK
+        (summary_file,) = out.glob("solve-*[0-9a-f].json")
+        stem = out / f"{summary_file.stem}-field-0"
+        assert capsys.readouterr().out == (f"field-0: {stem}.npy\n"
+                                           f"field-0-header: {stem}-header.json\n"
+                                           f"summary: {summary_file}\n")
+        assert sorted(out.iterdir()) == sorted([summary_file, out / f"{stem.name}.npy",
+                                                out / f"{stem.name}-header.json"])
 
 
 NECK_CONFIG = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
@@ -1392,18 +1404,43 @@ class TestRunWritesTheOutcome:
         assert table_file.read_text() == "i,x\n0,0.5\n1,0.25\n"
 
     def test_numerical_failure_with_an_unwritable_out(self, tmp_path, capsys):
-        # --out names a file: the error artifact cannot be written, and the
-        # run still ends as the numerical failure it is
+        # a directory stands where the error artifact goes: it cannot be
+        # written, and the run still ends as the numerical failure it is
         with open(os.path.join(CONFIGS, "connectedness.yaml")) as fh:
             data = yaml.safe_load(fh)
         data["surface"]["break_radius"] = 1e308
         out = tmp_path / "out"
-        out.write_text("")
         path = write_config(tmp_path, data)
+        (out / f"solve-{parse_config(path).content_hash()}-error.json").mkdir(parents=True)
         assert main(["solve", "--config", path, "--out", str(out)]) == EXIT_NUMERICAL
         numerical, artifact = capsys.readouterr().err.splitlines()
         assert numerical.startswith("numerical failure: break radius 1e+308 is not a finite")
         assert artifact.startswith("cannot write the error artifact: ")
+
+
+class TestOutputDirectory:
+    """run makes the output directory before the subcommand runs: one that
+    cannot be made is a configuration error, and nothing is solved."""
+
+    @pytest.mark.parametrize("argv", [["graph"], ["solve", "--snapshots"]],
+                             ids=["graph", "solve"])
+    def test_out_naming_a_file_exits_2_before_any_solve(self, tmp_path, capsys,
+                                                         monkeypatch, argv):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve ran")
+
+        monkeypatch.setattr(cli, "correspondence", no_solve)
+        out = tmp_path / "out"
+        out.write_text("")
+        config = os.path.join(CONFIGS, "degree_one.yaml")
+        assert main(argv + ["--config", config, "--out", str(out)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        config_error, artifact = captured.err.splitlines()
+        assert config_error == ("configuration error: cannot create the output "
+                                f"directory {out}: File exists")
+        assert artifact.startswith("cannot write the error artifact: ")
+        assert out.read_text() == ""
 
 
 @pytest.mark.parametrize("subcommand", ["decay", "neck", "ev", "graph"])

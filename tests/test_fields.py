@@ -1,10 +1,10 @@
+import io
 import json
 
 import numpy as np
 import pytest
 
 from vortexlab.fields import (
-    SAVE_RING_BLOCK,
     FieldError,
     apply_complex_gauge,
     apply_unitary_gauge,
@@ -316,111 +316,103 @@ class TestLambdaProfile:
         assert np.max(np.abs(mid - avg)) < 5e-3
 
 
+def random_field(surf, target, seed):
+    rng = np.random.default_rng(seed)
+    f = constant_field(surf, 0, target, np.ones(target.n))
+    return f.with_fields(
+        a_r=rng.normal(size=f.a_r.shape),
+        a_theta=rng.normal(size=f.a_theta.shape),
+        u=rng.normal(size=f.u.shape) + 1j * rng.normal(size=f.u.shape),
+    )
+
+
 class TestSerialization:
     def test_round_trip(self, tmp_path):
         surf = cyl(n_r=16, n_theta=8, h_r=0.5)
-        p = surf.pieces[0]
-        rng = np.random.default_rng(2)
-        f = constant_field(surf, 0, TP1, [1.0, 0.5])
-        f = f.with_fields(
-            a_r=rng.normal(size=f.a_r.shape),
-            a_theta=rng.normal(size=f.a_theta.shape),
-            u=rng.normal(size=f.u.shape) + 1j * rng.normal(size=f.u.shape),
-        )
-        csv, hdr = tmp_path / "f.csv", tmp_path / "f.json"
-        save_field(f, csv, hdr)
-        g = load_field(surf, 0, TP1, csv, hdr)
+        f = random_field(surf, TP1, 2)
+        table, hdr = tmp_path / "f.npy", tmp_path / "f.json"
+        save_field(f, table, hdr)
+        g = load_field(surf, 0, TP1, table, hdr)
         assert np.allclose(g.a_r, f.a_r, atol=1e-15)
         assert np.allclose(g.u, f.u, atol=1e-15)
-
-    def test_csv_bytes_match_per_site_writer(self, tmp_path):
-        t22 = TargetSpace(2, 2, [[1, 0], [0, 1]], [1.0, 1.0])
-        surf = cyl(n_r=16, n_theta=8, h_r=0.5)
-        p = surf.pieces[0]
-        rng = np.random.default_rng(4)
-        f = constant_field(surf, 0, t22, [1.0, 0.5])
-        f = f.with_fields(
-            a_r=rng.normal(size=f.a_r.shape),
-            a_theta=rng.normal(size=f.a_theta.shape),
-            u=rng.normal(size=f.u.shape) + 1j * rng.normal(size=f.u.shape),
-        )
-        csv, hdr = tmp_path / "f.csv", tmp_path / "f.json"
-        save_field(f, csv, hdr)
-        # reference: the site table written one row at a time
-        lines = ["site,r,theta,a_r_0,a_r_1,a_theta_0,a_theta_1,"
-                 "re_u_0,im_u_0,re_u_1,im_u_1"]
-        for i in range(p.n_r):
-            for j in range(p.n_theta):
-                row = [i * p.n_theta + j, p.r[i], j * p.h_theta]
-                row += list(f.a_r[i, j]) + list(f.a_theta[i, j])
-                for c in range(2):
-                    row += [f.u[i, j, c].real, f.u[i, j, c].imag]
-                lines.append(",".join(f"{x:.17g}" if isinstance(x, float) else str(x)
-                                      for x in row))
-        assert csv.read_bytes() == ("\n".join(lines) + "\n").encode()
 
     @pytest.mark.parametrize("target, n_r", [
         (TP1, 16),                                                # rank 1, n = 2
         (TargetSpace(2, 2, [[1, 0], [0, 1]], [1.0, 1.0]), 16),    # k = 2
-        (T1, 2 * SAVE_RING_BLOCK + 3),                            # a partial last block
+        (T1, 131),                                                # an odd n_r
     ])
-    def test_csv_bytes_match_savetxt_and_reload_exactly(self, tmp_path, target, n_r):
+    def test_npy_bytes_match_site_table_and_reload_exactly(self, tmp_path, target, n_r):
         surf = cyl(n_r=n_r, n_theta=8, h_r=0.5)
         p = surf.pieces[0]
-        rng = np.random.default_rng(n_r + target.k)
-        f = constant_field(surf, 0, target, np.ones(target.n))
-        f = f.with_fields(
-            a_r=rng.normal(size=f.a_r.shape),
-            a_theta=rng.normal(size=f.a_theta.shape),
-            u=rng.normal(size=f.u.shape) + 1j * rng.normal(size=f.u.shape),
-        )
-        csv, hdr = tmp_path / "f.csv", tmp_path / "f.json"
-        save_field(f, csv, hdr)
-        # reference: the whole table through np.savetxt, one row at a time
-        k, n, sites = target.k, target.n, p.n_r * p.n_theta
-        cols = (["site", "r", "theta"] + [f"a_r_{a}" for a in range(k)]
-                + [f"a_theta_{a}" for a in range(k)]
-                + [f"{part}_u_{j}" for j in range(n) for part in ("re", "im")])
-        table = np.column_stack([
-            np.arange(sites),
-            np.repeat(p.r, p.n_theta),
-            np.tile(np.arange(p.n_theta) * p.h_theta, p.n_r),
-            f.a_r.reshape(sites, k),
-            f.a_theta.reshape(sites, k),
-            np.stack([f.u.real, f.u.imag], axis=-1).reshape(sites, 2 * n),
-        ])
-        ref = tmp_path / "ref.csv"
-        with open(ref, "w") as fh:
-            np.savetxt(fh, table, fmt=["%d"] + ["%.17g"] * (len(cols) - 1),
-                       delimiter=",", header=",".join(cols), comments="")
-        assert csv.read_bytes() == ref.read_bytes()
-        g = load_field(surf, 0, target, csv, hdr)
+        f = random_field(surf, target, n_r + target.k)
+        table, hdr = tmp_path / "f.npy", tmp_path / "f.json"
+        save_field(f, table, hdr)
+        # reference: the table filled one site at a time, through np.save
+        k, n = target.k, target.n
+        ref = np.empty((p.n_r, p.n_theta, 2 * k + 2 * n))
+        for i in range(p.n_r):
+            for j in range(p.n_theta):
+                row = list(f.a_r[i, j]) + list(f.a_theta[i, j])
+                for c in range(n):
+                    row += [f.u[i, j, c].real, f.u[i, j, c].imag]
+                ref[i, j] = row
+        buf = io.BytesIO()
+        np.save(buf, ref)
+        assert table.read_bytes() == buf.getvalue()
+        assert json.loads(hdr.read_text())["columns"] == (
+            [f"a_r_{a}" for a in range(k)] + [f"a_theta_{a}" for a in range(k)]
+            + [f"{part}_u_{j}" for j in range(n) for part in ("re", "im")])
+        g = load_field(surf, 0, target, table, hdr)
         for name in ("a_r", "a_theta", "u", "lam_left", "lam_right"):
-            assert np.array_equal(getattr(g, name), getattr(f, name)), name
+            got, want = getattr(g, name), getattr(f, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
 
-    @pytest.mark.parametrize("version", [None, 1, 3])
+    def test_two_saves_write_the_same_bytes(self, tmp_path):
+        surf = cyl(n_r=16, n_theta=8, h_r=0.5)
+        f = random_field(surf, TP1, 3)
+        for d in ("a", "b"):
+            (tmp_path / d).mkdir()
+            save_field(f, tmp_path / d / "f.npy", tmp_path / d / "f.json")
+        for name in ("f.npy", "f.json"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    @pytest.mark.parametrize("version", [None, 1, 2])
     def test_other_schema_version_rejected(self, tmp_path, version):
         surf = cyl(n_r=16, n_theta=8, h_r=0.5)
-        csv, hdr = tmp_path / "f.csv", tmp_path / "f.json"
-        save_field(constant_field(surf, 0, T1, [1.0]), csv, hdr)
+        table, hdr = tmp_path / "f.npy", tmp_path / "f.json"
+        save_field(constant_field(surf, 0, T1, [1.0]), table, hdr)
         header = json.loads(hdr.read_text())
-        assert header["schema_version"] == 2
+        assert header["schema_version"] == 3
         if version is None:
             del header["schema_version"]
         else:
             header["schema_version"] = version
         hdr.write_text(json.dumps(header))
         with pytest.raises(FieldError, match="schema version"):
-            load_field(surf, 0, T1, csv, hdr)
+            load_field(surf, 0, T1, table, hdr)
+
+    @pytest.mark.parametrize("array, match", [
+        (np.zeros((16, 8, 5)), r"float64 \(16, 8, 5\), not float64 \(16, 8, 6\)"),
+        (np.zeros((16, 8, 6), dtype=np.float32), r"float32 \(16, 8, 6\), not float64"),
+        (np.full((16, 8, 6), 0.5, dtype=object), "not a numeric array"),
+    ], ids=["shape", "dtype", "pickled"])
+    def test_other_array_rejected(self, tmp_path, array, match):
+        surf = cyl(n_r=16, n_theta=8, h_r=0.5)
+        table, hdr = tmp_path / "f.npy", tmp_path / "f.json"
+        save_field(constant_field(surf, 0, TP1, [1.0, 0.5]), table, hdr)
+        with open(table, "wb") as fh:
+            np.save(fh, array, allow_pickle=True)
+        with pytest.raises(FieldError, match=match):
+            load_field(surf, 0, TP1, table, hdr)
 
     def test_hash_mismatch(self, tmp_path):
         surf = cyl(n_r=16, n_theta=8, h_r=0.5)
         f = constant_field(surf, 0, T1, [1.0])
-        csv, hdr = tmp_path / "f.csv", tmp_path / "f.json"
-        save_field(f, csv, hdr)
+        table, hdr = tmp_path / "f.npy", tmp_path / "f.json"
+        save_field(f, table, hdr)
         other = cyl(n_r=24, n_theta=8, h_r=0.5)
         with pytest.raises(FieldError, match="different mesh"):
-            load_field(other, 0, T1, csv, hdr)
+            load_field(other, 0, T1, table, hdr)
 
 
 class TestHolonomyDecay:

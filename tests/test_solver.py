@@ -19,6 +19,7 @@ from vortexlab.fields import (
     apply_complex_gauge,
     apply_unitary_gauge,
     constant_field,
+    curvature,
     dbar_residual,
     energy,
     gram_field,
@@ -1105,6 +1106,61 @@ class TestInexactNewton:
         d = rep.as_dict()
         assert d["backtracks"] == rep.backtracks
         assert d["cg_tolerances"] == rep.cg_tolerances
+
+
+def _orbit_glued_seed():
+    """Two 10-long cylinders joined by a neck of length 4 at h_r 0.1, n_theta
+    32 and sleeve 0.5, a zero on each (the glued-against-broken geometry)."""
+    g = ModularGraph({"u": 0, "v": 0}, (("u", "v"),), ((1, "u"), (2, "v")))
+    mk = lambda rmin, l, r: ComponentMesh(101, 32, 0.1, rmin, l, r)
+    comps = {
+        "u": mk(-10.0, End("truncation", ("leg", 1)), End("socket", edge=0)),
+        "v": mk(0.0, End("socket", edge=0), End("truncation", ("leg", 2))),
+    }
+    surf = glue(comps, g, {0: math.exp(-4.0)}, sleeve_width=0.5)
+    q = QuasimapData(g, T1, {"u": ((-1.0 + 0.1j,),), "v": ((1.0 + 0.2j,),)})
+    return build_seed(q, surf, 0)
+
+
+def _orbit_n2_seed():
+    """configs/ev_sweep.yaml's target (n = 2, weights [1, 1]), cylinder and
+    zeros."""
+    t2 = TargetSpace(2, 1, [[1, 1]], [1.0])
+    surf = single_cylinder(161, 24, 0.25, r_min=-20.0, graph=GRAPH1, vertex=0)
+    return build_seed(QuasimapData(GRAPH1, t2, {0: ((0.2j,), (0.5 + 1.2j,))}), surf, 0)
+
+
+def _smooth_xi(f, amp):
+    """A smooth real gauge parameter of sup amp, zero on the boundary rings."""
+    p = f.piece
+    s = np.sin(np.pi * (p.r - p.r[0]) / (p.r[-1] - p.r[0]))
+    s[[0, -1]] = 0.0
+    theta = np.arange(p.n_theta) * p.h_theta
+    xi = amp * np.outer(s, 0.7 + 0.3 * np.cos(theta))
+    return np.repeat(xi[:, :, None], f.target.k, axis=2)
+
+
+class TestOneVortexPerComplexOrbit:
+    """The vortex in a complex gauge orbit is unique up to unitary gauge (the
+    Hitchin-Kobayashi side of the correspondence): a seed moved along its
+    orbit solves to the unmoved seed's vortex, in the gauge-invariant
+    |u_j|^2 and *F to 10 newton_tol and in energy to 1e-10 relative."""
+
+    @pytest.mark.parametrize("amp", [0.5, 2.0])
+    @pytest.mark.parametrize("make_seed", [standard_seed, _orbit_glued_seed, _orbit_n2_seed],
+                             ids=["cylinder-400x64", "glued", "n2"])
+    def test_moved_seed_solves_to_the_same_vortex(self, make_seed, amp):
+        cfg = SolveConfig()
+        seed = make_seed()
+        moved_seed = gauge_update(seed, _smooth_xi(seed, amp))
+        assert np.max(np.abs(np.abs(moved_seed.u) ** 2 - np.abs(seed.u) ** 2)) > 0.1
+        field, _, report = newton_solve(seed, cfg)
+        moved, _, moved_report = newton_solve(moved_seed, cfg)
+        assert report.converged and moved_report.converged
+        tol = 10 * cfg.newton_tol
+        assert np.max(np.abs(np.abs(moved.u) ** 2 - np.abs(field.u) ** 2)) <= tol
+        assert np.max(np.abs(curvature(moved) - curvature(field))) <= tol
+        assert moved_report.final_energy == pytest.approx(report.final_energy, rel=1e-10)
 
 
 class TestSolveConfigTolerances:
