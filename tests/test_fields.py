@@ -336,32 +336,48 @@ class TestSerialization:
         assert np.allclose(g.a_r, f.a_r, atol=1e-15)
         assert np.allclose(g.u, f.u, atol=1e-15)
 
-    @pytest.mark.parametrize("target, n_r", [
-        (TP1, 16),                                                # rank 1, n = 2
-        (TargetSpace(2, 2, [[1, 0], [0, 1]], [1.0, 1.0]), 16),    # k = 2
-        (T1, 131),                                                # an odd n_r
-    ])
-    def test_npy_bytes_match_site_table_and_reload_exactly(self, tmp_path, target, n_r):
-        surf = cyl(n_r=n_r, n_theta=8, h_r=0.5)
+    # The two byte checks below keep the names they had when a snapshot was a
+    # CSV site table; the table is now one .npy array of the same columns.
+    def test_csv_bytes_match_per_site_writer(self, tmp_path):
+        t22 = TargetSpace(2, 2, [[1, 0], [0, 1]], [1.0, 1.0])
+        surf = cyl(n_r=16, n_theta=8, h_r=0.5)
         p = surf.pieces[0]
-        f = random_field(surf, target, n_r + target.k)
+        f = random_field(surf, t22, 4)
         table, hdr = tmp_path / "f.npy", tmp_path / "f.json"
         save_field(f, table, hdr)
         # reference: the table filled one site at a time, through np.save
-        k, n = target.k, target.n
-        ref = np.empty((p.n_r, p.n_theta, 2 * k + 2 * n))
+        ref = np.empty((p.n_r, p.n_theta, 8))
         for i in range(p.n_r):
             for j in range(p.n_theta):
                 row = list(f.a_r[i, j]) + list(f.a_theta[i, j])
-                for c in range(n):
+                for c in range(2):
                     row += [f.u[i, j, c].real, f.u[i, j, c].imag]
                 ref[i, j] = row
         buf = io.BytesIO()
         np.save(buf, ref)
         assert table.read_bytes() == buf.getvalue()
-        assert json.loads(hdr.read_text())["columns"] == (
-            [f"a_r_{a}" for a in range(k)] + [f"a_theta_{a}" for a in range(k)]
-            + [f"{part}_u_{j}" for j in range(n) for part in ("re", "im")])
+
+    @pytest.mark.parametrize("target, n_r", [
+        (TP1, 16),                                                # rank 1, n = 2
+        (TargetSpace(2, 2, [[1, 0], [0, 1]], [1.0, 1.0]), 16),    # k = 2
+        (T1, 131),                                                # an odd n_r
+    ])
+    def test_csv_bytes_match_savetxt_and_reload_exactly(self, tmp_path, target, n_r):
+        surf = cyl(n_r=n_r, n_theta=8, h_r=0.5)
+        f = random_field(surf, target, n_r + target.k)
+        table, hdr = tmp_path / "f.npy", tmp_path / "f.json"
+        save_field(f, table, hdr)
+        # reference: the table stacked one named column at a time, through np.save
+        k, n = target.k, target.n
+        columns = {f"a_r_{a}": f.a_r[..., a] for a in range(k)}
+        columns.update({f"a_theta_{a}": f.a_theta[..., a] for a in range(k)})
+        for j in range(n):
+            columns[f"re_u_{j}"] = f.u[..., j].real
+            columns[f"im_u_{j}"] = f.u[..., j].imag
+        buf = io.BytesIO()
+        np.save(buf, np.stack(list(columns.values()), axis=-1))
+        assert table.read_bytes() == buf.getvalue()
+        assert json.loads(hdr.read_text())["columns"] == list(columns)
         g = load_field(surf, 0, target, table, hdr)
         for name in ("a_r", "a_theta", "u", "lam_left", "lam_right"):
             got, want = getattr(g, name), getattr(f, name)
