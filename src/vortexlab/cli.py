@@ -27,7 +27,7 @@ import math
 import os
 import sys
 import traceback
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 # One BLAS/OpenMP thread unless the caller chose otherwise, set before numpy
@@ -451,7 +451,7 @@ def parse_config(path) -> RunConfig:
         asymptotics = {tuple(a["anchor"]): a["value"] for a in q["asymptotics"]}
         problems += [f"quasimap.asymptotics {anchor}: needs {target.n} values"
                      for anchor, value in asymptotics.items() if len(value) != target.n]
-        quasimap = QuasimapData(graph, target, q["zeros"], asymptotics, dict(gluings))
+        quasimap = QuasimapData(graph, target, q["zeros"], asymptotics)
     try:
         solve = None if spec["solve"] is None else SolveConfig(**spec["solve"])
     except SolverError as exc:
@@ -577,10 +577,10 @@ def _run_quantize(cfg: RunConfig):
 
 def _run_neck(cfg: RunConfig):
     lengths = cfg.experiments["neck"]["lengths"]
-    (eid,) = cfg.gluings  # run() checks there is exactly one
+    (eid,) = cfg.gluings  # run() checks there is exactly one, and that it is smoothed
     fam = xp.neck_family(lambda L: (cfg.graph, cfg.components, eid),
                          lambda L: cfg.quasimap, lengths, cfg.solve, cfg.sleeve_width,
-                         cfg.break_radius)
+                         cfg.break_radius, twist=-cmath.phase(cfg.gluings[eid]))
     summary = {"lengths": lengths, "m0": {}, "totals": {}, "bubble": {}}
     tables = {}
     for L, prof in fam["profiles"].items():
@@ -609,8 +609,7 @@ def _run_ev(cfg: RunConfig):
             zls.append(())
         zls[coord] = tuple(z + off for z in zls[coord]) or (complex(off, 0.0),)
         zeros[vertex] = tuple(zls)
-        members.append((QuasimapData(base.graph, base.target, zeros,
-                                     base.asymptotics, base.deltas), surf))
+        members.append((replace(base, zeros=zeros), surf))
     dists = xp.ev_continuity(correspondences(members, cfg.solve))
     summary = {"offsets": offsets,
                "distances": {str(k): v for k, v in dists.items()}}
@@ -652,8 +651,8 @@ SUBCOMMANDS = {"solve": _run_solve, "decay": _run_decay, "annulus": _run_annulus
 def run(cfg: RunConfig, subcommand: str, snapshots: bool = False):
     """Run one subcommand and write its summary and tables; returns (exit
     code, artifact paths), the code 0 if it returned ok and 1 if not.  Every
-    subcommand but graph needs a meshed component, and neck exactly one
-    glued edge, and an output directory made before anything runs (a
+    subcommand but graph needs a meshed component, neck exactly one gluing,
+    a smoothed one, and an output directory made before anything runs (a
     ConfigError otherwise).  snapshots adds solve's field files (other
     subcommands ignore it).  A package error inside is a numerical failure:
     exit 3, reported by _failure."""
@@ -662,7 +661,7 @@ def run(cfg: RunConfig, subcommand: str, snapshots: bool = False):
     if subcommand != "graph" and not cfg.components:
         raise ConfigError([f"surface.components: {subcommand} needs at least one "
                            "meshed component"], cfg.raw)
-    if subcommand == "neck" and len(cfg.gluings) != 1:
+    if subcommand == "neck" and (len(cfg.gluings) != 1 or 0 in cfg.gluings.values()):
         raise ConfigError(["neck experiment needs exactly one glued edge"], cfg.raw)
     try:
         os.makedirs(cfg.out_dir, exist_ok=True)
@@ -724,6 +723,8 @@ def main(argv=None) -> int:
         parser.error("--snapshots applies only to the solve subcommand")
     if args.graph_json is not None and args.subcommand != "graph":
         parser.error("--graph-json applies only to the graph subcommand")
+    if args.graph_json is not None and (args.config or args.out):
+        parser.error("--graph-json excludes --config and --out")
 
     cfg = None
     try:

@@ -10,6 +10,7 @@ alongside for comparison.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -269,13 +270,15 @@ def neck_family(
     cfg: Optional[SolveConfig] = None,
     sleeve_width: float = 4.0,
     break_radius: float = 12.0,
+    twist: float = 0.0,
 ) -> dict:
     """Solve the glued problem over a sweep of neck lengths.
 
     ``components_factory(L) -> (graph, components, edge)`` and
-    ``q_factory(L) -> QuasimapData`` supply the per-length setup; each length
-    produces one NeckProfile plus the family of evaluations.  Every length is
-    glued and checked first, so a bad length fails before any solve; the
+    ``q_factory(L) -> QuasimapData`` supply the per-length setup; the edge is
+    glued with delta = exp(-(L + i twist)) and each length produces one
+    NeckProfile plus the family of evaluations.  Every length is glued and
+    checked first, so a bad length or twist fails before any solve; the
     lengths are independent solves, which correspondences seeds and solves in
     one solve_all call (forked processes when they are large enough).  Each
     profile reads the ring energies its solve's report carries, so no
@@ -284,7 +287,7 @@ def neck_family(
     members, necks = [], []  # necks: (L, edge) of each member
     for L in lengths:
         graph, comps, edge = components_factory(L)
-        surf = glue(comps, graph, {edge: math.exp(-float(L))}, sleeve_width,
+        surf = glue(comps, graph, {edge: cmath.exp(complex(-L, -twist))}, sleeve_width,
                     break_radius)
         if len(surf.pieces) != 1:
             raise ExperimentError("neck sweep expects one glued piece per length")

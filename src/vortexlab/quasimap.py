@@ -1,10 +1,11 @@
 """Holomorphic-pair data for abelian toric targets and the component-wise
 correspondence onto vortices.
 
-A quasimap is presented by per-coordinate zero positions (in component-local
-cylinder coordinates), per-end asymptotic values, and gluing parameters: on
-genus-zero cylinder components every holomorphic pair is complex-gauge
-equivalent to such a normal form.  Seeds pair a product of elementary factors
+A quasimap lives on the nodal curve; it is presented by per-coordinate zero
+positions (in component-local cylinder coordinates) and per-end asymptotic
+values: on genus-zero cylinder components every holomorphic pair is
+complex-gauge equivalent to such a normal form.  The glued surface alone
+records how each node is glued.  Seeds pair a product of elementary factors
 prod_m (e^{-z} - e^{-z_m}) with the end twists forced by the degrees, and a
 radial real rescale putting the boundary rings on the moment-map zero level.
 The radial ramp between the two end twists is written into the seed's a_theta
@@ -65,15 +66,14 @@ class QuasimapData:
     in the component's local cylinder coordinate; degrees are the zero counts.
     ``asymptotics`` maps end anchors (("leg", j) or ("node", edge)) to values
     in C^n; missing anchors default to the all-ones direction, and a piece's
-    ("node", edge, side) end reads the ("node", edge) value.
-    ``deltas`` maps edge id -> gluing parameter (0 keeps the node).
+    ("node", edge, side) end reads the ("node", edge) value.  It carries no
+    gluing parameters: the GluedSurface records how each node is glued.
     """
 
     graph: ModularGraph
     target: TargetSpace
     zeros: dict
     asymptotics: dict = field(default_factory=dict)
-    deltas: dict = field(default_factory=dict)
 
     def degrees(self, vertex) -> tuple:
         zs = self.zeros.get(vertex, ())
@@ -109,22 +109,18 @@ def is_stable_quasimap(q: QuasimapData, surface: Optional[GluedSurface] = None) 
     vertex of the NODAL structure is non-constant (positive degree or
     distinct declared end asymptotics).
 
-    Edges with nonzero gluing parameter are smoothed, so they impose no
+    Without a surface this checks the nodal curve itself: every node is
+    kept.  Given the meshed surface, its broken edges are the kept nodes;
+    every other edge, smoothed or toward an unmeshed component, imposes no
     per-vertex constraint (the vertices are charts of one smooth component).
-    Without a surface this is the combinatorial rule: the kept nodes are the
-    edges whose delta is 0.  Given the meshed surface, its broken edges are
-    the kept nodes, zero positions must stay ZERO_MARGIN inside the meshed
-    interior (markings live at the truncated ends), and a cylinder both of
-    whose special points are markings may carry constant data: its
-    translation automorphism is pinned by the mesh.
+    Zero positions must then stay ZERO_MARGIN inside the meshed interior
+    (markings live at the truncated ends), and a cylinder both of whose
+    special points are markings may carry constant data: its translation
+    automorphism is pinned by the mesh.
     """
-    if surface is None:
-        components = {}
-        broken_edges = {eid for eid in range(len(q.graph.edges))
-                        if q.deltas.get(eid, 0) == 0}
-    else:
-        components = surface.components
-        broken_edges = set(surface.broken_edges)
+    components = {} if surface is None else surface.components
+    broken_edges = set(range(len(q.graph.edges)) if surface is None
+                       else surface.broken_edges)
     for v in q.graph.vertex_ids():
         g, s = q.graph.genus[v], q.graph.special_points(v)
         if (g == 0 and s < 2) or (g == 1 and s < 1):
@@ -317,15 +313,6 @@ class StableVortexFamily:
         return sum(rep.final_energy for rep in self.reports.values())
 
 
-def _find_end(surface: GluedSurface, anchor: tuple):
-    for pi, piece in enumerate(surface.pieces):
-        if piece.left == tuple(anchor):
-            return pi, "left"
-        if piece.right == tuple(anchor):
-            return pi, "right"
-    raise SurfaceError(f"no piece end with anchor {anchor}")
-
-
 def _decay_rate_estimate(p, dens: np.ndarray) -> float:
     """Crude log-slope of a solved field's ring energies dens on piece p
     (its SolveReport's ring_energy, not evaluated again here) toward the
@@ -387,28 +374,27 @@ def correspondences(members: list, cfg: Optional[SolveConfig] = None) -> list:
 def _connected_family(q: QuasimapData, surface: GluedSurface, fields_out: dict,
                       reports: dict) -> StableVortexFamily:
     """The family of solved pieces, its node gaps and marking evaluations;
-    raises when a kept node does not connect."""
-    gammas = []
-    for pi, fsol in fields_out.items():
-        gammas.append(_decay_rate_estimate(fsol.piece, reports[pi].ring_energy))
+    raises when a kept node does not connect.  One map from each piece end's
+    anchor to its (piece, side) gives both halves of every broken edge and
+    the end of every marking on a meshed component."""
+    gammas = [_decay_rate_estimate(f.piece, reports[pi].ring_energy)
+              for pi, f in fields_out.items()]
     gamma_hat = float(np.median(gammas)) if gammas else 1.0
     tol = default_tol_connect(surface, gamma_hat)
 
-    gaps = {}
-    for eid in surface.broken_edges:
-        pi_p, end_p = _find_end(surface, ("node", eid, "+"))
-        pi_m, end_m = _find_end(surface, ("node", eid, "-"))
-        fp_p = limit_orbit(fields_out[pi_p], end_p)
-        fp_m = limit_orbit(fields_out[pi_m], end_m)
-        gaps[eid] = fingerprint_distance(fp_p, fp_m)
+    ends = {p.left: (pi, "left") for pi, p in enumerate(surface.pieces)}
+    ends.update({p.right: (pi, "right") for pi, p in enumerate(surface.pieces)})
 
-    evaluations = {}
-    for idx, v in q.graph.legs:
-        try:
-            pi, side = _find_end(surface, ("leg", idx))
-        except SurfaceError:
-            continue  # marking on an unmeshed component
-        evaluations[idx] = limit_orbit(fields_out[pi], side)
+    def orbit(anchor):
+        if anchor not in ends:
+            raise SurfaceError(f"no piece end with anchor {anchor}")
+        pi, side = ends[anchor]
+        return limit_orbit(fields_out[pi], side)
+
+    gaps = {eid: fingerprint_distance(orbit(("node", eid, "+")), orbit(("node", eid, "-")))
+            for eid in surface.broken_edges}
+    evaluations = {idx: orbit(("leg", idx)) for idx, _ in q.graph.legs
+                   if ("leg", idx) in ends}
 
     fam = StableVortexFamily(fields_out, reports, gaps, tol, evaluations)
     bad = {e: g for e, g in gaps.items() if g > tol}

@@ -118,7 +118,6 @@ class Neck:
     i_plus: int
     i_minus: int
     length: float
-    twist: float
     roll: int
 
 
@@ -184,15 +183,13 @@ class Piece:
 
 @dataclass
 class GluedSurface:
-    """A modular graph with meshed components, glued along its edges.
-
-    ``gluings`` maps edge id -> complex delta (0 keeps the node: broken).
-    ``pieces`` lists the connected grids after gluing/breaking.
-    """
+    """A modular graph with meshed components, glued along its edges: the one
+    record of how each node is glued.  ``pieces`` lists the connected grids,
+    each glued edge a Neck of its piece; ``broken_edges`` lists the kept
+    nodes (delta = 0) between two meshed components."""
 
     graph: ModularGraph
     components: dict
-    gluings: dict
     sleeve_width: float
     break_radius: float
     pieces: list = field(default_factory=list)
@@ -231,8 +228,7 @@ def glue(
     delta = 0 marks the edge broken: the chain splits and the sockets become
     truncated ends of radius ``break_radius``.
     """
-    surf = GluedSurface(graph, dict(components), dict(deltas), float(sleeve_width),
-                        float(break_radius))
+    surf = GluedSurface(graph, dict(components), float(sleeve_width), float(break_radius))
     for v, mesh in components.items():
         if v not in graph.genus:
             raise SurfaceError(f"meshed component {v!r} not a graph vertex")
@@ -250,7 +246,7 @@ def glue(
             raise SurfaceError("all meshed components must share n_theta and h_r")
 
     # resolve each edge among meshed vertices
-    live = {}  # edge id -> (L, twist, roll) for glued edges
+    live = {}  # edge id -> (L, roll) for glued edges
     for eid, (a, b) in enumerate(graph.edges):
         if a not in components or b not in components:
             continue
@@ -276,7 +272,7 @@ def glue(
         roll = t / hth
         if abs(roll - round(roll)) > 1e-9 * max(1.0, abs(roll)):
             raise SurfaceError(f"edge {eid}: twist {t} not a multiple of h_theta")
-        live[eid] = (L, t % (2 * math.pi), int(round(roll)) % components[a].n_theta)
+        live[eid] = (L, int(round(roll)) % components[a].n_theta)
 
     surf.pieces = _build_pieces(surf, live)
     return surf
@@ -339,9 +335,9 @@ def _build_pieces(surf: GluedSurface, live: dict) -> list:
             if v not in after:
                 break
             eid, v = after[v]
-            L, t, roll = live[eid]
+            L, roll = live[eid]
             n_neck = int(round(L / hr))
-            necks.append(Neck(eid, i, i + n_neck, L, t, roll))
+            necks.append(Neck(eid, i, i + n_neck, L, roll))
             i += n_neck
             shift = (shift + roll) % nth
         n_ext_right = _end_rings(surf.break_radius, hr) if mesh.right.kind == "socket" else 0

@@ -242,7 +242,7 @@ class TestAcceptance:
         surf = glue(comps, g, {0: 0}, sleeve_width=4.0, break_radius=10.0)
         TP1 = TargetSpace(2, 1, [[1, 1]], [1.0])
         q = QuasimapData(g, TP1, {"u": ((-5.0 + 0.1j,),), "v": ((5.0 + 0.2j,),)},
-                         asymptotics={("node", 0): [1.0, 0.0]}, deltas={0: 0})
+                         asymptotics={("node", 0): [1.0, 0.0]})
         fam = correspondence(q, surf)
         gap = fam.connect_gaps[0]
         ok = gap <= fam.tol_connect

@@ -1,3 +1,4 @@
+import cmath
 import dataclasses
 import glob
 import json
@@ -763,6 +764,35 @@ class TestNeckUsesBreakRadius:
             assert totals[f"L{L:g}"] == load_json(summary)["total_energy"]
 
 
+class TestNeckKeepsTheTwist:
+    # neck replaces the length of the config's gluing and keeps its twist
+    def test_off_grid_twist_fails_before_any_solve(self, tmp_path, capsys, monkeypatch):
+        calls, real = [], solver.newton_solve
+        monkeypatch.setattr(solver, "newton_solve",
+                            lambda f, cfg=None: calls.append(1) or real(f, cfg))
+        path = neck_config(tmp_path, _set(("surface", "gluings", "0", "twist"), 0.1))
+        assert main(["neck", "--config", path]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: edge 0: twist 0.")
+        assert "not a multiple of h_theta" in err
+        assert calls == []
+
+    def test_twist_glued_at_every_length(self, tmp_path, monkeypatch):
+        deltas, real = [], experiments.glue
+        monkeypatch.setattr(experiments, "glue",
+                            lambda comps, graph, d, *rest: deltas.append(d)
+                            or real(comps, graph, d, *rest))
+
+        def edit(data):
+            data["surface"]["n_theta"] = 16
+            data["surface"]["gluings"]["0"]["twist"] = math.pi / 8
+
+        assert main(["neck", "--config", neck_config(tmp_path, edit)]) == EXIT_OK
+        assert [list(d) for d in deltas] == [[0]] * 3
+        assert [-math.log(abs(d[0])) for d in deltas] == pytest.approx([10.0, 20.0, 40.0])
+        assert [cmath.phase(d[0]) for d in deltas] == pytest.approx([-math.pi / 8] * 3)
+
+
 class TestBreakRadiusRingCount:
     def test_infinite_ring_count_is_a_numerical_failure(self, tmp_path, capsys):
         # 1e308 / h_r overflows to inf: a glue error, not an internal one
@@ -1378,11 +1408,19 @@ class TestInternalError:
         assert error["error"] == "ZeroDivisionError('a defect')"
         assert "raise ZeroDivisionError" in error["traceback"]
 
-    def test_config_error_inside_run_still_exits_2(self, tmp_path, capsys):
-        path = write_config(tmp_path, MINIMAL)
-        assert main(["neck", "--config", path]) == EXIT_CONFIG
+    # MINIMAL has no gluing; connectedness.yaml keeps its one node, so neck
+    # has no length to replace
+    @pytest.mark.parametrize("config", [None, "connectedness.yaml"],
+                             ids=["MINIMAL", "connectedness"])
+    def test_config_error_inside_run_still_exits_2(self, tmp_path, capsys, config):
+        path = (write_config(tmp_path, MINIMAL) if config is None
+                else os.path.join(CONFIGS, config))
+        out = tmp_path / "out"
+        assert main(["neck", "--config", path, "--out", str(out)]) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert "configuration error: neck experiment needs exactly one glued edge" in err
+        assert err == "configuration error: neck experiment needs exactly one glued edge\n"
+        assert [p.name for p in out.iterdir()] == [
+            f"neck-{parse_config(path).content_hash()}-error.json"]
 
 
 class TestRunWritesTheOutcome:
@@ -1463,6 +1501,22 @@ def test_graph_json_outside_graph_is_a_usage_error(tmp_path, capsys, subcommand)
     assert exit_.value.code == EXIT_CONFIG
     assert "--graph-json applies only to the graph subcommand" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flag", ["--config", "--out"])
+def test_graph_json_excludes_config_and_out(tmp_path, capsys, flag):
+    lit = tmp_path / "g.json"
+    lit.write_text('{"vertices": [{"id": "a", "genus": 0}], "edges": [], '
+                   '"legs": [{"index": 1, "vertex": "a"}, {"index": 2, "vertex": "a"}]}')
+    out = tmp_path / "out"
+    value = os.path.join(CONFIGS, "connectedness.yaml") if flag == "--config" else str(out)
+    with pytest.raises(SystemExit) as exit_:
+        main(["graph", "--graph-json", str(lit), flag, value])
+    assert exit_.value.code == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--graph-json excludes --config and --out" in captured.err
+    assert not out.exists()
 
 
 def test_negative_seed_override_is_a_usage_error(tmp_path, capsys):

@@ -21,7 +21,7 @@ from vortexlab.quasimap import (
     is_stable_quasimap,
 )
 from vortexlab.solver import SolveConfig
-from vortexlab.surface import ComponentMesh, End, glue, single_cylinder
+from vortexlab.surface import ComponentMesh, End, SurfaceError, glue, single_cylinder
 from vortexlab.target import (
     TargetSpace,
     fingerprint_distance,
@@ -52,7 +52,7 @@ def broken_pair(target, zeros_u=(), zeros_v=(), asympt=None, n_theta=32):
         zeros["u"] = zeros_u
     if zeros_v:
         zeros["v"] = zeros_v
-    q = QuasimapData(g, target, zeros, asymptotics=asympt or {}, deltas={0: 0})
+    q = QuasimapData(g, target, zeros, asymptotics=asympt or {})
     return q, surf
 
 
@@ -321,6 +321,37 @@ class TestCorrespondence:
         # a node-anchored constant component is never a stable quasimap
         q, surf = broken_pair(T1)
         with pytest.raises(QuasimapError, match="stable"):
+            correspondence(q, surf)
+
+    def test_dangling_chain_ends(self):
+        # u-v glued, v's right socket toward the unmeshed vertex x: no kept
+        # node between meshed components, so no gap, and marking 2 sits on x
+        g = ModularGraph({"u": 0, "v": 0, "x": 0}, (("u", "v"), ("v", "x")),
+                         ((1, "u"), (2, "x")))
+        comps = {
+            "u": ComponentMesh(33, 16, 0.25, -8.0, End("truncation", ("leg", 1)),
+                               End("socket", edge=0)),
+            "v": ComponentMesh(33, 16, 0.25, 0.0, End("socket", edge=0),
+                               End("socket", edge=1)),
+        }
+        surf = glue(comps, g, {0: math.exp(-10.0)}, sleeve_width=4.0, break_radius=2.0)
+        assert surf.broken_edges == []
+        fam = correspondence(QuasimapData(g, T1, {"v": ((6.0 + 0.1j,),)}), surf)
+        assert fam.connect_gaps == {}
+        assert list(fam.evaluations) == [1]
+
+    def test_broken_edge_without_piece_ends(self):
+        # both components keep their own markings at both ends, so the
+        # broken edge between them has no end on either piece
+        g = ModularGraph({"u": 0, "v": 0}, (("u", "v"),),
+                         ((1, "u"), (2, "u"), (3, "v"), (4, "v")))
+        mk = lambda rmin, a, b: ComponentMesh(41, 16, 0.25, rmin,
+                                              End("truncation", ("leg", a)),
+                                              End("truncation", ("leg", b)))
+        surf = glue({"u": mk(-5.0, 1, 2), "v": mk(0.0, 3, 4)}, g, {0: 0},
+                    sleeve_width=4.0, break_radius=8.0)
+        q = QuasimapData(g, T1, {"u": ((-2.5 + 0j,),)})
+        with pytest.raises(SurfaceError, match=r"no piece end with anchor \('node', 0, '\+'\)"):
             correspondence(q, surf)
 
 

@@ -79,7 +79,7 @@ class TestGlue:
         surf = glue(comps, graph, {0: delta}, sleeve_width=4.0)
         (piece,) = surf.pieces
         (neck,) = piece.necks
-        assert neck.twist == pytest.approx(math.pi)
+        assert neck.roll == 8  # a twist of pi: 8 of the 16 angular sites
         L = neck.length
         for rho, j in [(10.0, 0), (10.0, 5), (10.0, 11)]:
             theta = j * piece.h_theta
