@@ -266,16 +266,24 @@ def _cylinder_end(value, name: str, problems: list):
 
 def _gluing(value, name: str, problems: list):
     """A gluing as its parameter delta: 0 when broken, else the given delta
-    or exp(-(length + i twist))."""
+    or exp(-(length + i twist)), which must not underflow the normal floats
+    (a length above about 708): the neck it stands for would be lost."""
     g = _check(value, {"broken": (False, _flag), "delta": (None, _complex),
                        "length": (None, _finite), "twist": (0.0, _signed)},
                name, problems)
-    if g is None or g["broken"] or g["delta"] is not None:
-        return None if g is None else 0 if g["broken"] else g["delta"]
-    if g["length"] is None:
+    if g is None or g["broken"]:
+        return None if g is None else 0
+    if g["delta"] is None and g["length"] is None:
         problems.append(f"{name}: missing length")
         return None
-    return cmath.exp(complex(-g["length"], -g["twist"]))
+    delta = g["delta"]
+    if delta is None:
+        delta = cmath.exp(complex(-g["length"], -g["twist"]))
+    if abs(delta) < sys.float_info.min and (delta != 0 or g["delta"] is None):
+        problems.append(f"{name}: |delta| = {abs(delta):.3g} is below the smallest normal "
+                        f"float {sys.float_info.min:.3g}; the neck is too long to glue")
+        return None
+    return delta
 
 
 _TABLE = {

@@ -26,7 +26,7 @@ from . import VortexlabError
 from .fields import GaugedField, d_r, limit_orbit
 from .modgraph import ModularGraph
 from .solver import SolveConfig, solve_all
-from .surface import GluedSurface, SurfaceError
+from .surface import GluedSurface
 from .target import (
     TargetSpace,
     fingerprint_distance,
@@ -385,9 +385,7 @@ def _connected_family(q: QuasimapData, surface: GluedSurface, fields_out: dict,
     ends = {p.left: (pi, "left") for pi, p in enumerate(surface.pieces)}
     ends.update({p.right: (pi, "right") for pi, p in enumerate(surface.pieces)})
 
-    def orbit(anchor):
-        if anchor not in ends:
-            raise SurfaceError(f"no piece end with anchor {anchor}")
+    def orbit(anchor):  # glue gives both halves of a broken edge a piece end
         pi, side = ends[anchor]
         return limit_orbit(fields_out[pi], side)
 

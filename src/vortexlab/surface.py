@@ -226,7 +226,8 @@ def glue(
     one) are refused.  Neck lengths must be grid-compatible multiples of
     h_r, at least 2*sleeve_width; twists must be multiples of h_theta.
     delta = 0 marks the edge broken: the chain splits and the sockets become
-    truncated ends of radius ``break_radius``.
+    truncated ends of radius ``break_radius``; its endpoints must carry one
+    socket on it per end (a loop both of its own).
     """
     surf = GluedSurface(graph, dict(components), float(sleeve_width), float(break_radius))
     for v, mesh in components.items():
@@ -254,6 +255,12 @@ def glue(
             raise SurfaceError(f"edge {eid} joins meshed components but has no delta")
         delta = deltas[eid]
         if delta == 0:
+            # one socket on the edge per end of it, so each node half ends a piece
+            sides = ("left", "right")
+            if any(sum(_socket_edge(components[v], s) == eid for s in sides) != (a, b).count(v)
+                   for v in (a, b)):
+                raise SurfaceError(f"broken edge {eid} needs one socket on it at each "
+                                   "of its ends")
             surf.broken_edges.append(eid)
             continue
         if abs(delta) > 1.0:

@@ -5,9 +5,11 @@ carries a constant shift tau.  This module provides the moment map, the Gram
 operator entering the linearized vortex equation, the Hilbert-Mumford
 semistability test (k <= 2: a point is semistable when every integer
 lambda != 0 pairing nonnegatively with the weights of its nonvanishing
-coordinates has tau . lambda > 0), and the projection of a semistable point
+coordinates has tau . lambda > 0), the projection of a semistable point
 onto the zero level of the moment map along the imaginary-direction flow
-(Newton on a convex potential).
+(Newton on a convex potential), and validate_chamber, which refuses a tau
+outside the feasible cone, then one on a wall (a zero-level point with a
+positive-dimensional stabilizer), then one too large for the float range.
 """
 
 from __future__ import annotations
@@ -42,10 +44,6 @@ ZERO_TOL = 1e-9
 #: Newton step budget
 KN_TOL = 1e-12
 KN_MAX_ITER = 60
-
-#: validate_chamber: sample points drawn, and the seed of their generator
-CHAMBER_SAMPLES = 24
-CHAMBER_SEED = 7
 
 
 class TargetError(VortexlabError, ValueError):
@@ -117,16 +115,12 @@ def _as_rows(t: TargetSpace, V) -> np.ndarray:
     return V
 
 
-def _destabilizer(weights: np.ndarray, tau: np.ndarray):
-    """A one-parameter subgroup destabilizing the weight columns at shift tau:
-    an integer lambda != 0 with weights^T lambda >= 0 and not tau . lambda > 0,
-    or None when there is none (King's Hilbert-Mumford criterion).
-
-    Only +-e_i and, for k = 2, +-(-c_2, c_1) per nonzero column c are tried.
-    The cone {lambda : weights^T lambda >= 0} is all of R^k when every column
-    vanishes; otherwise, for k <= 2, each of its extreme rays and any line it
-    holds is orthogonal to a column, so the test is exact.
-    """
+def _directions(weights: np.ndarray) -> np.ndarray:
+    """The integer lambda the Hilbert-Mumford and wall tests try: +-e_i and,
+    for k = 2, +-(-c_2, c_1) per nonzero column c.  The cone {lambda :
+    weights^T lambda >= 0} is all of R^k when every column vanishes;
+    otherwise, for k <= 2, each of its extreme rays and any line it holds is
+    orthogonal to a column, so both tests are exact."""
     k = weights.shape[0]
     if k > 2:
         raise TargetError(f"Hilbert-Mumford test supports k <= 2, got k={k}")
@@ -134,7 +128,14 @@ def _destabilizer(weights: np.ndarray, tau: np.ndarray):
     if k == 2:
         cols = weights[:, np.any(weights != 0, axis=0)]
         lam = np.concatenate([lam, np.stack([-cols[1], cols[0]], axis=1)])
-    lam = np.concatenate([lam, -lam])
+    return np.concatenate([lam, -lam])
+
+
+def _destabilizer(weights: np.ndarray, tau: np.ndarray):
+    """A one-parameter subgroup destabilizing the weight columns at shift tau:
+    an integer lambda != 0 with weights^T lambda >= 0 and not tau . lambda > 0,
+    or None when there is none (King's Hilbert-Mumford criterion)."""
+    lam = _directions(weights)
     bad = np.all(lam @ weights >= 0, axis=1) & ~(lam @ tau > 0)
     return lam[np.argmax(bad)] if bad.any() else None
 
@@ -385,26 +386,24 @@ def fingerprint_distance(f1: Fingerprint, f2: Fingerprint) -> float:
 
 
 def validate_chamber(t: TargetSpace):
-    """Refuse targets whose shift lies outside the feasible cone or whose
-    zero level is visited by points with positive-dimensional stabilizer.
-
-    tau is outside the cone when the Hilbert-Mumford test refuses the point
-    with every coordinate nonvanishing; the error names the destabilizing
-    integer lambda it found.  Then CHAMBER_SAMPLES seeded sample points are
-    drawn, the semistable ones retracted, and the active weight submatrix
-    must have rank k on the zero level.
-    """
+    """Refuse, in this order: tau outside the feasible cone, naming the
+    destabilizing lambda of the all-ones point (weights of rank below k have
+    one); tau on a wall, naming a stabilizer direction lambda; tau too large
+    for the float range, where one kempf_ness_shifts row cannot retract the
+    all-ones point.  tau is on a wall (King's chamber structure) when it lies
+    in cone(w_S) for columns of rank below k: for k <= 2, tau = 0 or tau . w > 0
+    for a column w with w . lambda = 0 = tau . lambda (to a few ulps, with tau
+    scaled to max|tau| = 1 so nothing overflows) for a listed lambda."""
     direction = _destabilizer(t.weights, t.tau)
     if direction is not None:
         raise TargetError(
             f"tau outside the feasible cone; destabilizing direction {direction.tolist()}")
-    draws = np.random.default_rng(CHAMBER_SEED).normal(size=(CHAMBER_SAMPLES, 2, t.n))
-    V = draws[:, 0] + 1j * draws[:, 1]
-    V = V[semistable_mask(t, V)]
-    if len(V) == 0:
-        raise TargetError("no semistable sample points; chamber misconfiguration")
-    S, _ = kempf_ness_shifts(t, V)
-    for act in _patterns(np.exp(S @ t.weights.astype(float)) * V)[0]:
-        if not act.any() or np.linalg.matrix_rank(t.weights[:, act]) < t.k:
-            raise TargetError("zero level reached with a positive-dimensional stabilizer")
+    lam = _directions(t.weights)
+    size = np.max(np.abs(t.tau))
+    unit = t.tau / size if size else t.tau
+    flat = np.abs(lam @ unit) <= 4 * np.finfo(float).eps * np.max(np.abs(lam), axis=1)
+    on = flat & ((size == 0) | np.any((lam @ t.weights == 0) & (unit @ t.weights > 0), axis=1))
+    if on.any():
+        raise TargetError(f"tau on a wall; stabilizer direction {lam[np.argmax(on)].tolist()}")
+    kempf_ness_shifts(t, np.ones((1, t.n)))
     return True

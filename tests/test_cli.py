@@ -793,6 +793,50 @@ class TestNeckKeepsTheTwist:
         assert [cmath.phase(d[0]) for d in deltas] == pytest.approx([-math.pi / 8] * 3)
 
 
+class TestNeckLengthUnderflow:
+    # delta = exp(-(length + i twist)) leaves the normal floats past a length
+    # of about 708: subnormal, it misreads the neck length, and zero, it
+    # glues the edge as a broken node
+    def test_length_708_glues_one_piece(self, tmp_path):
+        cfg = parse_config(neck_config(tmp_path, _set(("surface", "gluings", "0", "length"),
+                                                      708.0)))
+        assert [p.n_r for p in cfg.surface().pieces] == [3621]
+
+    @pytest.mark.parametrize("gluing", [{"length": 710.0}, {"length": 800.0},
+                                        {"delta": 1e-320}],
+                             ids=["length-710", "length-800", "delta-1e-320"])
+    def test_underflowing_delta_is_a_config_problem(self, tmp_path, capsys, gluing):
+        path = neck_config(tmp_path, _set(("surface", "gluings", "0"), gluing))
+        assert main(["solve", "--config", path]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: surface.gluings.0: |delta| = ")
+        assert "below the smallest normal float" in err
+
+
+class TestBrokenEdgeWithoutSockets:
+    # u and v keep their own markings at both ends, so the broken edge
+    # between them has no socket: glue refuses it before any solve
+    def test_exit_3_before_any_newton_call(self, tmp_path, capsys, monkeypatch):
+        calls, real = [], solver.newton_solve
+        monkeypatch.setattr(solver, "newton_solve",
+                            lambda f, cfg=None: calls.append(1) or real(f, cfg))
+        data = json.loads(json.dumps(MINIMAL))
+        data["graph"] = {"vertices": [{"id": "u", "genus": 0}, {"id": "v", "genus": 0}],
+                         "edges": [["u", "v"]],
+                         "legs": [{"index": i, "vertex": "uuvv"[i - 1]} for i in (1, 2, 3, 4)]}
+        data["surface"]["components"] = {
+            vid: {"r_min": -5.0, "length": 10.0,
+                  "left": {"leg": legs[0]}, "right": {"leg": legs[1]}}
+            for vid, legs in (("u", (1, 2)), ("v", (3, 4)))}
+        data["surface"]["gluings"] = {0: {"broken": True}}
+        data["quasimap"] = {"zeros": {"u": [[{"r": 0.1, "theta": 0.1}]]}}
+        data["out"] = str(tmp_path / "out")
+        assert main(["solve", "--config", write_config(tmp_path, data)]) == EXIT_NUMERICAL
+        assert capsys.readouterr().err == ("numerical failure: broken edge 0 needs one "
+                                           "socket on it at each of its ends\n")
+        assert calls == []
+
+
 class TestBreakRadiusRingCount:
     def test_infinite_ring_count_is_a_numerical_failure(self, tmp_path, capsys):
         # 1e308 / h_r overflows to inf: a glue error, not an internal one
@@ -1289,6 +1333,33 @@ class TestHalfPlaneTarget:
             (summary,) = out.glob("solve-*.json")
             energies.append(load_json(summary)["total_energy"])
         assert energies[0] == energies[1]
+
+
+class TestWallTargets:
+    # [[1, 0, 1], [0, 1, 1]] at tau = (1, 1) or (2, 2): (0, 0, sqrt(2 tau_1))
+    # lies on the zero level with a one-dimensional stabilizer
+    @staticmethod
+    def _solve(tmp_path, tau):
+        data = json.loads(json.dumps(MINIMAL))
+        data["target"] = {"n": 3, "k": 2, "weights": [[1, 0, 1], [0, 1, 1]], "tau": tau}
+        data["quasimap"] = {}
+        out = tmp_path / "out"
+        return main(["solve", "--config", write_config(tmp_path, data), "--out", str(out)]), out
+
+    @pytest.mark.parametrize("tau", [[1.0, 1.0], [2.0, 2.0]])
+    def test_wall_exits_2_with_one_error_artifact(self, tmp_path, capsys, tau):
+        code, out = self._solve(tmp_path, tau)
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == ("configuration error: target: tau on a wall; "
+                                           "stabilizer direction [-1, 1]\n")
+        (error_file,) = out.iterdir()
+        assert error_file.name.startswith("solve-") and error_file.name.endswith("-error.json")
+
+    def test_off_the_walls_solves(self, tmp_path):
+        code, out = self._solve(tmp_path, [1.0, 2.0])
+        assert code == EXIT_OK
+        (summary,) = out.glob("solve-*.json")
+        assert math.isfinite(load_json(summary)["total_energy"])
 
 
 def _renamed(node, old, new):

@@ -342,17 +342,16 @@ class TestCorrespondence:
 
     def test_broken_edge_without_piece_ends(self):
         # both components keep their own markings at both ends, so the
-        # broken edge between them has no end on either piece
+        # broken edge between them would have no end on either piece: glue
+        # refuses it, before anything is seeded or solved
         g = ModularGraph({"u": 0, "v": 0}, (("u", "v"),),
                          ((1, "u"), (2, "u"), (3, "v"), (4, "v")))
         mk = lambda rmin, a, b: ComponentMesh(41, 16, 0.25, rmin,
                                               End("truncation", ("leg", a)),
                                               End("truncation", ("leg", b)))
-        surf = glue({"u": mk(-5.0, 1, 2), "v": mk(0.0, 3, 4)}, g, {0: 0},
-                    sleeve_width=4.0, break_radius=8.0)
-        q = QuasimapData(g, T1, {"u": ((-2.5 + 0j,),)})
-        with pytest.raises(SurfaceError, match=r"no piece end with anchor \('node', 0, '\+'\)"):
-            correspondence(q, surf)
+        with pytest.raises(SurfaceError, match="broken edge 0 needs one socket on it at each"):
+            glue({"u": mk(-5.0, 1, 2), "v": mk(0.0, 3, 4)}, g, {0: 0},
+                 sleeve_width=4.0, break_radius=8.0)
 
 
 class TestEvaluationResolution:

@@ -1,12 +1,15 @@
+import collections
 import dataclasses
 import functools
 import itertools
 import json
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from vortexlab import target
 from vortexlab.target import (
     L_operator,
     TargetError,
@@ -52,6 +55,27 @@ def hm_sweep():
                for w in itertools.product((-1, 0, 1), repeat=k * n)
                for tau in itertools.product((-1.0, 0.0, 1.0, 2.0), repeat=k)]
     return [(t, hm_oracle(t, np.ones(t.n))) for t in targets]
+
+
+def wall_oracle(t):
+    """Exact wall test: tau lies in cone(w_S) for a column set S of rank
+    below k, in Fraction arithmetic.  Every such S here has rank at most one,
+    and such a cone is the union of the rays of its columns, so tau must be 0
+    or a positive multiple of one of them."""
+    tau = [Fraction(x) for x in t.tau]
+    cols = [[Fraction(int(x)) for x in t.weights[:, j]] for j in range(t.n)]
+
+    def rank(S):
+        if not any(x for w in S for x in w):
+            return 0
+        return 2 if any(u[0] * v[1] != u[1] * v[0] for u in S for v in S if t.k == 2) else 1
+
+    def on_ray(w):
+        c = next((x / y for x, y in zip(tau, w) if y != 0), None)
+        return c is not None and c > 0 and all(x == c * y for x, y in zip(tau, w))
+
+    return any(rank(S) < t.k and (not any(tau) or any(on_ray(w) for w in S))
+               for size in range(t.n + 1) for S in itertools.combinations(cols, size))
 
 
 class TestMomentMap:
@@ -300,7 +324,10 @@ class TestFingerprint:
 class TestChamberValidation:
     def test_good_targets_pass(self):
         assert validate_chamber(T_STD)
-        assert validate_chamber(T_K2)
+        assert validate_chamber(dataclasses.replace(T_K2, tau=[1.0, 2.0]))
+        # T_K2's tau = (1, 1) is a multiple of its column (1, 1): a wall
+        with pytest.raises(TargetError, match="tau on a wall"):
+            validate_chamber(T_K2)
 
     def test_wrong_chamber_reports_direction(self):
         t = TargetSpace(2, 1, [[1, 1]], [-1.0])
@@ -335,6 +362,44 @@ class TestChamberValidation:
             assert np.all(t.weights.T @ lam >= 0) and t.tau @ lam <= 0
             refused += 1
         assert refused > 0
+
+
+class TestExactChamber:
+    def test_agrees_with_the_exact_oracle_on_every_small_target(self):
+        disagree, walls = [], collections.Counter()
+        for t, stable in hm_sweep():
+            expected = "cone" if not stable else "wall" if wall_oracle(t) else "ok"
+            try:
+                validate_chamber(t)
+                got = "ok"
+            except TargetError as err:
+                got = "wall" if str(err).startswith("tau on a wall") else "cone"
+                if got == "wall":
+                    lam = np.array(json.loads(str(err).rpartition("direction ")[2]))
+                    assert lam.any() and t.tau @ lam == 0
+            if got != expected:
+                disagree.append((t.weights.tolist(), t.tau.tolist(), expected, got))
+            walls[t.k, bool(t.tau.any())] += got == "wall"
+        assert disagree == []
+        assert walls == {(1, False): 14, (1, True): 0, (2, False): 48, (2, True): 594}
+
+    def test_decimal_tau(self):
+        # 0.1 * 3 != 0.3 in floats: tau . (-3, 1) is a few ulps, not 0
+        t = TargetSpace(3, 2, [[1, 1, 0], [3, 0, 1]], [0.1, 0.3])
+        with pytest.raises(TargetError, match=re.escape(
+                "tau on a wall; stabilizer direction [-3, 1]")):
+            validate_chamber(t)
+        assert validate_chamber(TargetSpace(2, 2, np.eye(2, dtype=int), [1.0, 1e-12]))
+
+    def test_one_retraction_of_the_all_ones_point(self, monkeypatch):
+        rows, real = [], target.kempf_ness_shifts
+        monkeypatch.setattr(target, "kempf_ness_shifts",
+                            lambda t, V: rows.append(np.asarray(V).tolist()) or real(t, V))
+        monkeypatch.setattr(np.random, "default_rng", None)  # no sampling either
+        for t in (T_STD, T_W12, dataclasses.replace(T_K2, tau=[1.0, 2.0])):
+            rows.clear()
+            assert validate_chamber(t)
+            assert rows == [[[1.0] * t.n]]
 
 
 class TestValidation:
@@ -379,9 +444,14 @@ class TestLargeTau:
             on_level = np.exp(t.weights.T @ s) * v
             assert np.linalg.norm(moment_map(t, on_level) / tau) <= 1e-12
 
+    # validate_chamber retracts the all-ones point, which reaches 1e307 but
+    # not 1e308; the row 0.1 does not reach 1e307
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("tau", [1e307, 1e308])
     def test_unreachable_tau_is_named(self, tau):
         t = TargetSpace(1, 1, [[1]], [tau])
         with pytest.raises(TargetError, match=r"\|tau\| = 1e\+(307|308)\b.*too large"):
-            validate_chamber(t)
+            if tau == 1e308:
+                validate_chamber(t)
+            else:
+                kempf_ness_shifts(t, np.array([[0.1]]))
