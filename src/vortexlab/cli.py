@@ -3,10 +3,10 @@
 One YAML config file describes the target, the modular graph, the meshed
 surface, the quasimap data, the solver settings and the experiment
 parameters.  Every key is checked against one table (_TABLE) and every bad
-value is one listed problem; the domain objects are built from checked
-blocks only.  Subcommands: solve, decay, annulus, quantize, neck, ev, graph,
-energy.  Artifacts are named by a content hash of the config so sweeps never
-collide; identical (config, seed) reruns give byte-identical JSON.
+value is one listed problem; the domain objects, the glued surface too, are
+built from checked blocks only.  Subcommands: solve, decay, annulus,
+quantize, neck, ev, graph, energy.  Artifacts are named by a content hash of
+the config so sweeps never collide; (config, seed) reruns are byte-identical.
 
 Each subcommand returns (ok, summary, tables); run writes one <name>.json
 summary plus one <name>-<table>.csv per table (solve --snapshots adds
@@ -86,12 +86,12 @@ def _content_hash(raw: dict) -> str:
 
 @dataclass
 class RunConfig:
+    """A checked config's domain objects, the surface parse_config glued
+    among them, and its raw mapping, whose hash names the artifacts."""
+
     target: TargetSpace
     graph: ModularGraph
-    components: dict
-    gluings: dict
-    sleeve_width: float
-    break_radius: float
+    glued: GluedSurface
     quasimap: QuasimapData
     solve: SolveConfig
     experiments: dict  # every block checked, defaults filled in (_experiment_table)
@@ -100,8 +100,7 @@ class RunConfig:
     raw: dict
 
     def surface(self) -> GluedSurface:
-        return glue(self.components, self.graph, self.gluings,
-                    self.sleeve_width, self.break_radius)
+        return self.glued
 
     def content_hash(self) -> str:
         return _content_hash(self.raw)
@@ -415,8 +414,8 @@ def _meshes(spec: dict, graph: ModularGraph, problems: list) -> dict:
 
 def parse_config(path) -> RunConfig:
     """Read a config file, check every key against _TABLE and build the
-    domain objects from the blocks that passed; a ConfigError lists every
-    problem found."""
+    domain objects from the blocks that passed, gluing the surface once; a
+    ConfigError lists every problem found, a refusal of glue among them."""
     try:
         with open(path) as fh:
             raw = yaml.load(fh, Loader=_YAML_LOADER) or {}
@@ -428,8 +427,7 @@ def parse_config(path) -> RunConfig:
     problems = []
     spec = _fields(raw, _TABLE, "", problems)
     t, g, s, q = (spec[key] for key in ("target", "graph", "surface", "quasimap"))
-    target = graph = quasimap = solve = None
-    components, gluings = {}, {}
+    target = graph = surface = quasimap = solve = None
     try:
         if t is not None:
             target = TargetSpace(t["n"], t["k"], t["weights"], t["tau"])
@@ -442,10 +440,17 @@ def parse_config(path) -> RunConfig:
     except GraphError as exc:
         problems.append(f"graph: {exc}")
     if None not in (graph, s):
+        before = len(problems)
         components = _meshes(s, graph, problems)
         gluings = {e: d for e, d in s["gluings"].items() if e < len(graph.edges)}
         problems += [f"surface.gluings: unknown edge {e}"
                      for e in s["gluings"] if e not in gluings]
+        try:
+            if len(problems) == before:
+                surface = glue(components, graph, gluings, s["sleeve_width"],
+                               s["break_radius"])
+        except SurfaceError as exc:
+            problems.append(f"surface: {exc}")
     if None not in (graph, q):
         problems += [f"quasimap.zeros: unknown vertex {vid!r}"
                      for vid in q["zeros"] if vid not in graph.genus]
@@ -469,8 +474,7 @@ def parse_config(path) -> RunConfig:
                          "experiments", problems)
     if problems:
         raise ConfigError(problems, raw)
-    return RunConfig(target, graph, components, gluings, s["sleeve_width"],
-                     s["break_radius"], quasimap, solve, experiments, spec["seed"],
+    return RunConfig(target, graph, surface, quasimap, solve, experiments, spec["seed"],
                      str(spec["out"]), raw)
 
 
@@ -585,10 +589,7 @@ def _run_quantize(cfg: RunConfig):
 
 def _run_neck(cfg: RunConfig):
     lengths = cfg.experiments["neck"]["lengths"]
-    (eid,) = cfg.gluings  # run() checks there is exactly one, and that it is smoothed
-    fam = xp.neck_family(lambda L: (cfg.graph, cfg.components, eid),
-                         lambda L: cfg.quasimap, lengths, cfg.solve, cfg.sleeve_width,
-                         cfg.break_radius, twist=-cmath.phase(cfg.gluings[eid]))
+    fam = xp.neck_family(cfg.surface(), lambda L: cfg.quasimap, lengths, cfg.solve)
     summary = {"lengths": lengths, "m0": {}, "totals": {}, "bubble": {}}
     tables = {}
     for L, prof in fam["profiles"].items():
@@ -659,17 +660,19 @@ SUBCOMMANDS = {"solve": _run_solve, "decay": _run_decay, "annulus": _run_annulus
 def run(cfg: RunConfig, subcommand: str, snapshots: bool = False):
     """Run one subcommand and write its summary and tables; returns (exit
     code, artifact paths), the code 0 if it returned ok and 1 if not.  Every
-    subcommand but graph needs a meshed component, neck exactly one gluing,
-    a smoothed one, and an output directory made before anything runs (a
-    ConfigError otherwise).  snapshots adds solve's field files (other
-    subcommands ignore it).  A package error inside is a numerical failure:
-    exit 3, reported by _failure."""
+    subcommand but graph needs a meshed component, neck a surface with
+    exactly one neck and no broken edge, and an output directory made before
+    anything runs (a ConfigError otherwise).  snapshots adds solve's field
+    files (other subcommands ignore it).  A package error inside is a
+    numerical failure: exit 3, reported by _failure."""
+    surface = cfg.surface()
     if subcommand not in SUBCOMMANDS:
         raise ConfigError([f"unknown subcommand {subcommand!r}"], cfg.raw)
-    if subcommand != "graph" and not cfg.components:
+    if subcommand != "graph" and not surface.components:
         raise ConfigError([f"surface.components: {subcommand} needs at least one "
                            "meshed component"], cfg.raw)
-    if subcommand == "neck" and (len(cfg.gluings) != 1 or 0 in cfg.gluings.values()):
+    if subcommand == "neck" and (sum(len(p.necks) for p in surface.pieces) != 1
+                                 or surface.broken_edges):
         raise ConfigError(["neck experiment needs exactly one glued edge"], cfg.raw)
     try:
         os.makedirs(cfg.out_dir, exist_ok=True)
@@ -685,7 +688,7 @@ def run(cfg: RunConfig, subcommand: str, snapshots: bool = False):
         return _failure(EXIT_NUMERICAL, [f"numerical failure: {exc}"], {"error": str(exc)},
                         subcommand, cfg.raw, cfg.out_dir), {}
     paths = emit_report(cfg.out_dir, name, summary, tables)
-    for pi in range(len(cfg.surface().pieces)) if extra else ():
+    for pi in range(len(surface.pieces)) if extra else ():
         paths.update(_field_files(extra["snapshots"], pi))
     return (EXIT_OK if ok else EXIT_ASSERTION), paths
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -21,7 +21,7 @@ from . import VortexlabError
 from .fields import GaugedField, holonomy, ring_average, ring_energy
 from .quasimap import correspondences
 from .solver import SolveConfig, solve_all
-from .surface import glue
+from .surface import GluedSurface, glue
 from .target import (
     L_operator,
     TargetError,
@@ -263,41 +263,32 @@ def neck_profile(f: GaugedField, edge, ring_energies: np.ndarray) -> NeckProfile
     )
 
 
-def neck_family(
-    components_factory: Callable,
-    q_factory: Callable,
-    lengths,
-    cfg: Optional[SolveConfig] = None,
-    sleeve_width: float = 4.0,
-    break_radius: float = 12.0,
-    twist: float = 0.0,
-) -> dict:
+def neck_family(surface: GluedSurface, q_factory: Callable, lengths,
+                cfg: Optional[SolveConfig] = None) -> dict:
     """Solve the glued problem over a sweep of neck lengths.
 
-    ``components_factory(L) -> (graph, components, edge)`` and
-    ``q_factory(L) -> QuasimapData`` supply the per-length setup; the edge is
-    glued with delta = exp(-(L + i twist)) and each length produces one
-    NeckProfile plus the family of evaluations.  Every length is glued and
-    checked first, so a bad length or twist fails before any solve; the
-    lengths are independent solves, which correspondences seeds and solves in
-    one solve_all call (forked processes when they are large enough).  Each
-    profile reads the ring energies its solve's report carries, so no
-    length's energy density is evaluated again here.
+    ``surface`` is one piece with one neck.  Each length L glues that neck
+    again at delta = exp(-(L + i twist)), keeping its twist (roll * h_theta)
+    and the surface's sleeve width and break radius, with
+    ``q_factory(L) -> QuasimapData``.  Every length is glued before
+    correspondences solves them in one solve_all call, so a bad length fails
+    before any solve.  Returns each length's NeckProfile, read from the ring
+    energies its solve's report carries, and its family.
     """
-    members, necks = [], []  # necks: (L, edge) of each member
-    for L in lengths:
-        graph, comps, edge = components_factory(L)
-        surf = glue(comps, graph, {edge: cmath.exp(complex(-L, -twist))}, sleeve_width,
-                    break_radius)
-        if len(surf.pieces) != 1:
-            raise ExperimentError("neck sweep expects one glued piece per length")
-        members.append((q_factory(L), surf))
-        necks.append((float(L), edge))
+    if len(surface.pieces) != 1 or len(surface.pieces[0].necks) != 1:
+        raise ExperimentError("neck sweep expects a surface of one piece with one neck")
+    (piece,) = surface.pieces
+    (neck,) = piece.necks
+    twist = neck.roll * piece.h_theta
+    members = [(q_factory(L), glue(surface.components, surface.graph,
+                                   {neck.edge: cmath.exp(complex(-L, -twist))},
+                                   surface.sleeve_width, surface.break_radius))
+               for L in lengths]
     out = {"profiles": {}, "families": {}}
-    for (L, edge), fam in zip(necks, correspondences(members, cfg)):
-        out["profiles"][L] = neck_profile(fam.fields[0], edge,
-                                          fam.reports[0].ring_energy)
-        out["families"][L] = fam
+    for L, fam in zip(lengths, correspondences(members, cfg)):
+        out["profiles"][float(L)] = neck_profile(fam.fields[0], neck.edge,
+                                                 fam.reports[0].ring_energy)
+        out["families"][float(L)] = fam
     return out
 
 

@@ -232,6 +232,7 @@ def gauge_step_jacobian_apply(f: GaugedField, xi: np.ndarray) -> np.ndarray:
     return gauge_step_operator(f)(xi)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def pcg(op: Callable, rhs: np.ndarray, M: Optional[Callable], tol: float,
         maxit: int, sup_tol: Optional[float] = None):
     """Preconditioned conjugate gradients for op x = rhs from x = 0.
@@ -240,12 +241,12 @@ def pcg(op: Callable, rhs: np.ndarray, M: Optional[Callable], tol: float,
     approximate inverse.  Stops at relative Euclidean residual tol, or, when
     sup_tol is given, as soon as the residual's largest entry is at most
     sup_tol; that entry is only looked for once the Euclidean norm is at
-    most sqrt(n) sup_tol, which every such residual satisfies.  Raises on
-    loss of positivity (a misconfigured operator) or when maxit is exceeded.
-    Returns (x, iterations).  Every update is an in-place numpy operation
-    on a flat view: the direction is scaled by the step length and added to
-    x, and op's result, which pcg overwrites, is scaled and subtracted from
-    the residual.
+    most sqrt(n) sup_tol, which every such residual satisfies.  Raises when
+    d.Ad is not finite and positive (a misconfigured or overflowing operator)
+    or maxit is exceeded.  Returns (x, iterations).  Every update is an
+    in-place numpy operation on a flat view: the direction is scaled by the
+    step length and added to x, and op's result, which pcg overwrites, is
+    scaled and subtracted from the residual.
     """
     x = np.zeros(np.shape(rhs))
     r = np.array(rhs, dtype=float)
@@ -263,8 +264,8 @@ def pcg(op: Callable, rhs: np.ndarray, M: Optional[Callable], tol: float,
     for it in range(1, maxit + 1):
         Ad = op(d).reshape(-1)
         dAd = float(np.dot(dv, Ad))
-        if dAd <= 0.0:
-            raise SolverError("operator lost positivity; misconfigured system")
+        if not 0.0 < dAd < math.inf:
+            raise SolverError(f"operator lost positivity or overflowed: d.Ad = {dAd:.3g}")
         alpha = rz / dAd
         dv *= alpha  # unscaled again with beta below
         xv += dv

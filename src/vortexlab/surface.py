@@ -274,8 +274,8 @@ def glue(
                 f"sleeve width {sleeve_width}"
             )
         n_neck = L / hr
-        if abs(n_neck - round(n_neck)) > 1e-9 * max(1, n_neck):
-            raise SurfaceError(f"edge {eid}: neck length {L} not a multiple of h_r")
+        if not math.isfinite(n_neck) or abs(n_neck - round(n_neck)) > 1e-9 * max(1, n_neck):
+            raise SurfaceError(f"edge {eid}: neck length {L} not a finite multiple of h_r {hr}")
         roll = t / hth
         if abs(roll - round(roll)) > 1e-9 * max(1.0, abs(roll)):
             raise SurfaceError(f"edge {eid}: twist {t} not a multiple of h_theta")

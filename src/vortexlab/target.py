@@ -203,6 +203,8 @@ def kempf_ness_shifts(t: TargetSpace, V):
     if not all(_pattern_fact(t, _hilbert_mumford, pat) for pat in patterns):
         raise TargetError("kempf_ness requires a semistable point")
     m = np.abs(V) ** 2
+    if not np.all(np.isfinite(m)):
+        raise TargetError(f"a point of modulus {np.max(np.abs(V)):.3g} overflows its square")
     w = t.weights.astype(float)
     tau_size = float(np.max(np.abs(t.tau)))
     scale = max(1.0, tau_size)

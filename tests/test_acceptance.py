@@ -180,24 +180,22 @@ class TestAcceptance:
 
     def _neck_setup(self, zero_in_neck):
         g = ModularGraph({"u": 0, "v": 0}, (("u", "v"),), ((1, "u"), (2, "v")))
-
-        def components(L):
-            mk = lambda rmin, l, r: ComponentMesh(41, 32, 0.2, rmin, l, r)
-            return g, {
-                "u": mk(-8.0, End("truncation", ("leg", 1)), End("socket", edge=0)),
-                "v": mk(0.0, End("socket", edge=0), End("truncation", ("leg", 2))),
-            }, 0
+        mk = lambda rmin, l, r: ComponentMesh(41, 32, 0.2, rmin, l, r)
+        template = glue({  # the one neck that neck_family stretches
+            "u": mk(-8.0, End("truncation", ("leg", 1)), End("socket", edge=0)),
+            "v": mk(0.0, End("socket", edge=0), End("truncation", ("leg", 2))),
+        }, g, {0: math.exp(-10.0)}, sleeve_width=4.0)
 
         def qdata(L):
             if zero_in_neck:
                 return QuasimapData(g, T1, {"u": ((complex(L / 2, 0.1),),)})
             return QuasimapData(g, T1, {"u": ((-4.0 + 0.1j,),)})
 
-        return components, qdata
+        return template, qdata
 
     def test_08_neck_family(self):
-        comps, qdata = self._neck_setup(zero_in_neck=False)
-        flat = neck_family(comps, qdata, [10.0, 20.0, 40.0])
+        template, qdata = self._neck_setup(zero_in_neck=False)
+        flat = neck_family(template, qdata, [10.0, 20.0, 40.0])
         mids = []
         for L in (10.0, 20.0, 40.0):
             prof = flat["profiles"][L]
@@ -205,8 +203,8 @@ class TestAcceptance:
             mids.append(float(prof.ring_energy[sel].sum() * prof.h_r))
         decreasing = mids[0] > mids[1] > mids[2] and mids[2] < 1e-6
 
-        comps_b, qdata_b = self._neck_setup(zero_in_neck=True)
-        bubble = neck_family(comps_b, qdata_b, [20.0, 40.0])
+        template_b, qdata_b = self._neck_setup(zero_in_neck=True)
+        bubble = neck_family(template_b, qdata_b, [20.0, 40.0])
         m20 = bubble["profiles"][20.0].m0
         m40 = bubble["profiles"][40.0].m0
         stable = abs(m20 - m40) / m40 <= 0.05

@@ -51,6 +51,15 @@ MINIMAL = {
 }
 
 
+@pytest.fixture
+def newton_calls(monkeypatch):
+    """One entry per solver.newton_solve call the test makes."""
+    calls, real = [], solver.newton_solve
+    monkeypatch.setattr(solver, "newton_solve",
+                        lambda f, cfg=None: calls.append(1) or real(f, cfg))
+    return calls
+
+
 def write_config(tmp_path, data, name="run.yaml"):
     path = tmp_path / name
     path.write_text(yaml.safe_dump(data))
@@ -67,7 +76,7 @@ class TestParseConfig:
         cfg = parse_config(write_config(tmp_path, MINIMAL))
         assert cfg.target.n == 1
         assert cfg.graph.n_markings == 2
-        assert "c" in cfg.components
+        assert "c" in cfg.surface().components
 
     def test_unknown_vertex_named_in_error(self, tmp_path):
         bad = json.loads(json.dumps(MINIMAL))
@@ -99,10 +108,12 @@ class TestParseConfig:
             "r_min": 0.0, "length": 10.0, "left": {"edge": 0}, "right": {"leg": 2}}
         data["surface"]["gluings"] = {"0": {"length": 10.0, "twist": 0.0}}
         cfg = parse_config(write_config(tmp_path, data))
-        assert cfg.gluings[0] == pytest.approx(math.exp(-10.0))
+        (piece,) = cfg.surface().pieces
+        assert [(nk.edge, nk.length, nk.roll) for nk in piece.necks] == [
+            (0, pytest.approx(10.0), 0)]
         data["surface"]["gluings"] = {"0": {"broken": True}}
         cfg = parse_config(write_config(tmp_path, data))
-        assert cfg.gluings[0] == 0
+        assert cfg.surface().broken_edges == [0]
 
     def test_non_mapping_config(self, tmp_path):
         path = tmp_path / "list.yaml"
@@ -765,17 +776,15 @@ class TestNeckUsesBreakRadius:
 
 
 class TestNeckKeepsTheTwist:
-    # neck replaces the length of the config's gluing and keeps its twist
-    def test_off_grid_twist_fails_before_any_solve(self, tmp_path, capsys, monkeypatch):
-        calls, real = [], solver.newton_solve
-        monkeypatch.setattr(solver, "newton_solve",
-                            lambda f, cfg=None: calls.append(1) or real(f, cfg))
+    # neck replaces the length of the config's gluing and keeps its twist;
+    # parse_config glues the config's own length first
+    def test_off_grid_twist_fails_before_any_solve(self, tmp_path, capsys, newton_calls):
         path = neck_config(tmp_path, _set(("surface", "gluings", "0", "twist"), 0.1))
-        assert main(["neck", "--config", path]) == EXIT_NUMERICAL
+        assert main(["neck", "--config", path]) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert err.startswith("numerical failure: edge 0: twist 0.")
+        assert err.startswith("configuration error: surface: edge 0: twist 0.")
         assert "not a multiple of h_theta" in err
-        assert calls == []
+        assert newton_calls == []
 
     def test_twist_glued_at_every_length(self, tmp_path, monkeypatch):
         deltas, real = [], experiments.glue
@@ -815,11 +824,8 @@ class TestNeckLengthUnderflow:
 
 class TestBrokenEdgeWithoutSockets:
     # u and v keep their own markings at both ends, so the broken edge
-    # between them has no socket: glue refuses it before any solve
-    def test_exit_3_before_any_newton_call(self, tmp_path, capsys, monkeypatch):
-        calls, real = [], solver.newton_solve
-        monkeypatch.setattr(solver, "newton_solve",
-                            lambda f, cfg=None: calls.append(1) or real(f, cfg))
+    # between them has no socket: glue refuses it while the config is checked
+    def test_exit_2_before_any_newton_call(self, tmp_path, capsys, newton_calls):
         data = json.loads(json.dumps(MINIMAL))
         data["graph"] = {"vertices": [{"id": "u", "genus": 0}, {"id": "v", "genus": 0}],
                          "edges": [["u", "v"]],
@@ -831,41 +837,52 @@ class TestBrokenEdgeWithoutSockets:
         data["surface"]["gluings"] = {0: {"broken": True}}
         data["quasimap"] = {"zeros": {"u": [[{"r": 0.1, "theta": 0.1}]]}}
         data["out"] = str(tmp_path / "out")
-        assert main(["solve", "--config", write_config(tmp_path, data)]) == EXIT_NUMERICAL
-        assert capsys.readouterr().err == ("numerical failure: broken edge 0 needs one "
-                                           "socket on it at each of its ends\n")
-        assert calls == []
+        assert main(["solve", "--config", write_config(tmp_path, data)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == ("configuration error: surface: broken edge 0 "
+                                           "needs one socket on it at each of its ends\n")
+        assert newton_calls == []
 
 
 class TestBreakRadiusRingCount:
-    def test_infinite_ring_count_is_a_numerical_failure(self, tmp_path, capsys):
+    def test_infinite_ring_count_is_a_config_error(self, tmp_path, capsys, newton_calls):
         # 1e308 / h_r overflows to inf: a glue error, not an internal one
         with open(os.path.join(CONFIGS, "connectedness.yaml")) as fh:
             data = yaml.safe_load(fh)
         data["surface"]["break_radius"] = 1e308
         data["out"] = str(tmp_path / "out")
-        assert main(["solve", "--config", write_config(tmp_path, data)]) == EXIT_NUMERICAL
+        assert main(["solve", "--config", write_config(tmp_path, data)]) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert "numerical failure: break radius 1e+308 is not a finite number" in err
+        assert "configuration error: surface: break radius 1e+308 is not a finite number" in err
         (error,) = (tmp_path / "out").glob("solve-*-error.json")
         assert "traceback" not in load_json(error)
+        assert newton_calls == []
+
+    def test_infinite_neck_ring_count_is_a_config_error(self, tmp_path, capsys):
+        # the components' 8 / h_r rings are finite, the neck's 20 / h_r are
+        # not: a glue error, where round() raised an OverflowError (exit 4)
+        path = neck_config(tmp_path, _set(("surface", "h_r"), 1e-307))
+        assert main(["solve", "--config", path]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "configuration error: surface: edge 0: neck length 20.0 not a finite multiple "
+            "of h_r 1e-307\n")
 
     @pytest.mark.parametrize("shipped, edit", [
         ("degree_one.yaml", lambda d: d["surface"]["components"]["c"].update(length=1e300)),
         ("connectedness.yaml", lambda d: d["surface"].update(break_radius=1e300)),
     ], ids=["component-length", "break-radius"])
-    def test_unallocatable_ring_count_is_a_numerical_failure(self, tmp_path, capsys,
-                                                             shipped, edit):
+    def test_unallocatable_ring_count_is_a_config_error(self, tmp_path, capsys,
+                                                        newton_calls, shipped, edit):
         # a finite ring count whose sites numpy cannot allocate: a glue error
         with open(os.path.join(CONFIGS, shipped)) as fh:
             data = yaml.safe_load(fh)
         edit(data)
         data["out"] = str(tmp_path / "out")
-        assert main(["solve", "--config", write_config(tmp_path, data)]) == EXIT_NUMERICAL
+        assert main(["solve", "--config", write_config(tmp_path, data)]) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert "numerical failure: piece has more than the" in err
+        assert "configuration error: surface: piece has more than the" in err
         (error,) = (tmp_path / "out").glob("solve-*-error.json")
         assert "traceback" not in load_json(error)
+        assert newton_calls == []
 
 
 class TestDecayExitCodes:
@@ -897,7 +914,7 @@ class TestNThetaInteger:
 
     def test_integral_float_accepted(self, tmp_path):
         cfg = parse_config(neck_config(tmp_path, _set(("surface", "n_theta"), 32.0)))
-        assert all(c.n_theta == 32 for c in cfg.components.values())
+        assert all(c.n_theta == 32 for c in cfg.surface().components.values())
 
     def test_fractional_exits_with_config_error(self, tmp_path, capsys):
         err, error = _main_config_error(
@@ -1070,9 +1087,11 @@ class TestGluingDeltaValidation:
         (problem,) = err.value.problems
         assert problem.startswith("surface.gluings.0.delta must be finite")
 
-    def test_finite_delta_accepted(self, tmp_path):
-        edit = _set(("surface", "gluings", "0"), {"delta": [1e-8, 0.0]})
-        assert parse_config(neck_config(tmp_path, edit)).gluings[0] == 1e-8
+    def test_finite_delta_accepted(self):
+        # |delta| = 1e-8 is no whole number of rings, so only the gluing is read
+        problems = []
+        assert cli._gluing({"delta": [1e-8, 0.0]}, "surface.gluings.0", problems) == 1e-8
+        assert problems == []
 
     def test_nan_delta_exits_with_config_error(self, tmp_path, capsys):
         err, error = _main_config_error(
@@ -1312,9 +1331,10 @@ class TestMisspelledNumbers:
 
     @pytest.mark.parametrize("value, delta", [
         ({"re": 2e-9}, 2e-9), ({"im": 1e-9}, 1e-9j), ([0.0, 1e-9], 1e-9j), (3e-9, 3e-9)])
-    def test_each_form_read(self, tmp_path, value, delta):
-        edit = _set(("surface", "gluings", "0"), {"delta": value})
-        assert parse_config(neck_config(tmp_path, edit)).gluings[0] == delta
+    def test_each_form_read(self, value, delta):
+        problems = []
+        assert cli._gluing({"delta": value}, "surface.gluings.0", problems) == delta
+        assert problems == []
 
 
 class TestHalfPlaneTarget:
@@ -1360,6 +1380,35 @@ class TestWallTargets:
         assert code == EXIT_OK
         (summary,) = out.glob("solve-*.json")
         assert math.isfinite(load_json(summary)["total_energy"])
+
+
+class TestOverflowThroughMain:
+    """Values that leave the float range inside a solve end as a numerical
+    failure with one line on stderr and no warning."""
+
+    # degree_one.yaml at 200x16: the Gram term's products overflow in the
+    # conjugate gradients, so d.Ad is inf (it used to pass the positivity
+    # check and end in a ZeroDivisionError, exit 4)
+    @pytest.mark.parametrize("sub", ["solve", "annulus"])
+    @pytest.mark.parametrize("tau", [1e140, 1e150])
+    def test_large_tau_exits_3(self, tmp_path, capsys, sub, tau):
+        def edit(data):
+            data["surface"].update(n_theta=16, h_r=40 / 199)
+            data["target"]["tau"] = [tau]
+
+        _, *args = _shipped_args(tmp_path, "degree_one.yaml", edit)
+        assert main([sub, *args]) == EXIT_NUMERICAL
+        assert capsys.readouterr().err == (
+            "numerical failure: operator lost positivity or overflowed: d.Ad = inf\n")
+        (error_file,) = (tmp_path / "out").iterdir()
+        assert error_file.name.endswith("-error.json")
+
+    def test_oversized_asymptotic_names_its_modulus(self, tmp_path, capsys):
+        edit = _set(("quasimap", "asymptotics"),
+                    [{"anchor": ["node", 0], "value": [[1e308, 0.0], [0.0, 0.0]]}])
+        assert main(_shipped_args(tmp_path, "connectedness.yaml", edit)) == EXIT_NUMERICAL
+        assert capsys.readouterr().err == (
+            "numerical failure: a point of modulus 1e+308 overflows its square\n")
 
 
 def _renamed(node, old, new):
@@ -1412,7 +1461,7 @@ class TestSocketsDecideTheChain:
                 "edges": [["u", "v"], ["v", "w"], ["w", "u"]], "legs": []}
 
     @pytest.mark.parametrize("graph", [LOOP, TRIANGLE], ids=["loop", "triangle"])
-    def test_glued_cycle_is_a_numerical_failure(self, tmp_path, capsys, graph):
+    def test_glued_cycle_is_a_config_error(self, tmp_path, capsys, newton_calls, graph):
         n = len(graph["edges"])
         data = json.loads(json.dumps(MINIMAL))
         data["graph"] = graph
@@ -1424,11 +1473,12 @@ class TestSocketsDecideTheChain:
                                       for e in range(n)}
         data["quasimap"] = {}
         path = write_config(tmp_path, data)
-        assert main(["solve", "--config", path, "--out", str(tmp_path / "out")]) == EXIT_NUMERICAL
+        assert main(["solve", "--config", path, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert err == "numerical failure: glued components form a cycle\n"
+        assert err == "configuration error: surface: glued components form a cycle\n"
         (error_file,) = (tmp_path / "out").glob("solve-*-error.json")
-        assert load_json(error_file)["error"] == "glued components form a cycle"
+        assert load_json(error_file)["problems"] == ["surface: glued components form a cycle"]
+        assert newton_calls == []
 
     def test_socket_off_its_edge_is_a_config_error(self, tmp_path, capsys):
         # w's left socket names edge 0, which joins u and v, not w
@@ -1517,13 +1567,13 @@ class TestRunWritesTheOutcome:
         # written, and the run still ends as the numerical failure it is
         with open(os.path.join(CONFIGS, "connectedness.yaml")) as fh:
             data = yaml.safe_load(fh)
-        data["surface"]["break_radius"] = 1e308
+        data["solve"]["max_newton"] = 1
         out = tmp_path / "out"
         path = write_config(tmp_path, data)
         (out / f"solve-{parse_config(path).content_hash()}-error.json").mkdir(parents=True)
         assert main(["solve", "--config", path, "--out", str(out)]) == EXIT_NUMERICAL
         numerical, artifact = capsys.readouterr().err.splitlines()
-        assert numerical.startswith("numerical failure: break radius 1e+308 is not a finite")
+        assert numerical.startswith("numerical failure: Newton did not reach tol")
         assert artifact.startswith("cannot write the error artifact: ")
 
 

@@ -22,7 +22,7 @@ from vortexlab.fields import constant_field, ring_energy
 from vortexlab.modgraph import ModularGraph
 from vortexlab.quasimap import QuasimapData, build_seed, correspondence
 from vortexlab.solver import SolveConfig, newton_solve
-from vortexlab.surface import ComponentMesh, End, SurfaceError, single_cylinder
+from vortexlab.surface import ComponentMesh, End, SurfaceError, glue, single_cylinder
 from vortexlab.target import TargetError, TargetSpace, kempf_ness
 
 T1 = TargetSpace(1, 1, [[1]], [1.0])
@@ -49,15 +49,15 @@ def vortex_field():
     return solve_degree_one()
 
 
-def neck_factories(target, zero_in_neck):
+def neck_setup(target, zero_in_neck):
+    """A glued template whose one neck neck_family stretches, and the data
+    per length."""
     g = ModularGraph({"u": 0, "v": 0}, (("u", "v"),), ((1, "u"), (2, "v")))
-
-    def components(L):
-        mk = lambda rmin, l, r: ComponentMesh(33, 16, 0.25, rmin, l, r)
-        return g, {
-            "u": mk(-8.0, End("truncation", ("leg", 1)), End("socket", edge=0)),
-            "v": mk(0.0, End("socket", edge=0), End("truncation", ("leg", 2))),
-        }, 0
+    mk = lambda rmin, l, r: ComponentMesh(33, 16, 0.25, rmin, l, r)
+    template = glue({
+        "u": mk(-8.0, End("truncation", ("leg", 1)), End("socket", edge=0)),
+        "v": mk(0.0, End("socket", edge=0), End("truncation", ("leg", 2))),
+    }, g, {0: math.exp(-10.0)}, sleeve_width=4.0)
 
     def qdata(L):
         if zero_in_neck:
@@ -66,7 +66,7 @@ def neck_factories(target, zero_in_neck):
             zeros = {"u": ((-4.0 + 0.1j,),)}
         return QuasimapData(g, target, zeros)
 
-    return components, qdata
+    return template, qdata
 
 
 class TestDecayFit:
@@ -166,8 +166,8 @@ class TestReportRingEnergies:
             k: v for k, v in alone.items() if k != "table"}
 
     def test_neck_family_profiles(self):
-        comps, qdata = neck_factories(T1, zero_in_neck=True)
-        out = neck_family(comps, qdata, [12.0])
+        template, qdata = neck_setup(T1, zero_in_neck=True)
+        out = neck_family(template, qdata, [12.0])
         prof = out["profiles"][12.0]
         f = out["families"][12.0].fields[0]
         alone = neck_profile(f, 0, ring_energy(f))
@@ -215,8 +215,8 @@ class TestQuantization:
 
 class TestNeckFamily:
     def test_no_neck_zero_middle_energy_decays(self):
-        comps, qdata = neck_factories(T1, zero_in_neck=False)
-        out = neck_family(comps, qdata, [8.0, 12.0, 16.0])
+        template, qdata = neck_setup(T1, zero_in_neck=False)
+        out = neck_family(template, qdata, [8.0, 12.0, 16.0])
         mids = []
         for L, prof in sorted(out["profiles"].items()):
             mid = prof.ring_energy[np.abs(prof.rho - L / 2) <= 1.0].sum() * prof.h_r
@@ -225,14 +225,14 @@ class TestNeckFamily:
         assert mids[2] < 1e-4
 
     def test_total_energy_independent_of_length(self):
-        comps, qdata = neck_factories(T1, zero_in_neck=False)
-        out = neck_family(comps, qdata, [8.0, 16.0])
+        template, qdata = neck_setup(T1, zero_in_neck=False)
+        out = neck_family(template, qdata, [8.0, 16.0])
         totals = [p.total_energy for p in out["profiles"].values()]
         assert abs(totals[0] - totals[1]) / totals[1] < 0.02
 
     def test_neck_zero_m0_persists(self):
-        comps, qdata = neck_factories(T1, zero_in_neck=True)
-        out = neck_family(comps, qdata, [12.0, 16.0])
+        template, qdata = neck_setup(T1, zero_in_neck=True)
+        out = neck_family(template, qdata, [12.0, 16.0])
         m0s = [out["profiles"][L].m0 for L in (12.0, 16.0)]
         assert all(m > 1.0 for m in m0s)
         assert abs(m0s[0] - m0s[1]) / m0s[1] < 0.05
@@ -241,14 +241,19 @@ class TestNeckFamily:
         calls, real = [], solver.newton_solve
         monkeypatch.setattr(solver, "newton_solve",
                             lambda f, cfg=None: calls.append(1) or real(f, cfg))
-        comps, qdata = neck_factories(T1, zero_in_neck=False)
+        template, qdata = neck_setup(T1, zero_in_neck=False)
         with pytest.raises(SurfaceError, match="shorter than twice"):
-            neck_family(comps, qdata, [8.0, 12.0, 6.0])
+            neck_family(template, qdata, [8.0, 12.0, 6.0])
         assert calls == []
 
+    def test_a_surface_without_one_neck_is_refused(self):
+        _, qdata = neck_setup(T1, zero_in_neck=False)
+        with pytest.raises(ExperimentError, match="one piece with one neck"):
+            neck_family(cylinder(), qdata, [8.0])
+
     def test_ev_stable_across_neck_sweep(self):
-        comps, qdata = neck_factories(T1, zero_in_neck=False)
-        out = neck_family(comps, qdata, [8.0, 12.0, 16.0])
+        template, qdata = neck_setup(T1, zero_in_neck=False)
+        out = neck_family(template, qdata, [8.0, 12.0, 16.0])
         fams = [out["families"][L] for L in (8.0, 12.0, 16.0)]
         dists = ev_continuity(fams)
         tol = max(f.tol_connect for f in fams)

@@ -444,6 +444,15 @@ class TestLargeTau:
             on_level = np.exp(t.weights.T @ s) * v
             assert np.linalg.norm(moment_map(t, on_level) / tau) <= 1e-12
 
+    # the squared modulus of a coordinate overflows before any shift is
+    # tried: the point's size is named, not tau's
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("modulus", [1e200, 1e308])
+    def test_oversized_point_is_named(self, modulus):
+        t = TargetSpace(2, 1, [[1, 1]], [1.0])
+        with pytest.raises(TargetError, match=re.escape(f"a point of modulus {modulus:.3g} overflows")):
+            kempf_ness_shifts(t, np.array([[0.5, 0.5], [modulus, 0.0]]))
+
     # validate_chamber retracts the all-ones point, which reaches 1e307 but
     # not 1e308; the row 0.1 does not reach 1e307
     @pytest.mark.filterwarnings("error")
